@@ -30,11 +30,14 @@ cargo run -q -p goalrec-lint --bin goalrec-lint -- --baseline lint-baseline.json
 echo "== tests =="
 cargo test --workspace
 
+echo "== perfbench tests (the server API the benchmark imports) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "== docs =="
 cargo doc --workspace --no-deps
 
 echo "== examples =="
-for ex in quickstart text_extraction hybrid_and_priorities; do
+for ex in quickstart text_extraction explanations; do
     cargo run -q --example "$ex" > /dev/null
 done
 for ex in grocery_store life_goals scalability; do
@@ -44,10 +47,10 @@ done
 echo "== repro smoke (test scale) =="
 cargo run -q --release -p goalrec-bench --bin repro -- stats table6 --scale test > /dev/null
 
-echo "== server smoke (healthz + recommend + SIGTERM drain) =="
+echo "== server smoke (1 shard: healthz + recommend + SIGTERM drain) =="
 cargo run -q --release -p goalrec-bench --bin loadgen -- --smoke
 
-echo "== sharded server smoke (scatter-gather path, 2 shards) =="
+echo "== sharded server smoke (2 shards) =="
 cargo run -q --release -p goalrec-bench --bin loadgen -- --smoke --shards 2
 
 echo "== chaos-reload smoke (faulted reloads roll back under live traffic) =="

@@ -11,7 +11,7 @@
 //! --smoke         CI mode: probe /healthz and /v1/recommend against an
 //!                 in-process server, raise a real SIGTERM, assert a clean
 //!                 drain, exit 0 — no load, no report; `--shards N` boots
-//!                 the server on the sharded scatter-gather path
+//!                 the server with N shards (default 1)
 //! --chaos-smoke   CI mode: drive recommend traffic while hot reloads go
 //!                 through injected fault plans (IO error, torn write,
 //!                 slow read); assert every faulted reload rolls back,
@@ -346,7 +346,7 @@ fn run_phase(
     }
 }
 
-/// CI smoke: boot (sharded when `shards > 0`), probe every route once,
+/// CI smoke: boot with `shards` shards, probe every route once,
 /// then exercise the *real* SIGTERM path and require a clean drain.
 fn smoke(shards: usize) {
     shutdown::install_signal_handlers();
@@ -1402,8 +1402,7 @@ fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
             }));
         }
         // End-to-end serving throughput at this shard count: a short
-        // keep-alive window against a live server routing through the
-        // scatter-gather path (0 shards = unsharded baseline elsewhere).
+        // keep-alive window against a live server at this shard count.
         let tp = run_phase(
             ServerConfig::default().workers,
             ServerConfig::default().queue_depth,
@@ -1433,7 +1432,7 @@ fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
         let run = run_phase(
             ServerConfig::default().workers,
             ServerConfig::default().queue_depth,
-            0,
+            1,
             clients,
             seconds,
             keep_alive_client,
@@ -1583,7 +1582,7 @@ fn main() {
     let mut is_smoke = false;
     let mut is_chaos = false;
     let mut is_perf = false;
-    let mut shards = 0usize;
+    let mut shards = 1usize;
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -1636,7 +1635,7 @@ fn main() {
 
     if is_smoke {
         smoke(shards);
-        if shards > 0 {
+        if shards > 1 {
             println!("loadgen --smoke ({shards} shards): all probes ok, graceful drain ok");
         } else {
             println!("loadgen --smoke: all probes ok, graceful drain ok");
@@ -1648,7 +1647,7 @@ fn main() {
     let throughput_phase = run_phase(
         ServerConfig::default().workers,
         ServerConfig::default().queue_depth,
-        0,
+        1,
         clients,
         seconds,
         keep_alive_client,

@@ -233,8 +233,9 @@ fn compile(args: &Args) -> CmdResult {
                 .ok_or_else(|| format!("--shard-mode expects 'hash' or 'balanced', got '{m}'"))?,
             None => goalrec_server::PartitionMode::HashGoal,
         };
-        let family = goalrec_server::shards::persist_shard_family(&lib, shards, mode, Path::new(out))
-            .map_err(|e| e.to_string())?;
+        let family =
+            goalrec_server::shards::persist_shard_family(&lib, shards, mode, Path::new(out))
+                .map_err(|e| e.to_string())?;
         for path in &family {
             println!("  shard snapshot → {}", path.display());
         }

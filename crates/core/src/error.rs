@@ -18,11 +18,6 @@ pub enum Error {
     UnknownGoal(u32),
     /// The library contains no implementations, so no model can be built.
     EmptyLibrary,
-    /// A removal targeted an implementation that is frozen into the
-    /// compiled base model. The live overlay is append-only over the
-    /// base: staged (delta) implementations can be retracted before
-    /// compaction, base-era ones only through a full rebuild.
-    FrozenImplementation(u32),
     /// The compiled index structures disagree about the library contents.
     /// Raised by `GoalModel::validate`, the cross-consistency check over
     /// the five indexes; seeing this means a construction bug.
@@ -41,10 +36,6 @@ impl fmt::Display for Error {
             Error::UnknownAction(a) => write!(f, "unknown action id a{a}"),
             Error::UnknownGoal(g) => write!(f, "unknown goal id g{g}"),
             Error::EmptyLibrary => write!(f, "goal implementation library is empty"),
-            Error::FrozenImplementation(p) => write!(
-                f,
-                "implementation p{p} is frozen in the compiled base model and cannot be removed live"
-            ),
             Error::CorruptModel { detail } => {
                 write!(f, "goal model indexes are inconsistent: {detail}")
             }
@@ -72,10 +63,6 @@ mod tests {
         assert_eq!(
             Error::EmptyLibrary.to_string(),
             "goal implementation library is empty"
-        );
-        assert_eq!(
-            Error::FrozenImplementation(7).to_string(),
-            "implementation p7 is frozen in the compiled base model and cannot be removed live"
         );
         assert_eq!(
             Error::CorruptModel {

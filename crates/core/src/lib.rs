@@ -52,10 +52,8 @@ pub mod activity;
 pub mod batch;
 pub(crate) mod csr;
 pub mod distance;
-pub mod dynamic;
 pub mod error;
 pub mod explain;
-pub mod fusion;
 pub mod ids;
 pub mod library;
 pub mod live;
@@ -71,10 +69,8 @@ pub mod topk;
 pub use activity::Activity;
 pub use csr::CsrBacking;
 pub use distance::DistanceMetric;
-pub use dynamic::DynamicGoalModel;
 pub use error::{Error, Result};
 pub use explain::{explain, Explanation, Justification};
-pub use fusion::{FusionRule, Hybrid};
 pub use ids::{ActionId, GoalId, ImplId, Interner};
 pub use library::{GoalLibrary, Implementation, LibraryBuilder, LibraryStats, StatsReport};
 pub use live::{AssocView, DeltaSegment, LiveRef};
@@ -82,8 +78,5 @@ pub use model::GoalModel;
 pub use recommend::{GoalRecommender, Recommender};
 pub use rerank::mmr_rerank;
 pub use scratch::Scratch;
-pub use strategies::{
-    BestMatch, Breadth, Focus, FocusVariant, GoalWeights, Strategy, WeightedBestMatch,
-    WeightedBreadth, WeightedFocus,
-};
+pub use strategies::{BestMatch, Breadth, Focus, FocusVariant, Strategy};
 pub use topk::Scored;

@@ -85,9 +85,7 @@ pub struct Scratch {
     pub(crate) epoch: u32,
     /// Dense integer scoreboard: `(score, epoch stamp)` per action id.
     pub(crate) board: Vec<(u64, u32)>,
-    /// Dense float scoreboard for the weighted strategies.
-    pub(crate) fboard: Vec<(f64, u32)>,
-    /// Action ids written to either scoreboard this epoch, in first-touch
+    /// Action ids written to the scoreboard this epoch, in first-touch
     /// order.
     pub(crate) touched: Vec<u32>,
     /// `IS(H)` buffer.
@@ -106,8 +104,6 @@ pub struct Scratch {
     pub(crate) profile: GoalVector,
     /// Candidate action vector `a⃗` (Eq. 8), re-labelled per request.
     pub(crate) vec: GoalVector,
-    /// Per-coordinate goal weights for the weighted strategies.
-    pub(crate) weights_buf: Vec<f64>,
     /// Scored implementations for the Focus fill loop.
     pub(crate) scored_impls: Vec<(f64, u32)>,
     /// Bounded top-k accumulator.
@@ -124,20 +120,16 @@ impl Scratch {
         Self::default()
     }
 
-    /// Starts a new request epoch: sizes both scoreboards for `num_actions`
+    /// Starts a new request epoch: sizes the scoreboard for `num_actions`
     /// and invalidates every slot by bumping the epoch counter.
     pub(crate) fn begin(&mut self, num_actions: usize) {
         if self.board.len() < num_actions {
             self.board.resize(num_actions, (0, 0));
-            self.fboard.resize(num_actions, (0.0, 0));
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Wraparound: stamps from 2³² epochs ago could alias. Reset.
             for slot in &mut self.board {
-                slot.1 = 0;
-            }
-            for slot in &mut self.fboard {
                 slot.1 = 0;
             }
             self.epoch = 1;
@@ -166,30 +158,6 @@ impl Scratch {
             slot.0
         } else {
             0
-        }
-    }
-
-    /// Adds `delta` to action `a`'s float score, registering the first
-    /// touch of this epoch.
-    #[inline]
-    pub(crate) fn fboard_add(&mut self, a: u32, delta: f64) {
-        let slot = &mut self.fboard[a as usize];
-        if slot.1 == self.epoch {
-            slot.0 += delta;
-        } else {
-            *slot = (delta, self.epoch);
-            self.touched.push(a);
-        }
-    }
-
-    /// Action `a`'s float score this epoch (0.0 if untouched).
-    #[inline]
-    pub(crate) fn fboard_get(&self, a: u32) -> f64 {
-        let slot = self.fboard[a as usize];
-        if slot.1 == self.epoch {
-            slot.0
-        } else {
-            0.0
         }
     }
 
@@ -256,17 +224,6 @@ mod tests {
         assert_eq!(s.board_get(3), 0);
         assert_eq!(s.board_get(5), 0);
         assert!(s.touched.is_empty());
-    }
-
-    #[test]
-    fn fboard_tracks_floats_and_shares_touched() {
-        let mut s = Scratch::new();
-        s.begin(4);
-        s.fboard_add(1, 0.5);
-        s.fboard_add(1, 0.25);
-        assert_eq!(s.fboard_get(1), 0.75);
-        assert_eq!(s.fboard_get(2), 0.0);
-        assert_eq!(s.touched, vec![1]);
     }
 
     #[test]

@@ -13,14 +13,10 @@
 mod best_match;
 mod breadth;
 mod focus;
-mod weighted;
-mod weights;
 
 pub use best_match::BestMatch;
 pub use breadth::Breadth;
 pub use focus::{Focus, FocusVariant};
-pub use weighted::{WeightedBestMatch, WeightedBreadth, WeightedFocus};
-pub use weights::GoalWeights;
 
 use crate::activity::Activity;
 use crate::live::LiveRef;

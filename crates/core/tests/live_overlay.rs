@@ -5,7 +5,7 @@
 //! **bit-for-bit identical** — action ids, `f64` score bits, tie-break
 //! order, candidate counts — to compiling the merged library with
 //! `GoalModel::build` and ranking with the plain `rank_into`, for every
-//! built-in strategy (weighted variants included). This is what lets the
+//! built-in strategy. This is what lets the
 //! server admit appends into the delta and keep serving from the old
 //! compiled base without any answer changing relative to an immediate
 //! full rebuild.
@@ -18,31 +18,18 @@
 //! same counts (Best Match).
 
 use goalrec_core::ids::{ActionId, GoalId};
-use goalrec_core::strategies::{
-    BestMatch, Breadth, Focus, FocusVariant, GoalWeights, Strategy, WeightedBestMatch,
-    WeightedBreadth, WeightedFocus,
-};
+use goalrec_core::strategies::{BestMatch, Breadth, Focus, FocusVariant, Strategy};
 use goalrec_core::topk::Scored;
-use goalrec_core::{
-    Activity, DeltaSegment, DistanceMetric, GoalLibrary, GoalModel, LiveRef, Scratch,
-};
+use goalrec_core::{Activity, DeltaSegment, GoalLibrary, GoalModel, LiveRef, Scratch};
 use proptest::prelude::*;
 
-/// Every built-in strategy family, the weighted wrappers with a
-/// deliberately lopsided weighting so the multiplier actually bites.
+/// Every built-in strategy.
 fn all_strategies() -> Vec<Box<dyn Strategy>> {
-    let w = GoalWeights::new()
-        .with(GoalId::new(0), 2.5)
-        .with(GoalId::new(3), 0.25)
-        .with(GoalId::new(7), 1.75);
     vec![
         Box::new(Breadth),
         Box::new(Focus::new(FocusVariant::Completeness)),
         Box::new(Focus::new(FocusVariant::Closeness)),
         Box::new(BestMatch::default()),
-        Box::new(WeightedBreadth::new(w.clone())),
-        Box::new(WeightedFocus::new(FocusVariant::Completeness, w.clone())),
-        Box::new(WeightedBestMatch::new(DistanceMetric::Euclidean, w)),
     ]
 }
 
@@ -142,54 +129,4 @@ proptest! {
 
 fn h_activity(h: &std::collections::BTreeSet<u32>) -> Activity {
     Activity::from_raw(h.iter().copied())
-}
-
-/// A tombstoned staged implementation must rank exactly like a merged
-/// rebuild that never contained it: gap-vs-dense implementation ids
-/// preserve the relative (score, id) order every strategy relies on.
-#[test]
-fn tombstoned_staged_impl_matches_a_rebuild_without_it() {
-    let base = GoalLibrary::from_id_implementations(
-        4,
-        2,
-        vec![
-            (GoalId::new(0), vec![ActionId::new(0), ActionId::new(1)]),
-            (GoalId::new(1), vec![ActionId::new(1), ActionId::new(2)]),
-        ],
-    )
-    .unwrap();
-    let base_model = GoalModel::build(&base).unwrap();
-    let mut delta = DeltaSegment::for_base(&base_model);
-    delta
-        .append(GoalId::new(0), vec![ActionId::new(2), ActionId::new(3)])
-        .unwrap();
-    let doomed = delta
-        .append(GoalId::new(1), vec![ActionId::new(0), ActionId::new(3)])
-        .unwrap();
-    delta
-        .append(GoalId::new(2), vec![ActionId::new(1), ActionId::new(3)])
-        .unwrap();
-    delta.remove(doomed).unwrap();
-
-    // The rebuild only ever sees the two surviving appends.
-    let appends = vec![(0u32, vec![2u32, 3u32]), (2u32, vec![1u32, 3u32])];
-    let merged_model = GoalModel::build(&merged_library(&base, &appends)).unwrap();
-    let live = LiveRef::overlay(&base_model, &delta);
-
-    let mut scratch = Scratch::default();
-    for s in all_strategies() {
-        for h in [
-            Activity::from_raw([0]),
-            Activity::from_raw([1, 3]),
-            Activity::from_raw([0, 2]),
-        ] {
-            let n_full = s.rank_into(&merged_model, &h, 10, &mut scratch);
-            let expect = scratch.out().to_vec();
-            let n_live = s.rank_live_into(live, &h, 10, &mut scratch);
-            assert_identical(scratch.out(), &expect, s.name());
-            assert_eq!(n_live, n_full, "{}", s.name());
-        }
-    }
-    // Sanity: the doomed id is really gone from the overlay.
-    assert_eq!(delta.len(), 2);
 }

@@ -1,8 +1,9 @@
 //! End-to-end checks that the metrics layer observes model builds,
 //! per-strategy serving, and the batch driver.
 //!
-//! The registry is process-global and tests share one process, so every
-//! assertion is monotone (`>=`, presence) rather than exact.
+//! The registry is process-global and tests share one process, so
+//! assertions are monotone (`>=`, presence) rather than exact, except in
+//! the tests that hold [`STRATEGY_COUNTERS`].
 
 use goalrec_core::activity::Activity;
 use goalrec_core::batch::{recommend_batch, recommend_batch_actions};
@@ -10,7 +11,11 @@ use goalrec_core::library::LibraryBuilder;
 use goalrec_core::model::GoalModel;
 use goalrec_core::recommend::{GoalRecommender, Recommender};
 use goalrec_obs as obs;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// Serialises the tests that rank the same strategies, so exact
+/// `strategy.<name>.requests` deltas cannot be raced by a sibling test.
+static STRATEGY_COUNTERS: Mutex<()> = Mutex::new(());
 
 fn model() -> GoalModel {
     let mut b = LibraryBuilder::new();
@@ -46,6 +51,9 @@ fn build_records_all_five_index_spans() {
 
 #[test]
 fn strategies_record_requests_latency_and_candidates() {
+    let _serial = STRATEGY_COUNTERS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let model = Arc::new(model());
     let h = Activity::from_raw([0]);
     for rec in GoalRecommender::all_strategies(Arc::clone(&model)) {
@@ -76,6 +84,9 @@ fn strategies_record_requests_latency_and_candidates() {
 
 #[test]
 fn batch_records_wall_clock_and_per_request_latency() {
+    let _serial = STRATEGY_COUNTERS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let model = Arc::new(model());
     let rec = &GoalRecommender::all_strategies(model)[3]; // Breadth
     let activities: Vec<Activity> = (0..32).map(|i| Activity::from_raw([i % 6])).collect();

@@ -261,7 +261,7 @@ fn validate_layout(h: &Header, actual_len: u64) -> io::Result<()> {
     for i in 0..NUM_SECTIONS {
         let s = &h.sections[i];
         let name = SECTION_NAMES[i];
-        if s.offset % SECTION_ALIGN != 0 {
+        if !s.offset.is_multiple_of(SECTION_ALIGN) {
             return Err(invalid(&format!(
                 "section `{name}` misaligned (offset {} is not {SECTION_ALIGN}-byte aligned)",
                 s.offset
@@ -490,12 +490,7 @@ fn open_v2(path: &Path, use_mmap: bool) -> io::Result<(Header, ModelBytes)> {
 /// Assembles a [`GoalModel`] over the (validated) section views; the
 /// structural pass in [`GoalModel::from_backings`] is the last gate.
 fn model_from(h: &Header, bytes: &ModelBytes, path: &Path) -> io::Result<GoalModel> {
-    let sec = |i: usize| {
-        bytes.section(
-            h.sections[i].offset as usize,
-            h.sections[i].words as usize,
-        )
-    };
+    let sec = |i: usize| bytes.section(h.sections[i].offset as usize, h.sections[i].words as usize);
     GoalModel::from_backings(
         h.num_actions as usize,
         h.num_goals as usize,
@@ -544,7 +539,9 @@ pub fn read_shard_v2(path: &Path) -> io::Result<(GoalModel, Vec<u32>)> {
         ));
     }
     let model = model_from(&h, &bytes, path)?;
-    let map = bytes.section(ig.offset as usize, ig.words as usize).to_vec();
+    let map = bytes
+        .section(ig.offset as usize, ig.words as usize)
+        .to_vec();
     Ok((model, map))
 }
 
@@ -613,7 +610,11 @@ mod tests {
         write_model_v2(&model, &p1).unwrap();
         write_model_v2(&model, &p2).unwrap();
         let bytes = std::fs::read(&p1).unwrap();
-        assert_eq!(bytes, std::fs::read(&p2).unwrap(), "writer not deterministic");
+        assert_eq!(
+            bytes,
+            std::fs::read(&p2).unwrap(),
+            "writer not deterministic"
+        );
         assert_eq!(bytes.len() % 4, 0);
         for i in 0..NUM_SECTIONS {
             let off = get_u64(&bytes, 48 + i * 24);
@@ -763,11 +764,7 @@ mod tests {
                 with_descriptor(&bytes, 1, 0, first),
                 "overlaps",
             ),
-            (
-                "gap",
-                with_descriptor(&bytes, 0, 0, first + 64),
-                "gap",
-            ),
+            ("gap", with_descriptor(&bytes, 0, 0, first + 64), "gap"),
             (
                 "runs-past-eof",
                 with_descriptor(&bytes, 6, 1, u32::MAX as u64),

@@ -263,7 +263,8 @@ pub fn read_library_auto(path: &Path) -> std::io::Result<GoalLibrary> {
 /// v1 stream or `.grlb2` mapped model). Which *reader* applies is decided
 /// by [`crate::binary::sniff_version`], not the extension.
 pub fn is_binary_library(path: &Path) -> bool {
-    path.extension().is_some_and(|e| e == "grlb" || e == "grlb2")
+    path.extension()
+        .is_some_and(|e| e == "grlb" || e == "grlb2")
 }
 
 /// The typed empty-library `InvalidData` error for `path`.

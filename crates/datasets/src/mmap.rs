@@ -212,7 +212,7 @@ impl ModelBytes {
     /// a page-aligned mapping (or a `u32`-aligned heap buffer) makes the
     /// view correctly aligned for `u32`.
     pub fn section(&self, byte_offset: usize, words: usize) -> CsrBacking {
-        debug_assert!(byte_offset % 4 == 0);
+        debug_assert!(byte_offset.is_multiple_of(4));
         debug_assert!(byte_offset + words * 4 <= self.len_bytes());
         match self {
             #[cfg(all(unix, target_endian = "little"))]
@@ -225,7 +225,8 @@ impl ModelBytes {
                 // The 'static lifetime is upheld by handing the Mapping
                 // Arc to CsrBacking as the keepalive.
                 unsafe {
-                    let slice = std::slice::from_raw_parts(m.ptr.add(byte_offset) as *const u32, words);
+                    let slice =
+                        std::slice::from_raw_parts(m.ptr.add(byte_offset) as *const u32, words);
                     CsrBacking::mapped(slice, Arc::clone(m) as Arc<dyn std::any::Any + Send + Sync>)
                 }
             }
@@ -234,8 +235,12 @@ impl ModelBytes {
                 // the keepalive clone holds alive for at least as long as
                 // the returned backing and all of its clones.
                 unsafe {
-                    let slice = std::slice::from_raw_parts(buf.as_ptr().add(byte_offset / 4), words);
-                    CsrBacking::mapped(slice, Arc::clone(buf) as Arc<dyn std::any::Any + Send + Sync>)
+                    let slice =
+                        std::slice::from_raw_parts(buf.as_ptr().add(byte_offset / 4), words);
+                    CsrBacking::mapped(
+                        slice,
+                        Arc::clone(buf) as Arc<dyn std::any::Any + Send + Sync>,
+                    )
                 }
             }
         }

@@ -99,7 +99,11 @@ fn steady_state_rank_on_a_mapped_model_performs_zero_heap_allocations() {
                 s.name(),
                 h
             );
-            assert!(n > 0, "{} found no candidates on the mapped model", s.name());
+            assert!(
+                n > 0,
+                "{} found no candidates on the mapped model",
+                s.name()
+            );
             assert!(!scratch.out().is_empty());
         }
     }

@@ -62,7 +62,7 @@ fn tmp_model_path() -> PathBuf {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// write → read (mapped AND heap-fallback) → rank is bit-identical to
     /// the heap-built model for every strategy, every score, every rank.

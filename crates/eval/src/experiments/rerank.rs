@@ -18,8 +18,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Candidate pool depth handed to MMR (3× the output length, as in the
-/// hybrid fusion).
+/// Candidate pool depth handed to MMR (3× the output length).
 const POOL: usize = 30;
 
 /// One λ setting's outcome.

@@ -8,9 +8,15 @@
 //!           accept loop            bounded MPMC queue         N workers
 //!   TCP ──▶ nonblocking accept ──▶ [Conn|Conn|Conn|…] ──▶ parse → route → write
 //!              │ queue full?                                   │
-//!              └──▶ 503 + Retry-After (admission control)      └──▶ Arc<GoalModel>
+//!              └──▶ 503 + Retry-After (admission control)      └──▶ Arc<AppState>
 //! ```
 //!
+//! * **One serving plane** — every server runs through a [`ShardSet`]:
+//!   `N` goal-partitioned shard models (`N = 1` by default, where shard 0
+//!   is the whole model) behind one swappable [`AppState`] snapshot.
+//!   Recommends scatter across the shards and merge exactly; reloads,
+//!   appends and compactions publish successor snapshots (see
+//!   [`shards`] and [`reload`]).
 //! * **Admission control** — the queue capacity bounds accepted-but-unserved
 //!   connections; beyond it the accept loop answers `503` immediately
 //!   instead of letting latency collapse.
@@ -41,9 +47,9 @@ pub mod shutdown;
 pub use error::ServerError;
 pub use goalrec_shard::PartitionMode;
 pub use http::{Limits, Request, Response};
-pub use reload::{ReloadHandle, StateCell};
-pub use router::{AppState, ServeCtx, WorkerArena, STRATEGY_NAMES};
-pub use shards::{ShardArena, ShardSet, ShardState};
+pub use reload::ReloadHandle;
+pub use router::{ServeCtx, WorkerArena, STRATEGY_NAMES};
+pub use shards::{AppState, ShardSet, ShardState};
 pub use shutdown::Shutdown;
 
 use goalrec_obs as obs;
@@ -90,13 +96,13 @@ pub struct ServerConfig {
     /// Emit a single-line JSON access-log record for every Nth traced
     /// request per worker; `0` disables the access log entirely.
     pub access_log_every: u64,
-    /// Number of shards to partition the goal library into; `0` (the
-    /// default) serves the classic single-model path. Positive values are
-    /// clamped to `goalrec-obs`'s named-shard budget (16) and route every
-    /// recommend through the scatter-gather merge — bit-identical
-    /// results, per-shard metrics/spans/reload.
+    /// Number of shards to partition the goal library into, clamped to
+    /// `1..=16` (`goalrec-obs`'s named-shard budget). One shard (the
+    /// default) is the whole model; more split it by goal. Every
+    /// recommend runs the same scatter-gather merge either way —
+    /// bit-identical results, per-shard metrics/spans/reload.
     pub shards: usize,
-    /// How goals are placed onto shards when `shards > 0`.
+    /// How goals are placed onto shards when there is more than one.
     pub shard_mode: PartitionMode,
     /// Deadline for `/v1/admin/*` requests. Admin work (reload, append,
     /// compaction) legitimately takes longer than a recommend, so it gets
@@ -133,7 +139,7 @@ impl Default for ServerConfig {
             trace_enabled: true,
             trace_sample_every: 64,
             access_log_every: 0,
-            shards: 0,
+            shards: 1,
             shard_mode: PartitionMode::HashGoal,
             admin_deadline: Duration::from_secs(10),
             append_max_entries: router::DEFAULT_APPEND_CAP,
@@ -221,45 +227,13 @@ pub fn start_with_shutdown(
     config: ServerConfig,
     shutdown: Shutdown,
 ) -> Result<ServerHandle, ServerError> {
-    // The shard plane is built from the same library before it moves into
-    // the global state (every shard keeps the full global id spaces, so
-    // the global model still backs names, stats and id validation).
-    // A persisted per-shard GRLB v2 snapshot family next to the library
-    // file (written by `goalrec compile --shards N`) boots every shard
-    // mapped off disk; without one — or with a stale one — the shards are
-    // partitioned from the library as before.
-    let shard_set = if config.shards > 0 {
-        let family = match &config.library_path {
-            Some(path) => {
-                match ShardSet::open_family(path, config.shards, config.shard_mode, &library) {
-                    Ok(set) => set,
-                    Err(e) => {
-                        eprintln!(
-                            "goalrec-serve: shard snapshot family next to {} rejected ({e}); \
-                             rebuilding shards from the library",
-                            path.display()
-                        );
-                        None
-                    }
-                }
-            }
-            None => None,
-        };
-        let set = match family {
-            Some(set) => {
-                eprintln!(
-                    "goalrec-serve: booted {} shards from the persisted snapshot family",
-                    set.num_shards()
-                );
-                set
-            }
-            None => ShardSet::build(&library, config.shards, config.shard_mode)?,
-        };
-        Some(Arc::new(set))
-    } else {
-        None
-    };
-    let states = Arc::new(StateCell::new(AppState::new(library)?));
+    let state = AppState::boot(
+        library,
+        config.shards,
+        config.shard_mode,
+        config.library_path.as_deref(),
+    )?;
+    let set = Arc::new(ShardSet::new(state));
     // Boot the live mutation plane: bind the append WAL next to the
     // library file and re-stage anything a previous process acknowledged
     // but had not compacted — before the first request is admitted.
@@ -269,7 +243,7 @@ pub fn start_with_shutdown(
         config.compact_max_age,
     )?;
     if !live.entries().is_empty() {
-        reload::publish_staged(&states, shard_set.as_deref(), live.entries())?;
+        reload::publish_staged(&set, live.entries())?;
     }
     let bind_addr = format!("{}:{}", config.addr, config.port);
     let listener = TcpListener::bind(&bind_addr).map_err(|e| ServerError::Bind {
@@ -292,17 +266,15 @@ pub fn start_with_shutdown(
         ..obs::TailConfig::default()
     }));
     let (reload, reloader) = reload::spawn_reloader(
-        Arc::clone(&states),
+        Arc::clone(&set),
         shutdown.clone(),
         config.library_path.clone(),
         Arc::clone(&tail),
-        shard_set.clone(),
         live,
     )?;
     let ctx = Arc::new(
-        ServeCtx::new(states, Some(reload.clone()))
+        ServeCtx::new(set, Some(reload.clone()))
             .with_tail(tail)
-            .with_shards(shard_set)
             .with_append_cap(config.append_max_entries),
     );
 
@@ -493,14 +465,14 @@ pub fn run_blocking(
 ) -> Result<(), ServerError> {
     shutdown::install_signal_handlers();
     let token = Shutdown::watching_signals();
-    let shards = config.shards;
+    let shards = config.shards.clamp(1, obs::names::MAX_NAMED_SHARDS);
     let shard_mode = config.shard_mode;
     let watching = config.watch && config.library_path.is_some();
     let handle = start_with_shutdown(library, config, token)?;
     println!("goalrec-serve listening on http://{}", handle.local_addr());
-    if shards > 0 {
+    if shards > 1 {
         println!(
-            "serving sharded: {shards} shards ({shard_mode:?} placement), exact k-way merge; \
+            "serving {shards} shards ({shard_mode:?} placement), exact k-way merge; \
              per-shard reload via {{\"shard\": i}}"
         );
     }

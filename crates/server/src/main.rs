@@ -11,8 +11,8 @@
 //!               [--shards N] [--shard-mode hash|balanced]
 //! ```
 //!
-//! Loads the library once, compiles the [`goalrec_core::GoalModel`], and
-//! serves until `SIGTERM`/ctrl-c, draining in-flight requests before
+//! Loads the library once, compiles it into `--shards` shard models (one
+//! by default: the whole [`goalrec_core::GoalModel`]), and serves until `SIGTERM`/ctrl-c, draining in-flight requests before
 //! exit. The `goalrec serve` CLI subcommand is a thin wrapper over the
 //! same [`goalrec_server::run_blocking`] entry point.
 
@@ -178,9 +178,9 @@ mod tests {
     }
 
     #[test]
-    fn defaults_unsharded_and_rejects_bad_shard_modes() {
+    fn defaults_to_one_shard_and_rejects_bad_shard_modes() {
         let (_, cfg) = parse_args(&args(&["--library", "x.jsonl"])).unwrap();
-        assert_eq!(cfg.shards, 0);
+        assert_eq!(cfg.shards, 1);
         assert!(matches!(cfg.shard_mode, PartitionMode::HashGoal));
         assert!(parse_args(&args(&["--library", "x", "--shards", "two"])).is_err());
         assert!(parse_args(&args(&["--library", "x", "--shard-mode", "zig"])).is_err());

@@ -1,7 +1,8 @@
 //! The worker pool: N threads draining the admission queue, each owning a
 //! handle to the shared [`ServeCtx`] and serving whole keep-alive
-//! connections. Each request loads one `AppState` snapshot through the
-//! context, so hot reloads never swap the model under a request.
+//! connections. Each request loads one `AppState` snapshot of the shard
+//! set through the context, so hot reloads never swap a shard model under
+//! a request.
 //!
 //! Time discipline per connection:
 //!
@@ -155,7 +156,7 @@ impl Write for ConnStream {
 /// *and* empty — exactly the graceful-drain contract. Each worker owns one
 /// [`WorkerArena`] and one reusable [`obs::TraceContext`] for the whole
 /// loop, so recommend requests rank (and trace) into warm buffers instead
-/// of allocating per request, on both the unsharded and sharded paths.
+/// of allocating per request, whatever the shard count.
 pub(crate) fn worker_loop(
     worker: usize,
     ctx: Arc<ServeCtx>,
@@ -313,12 +314,16 @@ fn handle_connection(
         if !got_data {
             break;
         }
+        // The request's first byte has just been read (or was already
+        // buffered behind the previous request).
+        let first_byte = Instant::now();
 
         // First request: clocked from accept, charged with the queue
-        // wait. Keep-alive successors: clocked from their idle start.
+        // wait. Keep-alive successors: clocked from their first byte, so
+        // the idle gap before them is never charged to their deadline.
         let (t0, queue_wait) = match pending_t0.take() {
             Some(accepted) => (accepted, queue_wait_ns),
-            None => (idle_started, 0),
+            None => (first_byte, 0),
         };
         metrics.enter_inflight();
 

@@ -556,3 +556,30 @@ fn graceful_drain_drops_no_admitted_request() {
         assert_eq!(status, 200, "an admitted request was dropped during drain");
     }
 }
+
+#[test]
+fn keep_alive_request_after_an_idle_gap_is_not_charged_the_gap() {
+    // The deadline clock of a keep-alive successor starts at its first
+    // byte, not when the connection went idle: a request sent 2 s after
+    // the previous answer, on a 1 s deadline, is answered 200.
+    let mut cfg = config(1, 4, 1_000);
+    cfg.idle_timeout = Duration::from_secs(10);
+    let handle = start(tiny_library(), cfg).unwrap();
+    let addr = handle.local_addr();
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let body = r#"{"activity": [0], "k": 2}"#;
+    let request = format!(
+        "POST /v1/recommend HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(request.as_bytes()).unwrap();
+    assert_eq!(read_reply(&mut stream).status, 200);
+
+    std::thread::sleep(Duration::from_secs(2));
+    stream.write_all(request.as_bytes()).unwrap();
+    let second = read_reply(&mut stream);
+    assert_eq!(second.status, 200, "body: {}", second.body);
+
+    handle.shutdown();
+}

@@ -30,12 +30,6 @@
 //! the implementation rows are local — so per-shard results speak global
 //! ids with a single monotone `local impl → global impl` map per shard.
 //!
-//! The *weighted* strategy variants are deliberately not sharded: their
-//! scores mix cross-goal `f64` weights whose summation order differs
-//! between the sharded and unsharded paths, so the bit-exactness contract
-//! cannot hold. A sharded server routes those to an error rather than
-//! serving approximately-merged results.
-//!
 //! ## Module map
 //!
 //! | Concern | Module |

@@ -152,6 +152,20 @@ impl ShardedModel {
     pub fn build(library: &GoalLibrary, num_shards: usize, mode: PartitionMode) -> Result<Self> {
         let n = num_shards.max(1);
         let assignments = goal_assignments(library, n, mode);
+        if n == 1 && !library.is_empty() {
+            // One shard holds the whole library under its own ids: compile
+            // it straight from the library instead of copying it through a
+            // partition first (same model, half the peak memory).
+            let len = u32::try_from(library.len()).unwrap_or(u32::MAX);
+            return Ok(Self {
+                shards: vec![ShardModel {
+                    model: Some(GoalModel::build(library)?),
+                    impl_global: (0..len).collect(),
+                }],
+                mode,
+                assignments,
+            });
+        }
 
         // One CSR accumulator per shard; walking implementations in global
         // order keeps every per-shard impl_global map monotone.

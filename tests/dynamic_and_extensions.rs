@@ -1,116 +1,9 @@
-//! Integration tests for the extension features: dynamic model ingestion,
-//! hybrid fusion, goal priorities and explanations — exercised together
-//! over generated datasets, the way a downstream application would.
+//! Integration tests for the explanation extension, exercised over a
+//! generated dataset the way a downstream application would.
 
-use goalrec::core::{
-    explain, Activity, DynamicGoalModel, FusionRule, GoalRecommender, GoalWeights, Hybrid,
-    Recommender, WeightedBreadth,
-};
+use goalrec::core::{explain, Activity, GoalRecommender, Recommender};
 use goalrec::datasets::{FortyThings, FortyThingsConfig};
 use std::sync::Arc;
-
-#[test]
-fn dynamic_ingestion_converges_to_static_model() {
-    let ft = FortyThings::generate(&FortyThingsConfig::test_scale());
-    // Ingest the whole library one implementation at a time.
-    let mut dm = DynamicGoalModel::new();
-    for imp in ft.library.implementations() {
-        dm.add_implementation(imp.goal, imp.actions.clone())
-            .unwrap();
-    }
-    let dynamic_model = Arc::new(dm.compile().unwrap());
-    let static_model = Arc::new(goalrec::core::GoalModel::build(&ft.library).unwrap());
-
-    let dyn_rec = GoalRecommender::new(dynamic_model, Box::new(goalrec::core::Breadth));
-    let stat_rec = GoalRecommender::new(static_model, Box::new(goalrec::core::Breadth));
-    for h in ft.full_activities.iter().take(30) {
-        assert_eq!(dyn_rec.recommend(h, 10), stat_rec.recommend(h, 10));
-    }
-}
-
-#[test]
-fn removing_an_implementation_removes_its_unique_recommendations() {
-    let ft = FortyThings::generate(&FortyThingsConfig::test_scale());
-    let mut dm = DynamicGoalModel::from_library(&ft.library).unwrap();
-
-    // Take some user's chosen implementation and remove it; actions unique
-    // to that implementation must stop being recommendable from it.
-    let user = 0;
-    let target = ft.user_impls[user][0];
-    let before = dm.len();
-    dm.remove_implementation(target).unwrap();
-    assert_eq!(dm.len(), before - 1);
-    // Goal space derived from the removed impl's own actions no longer
-    // includes contributions through it.
-    let removed_actions = &ft.library.implementations()[target.index()].actions;
-    let raw: Vec<u32> = removed_actions.iter().map(|a| a.raw()).collect();
-    let gs = dm.goal_space(&raw);
-    // The goal may survive via other implementations, but the epoch moved
-    // and compile still works.
-    assert!(dm.epoch() > 0);
-    let _ = gs;
-    assert!(dm.compile().is_ok());
-}
-
-#[test]
-fn hybrid_of_goal_strategies_stays_on_goal_structure() {
-    let ft = FortyThings::generate(&FortyThingsConfig::test_scale());
-    let model = Arc::new(goalrec::core::GoalModel::build(&ft.library).unwrap());
-    let hybrid = Hybrid::uniform(
-        GoalRecommender::all_strategies(Arc::clone(&model))
-            .into_iter()
-            .map(|r| Box::new(r) as Box<dyn Recommender>)
-            .collect(),
-        FusionRule::ReciprocalRank,
-    );
-    for (u, h) in ft.full_activities.iter().take(20).enumerate() {
-        let fused = hybrid.recommend(h, 10);
-        assert!(!fused.is_empty(), "user {u} got an empty hybrid list");
-        for s in &fused {
-            assert!(!h.contains(s.action));
-        }
-        // Deterministic.
-        assert_eq!(fused, hybrid.recommend(h, 10));
-    }
-}
-
-#[test]
-fn goal_priorities_steer_recommendations_toward_the_boosted_goal() {
-    let ft = FortyThings::generate(&FortyThingsConfig::test_scale());
-    let model = Arc::new(goalrec::core::GoalModel::build(&ft.library).unwrap());
-
-    // A user with several goals: boost one of them heavily and check the
-    // top recommendations shift toward actions of that goal.
-    let user = ft
-        .user_goals
-        .iter()
-        .position(|g| g.len() >= 3)
-        .expect("multi-goal user");
-    let boosted = ft.user_goals[user][2];
-    let h = &ft.full_activities[user];
-    // Use the visible prefix so there is something left to recommend.
-    let visible = Activity::from_raw(h.raw().iter().copied().take(h.len() / 3));
-
-    let weights = GoalWeights::new().with(boosted, 50.0);
-    let weighted =
-        GoalRecommender::new(Arc::clone(&model), Box::new(WeightedBreadth::new(weights)));
-    let top = weighted.recommend_actions(&visible, 5);
-    if top.is_empty() {
-        return; // degenerate split: nothing recommendable
-    }
-    // The top recommendation must contribute to the boosted goal if the
-    // boosted goal is in the visible activity's goal space at all.
-    let gs = model.goal_space(visible.raw());
-    if gs.binary_search(&boosted.raw()).is_ok() {
-        let contributes = model.goal_impls(boosted).iter().any(|&p| {
-            model
-                .impl_actions(goalrec::core::ImplId::new(p))
-                .binary_search(&top[0].raw())
-                .is_ok()
-        });
-        assert!(contributes, "top pick does not serve the boosted goal");
-    }
-}
 
 #[test]
 fn explanations_cover_every_goal_based_recommendation() {
