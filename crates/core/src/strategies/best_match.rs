@@ -129,13 +129,9 @@ impl Strategy for BestMatch {
         k: usize,
         scratch: &mut Scratch,
     ) -> usize {
-        match (live.delta(), live.base()) {
-            (None, Some(base)) => self.rank_view_into(base, activity, k, scratch),
-            (None, None) => {
-                scratch.out.clear();
-                0
-            }
-            _ => self.rank_view_into(&live, activity, k, scratch),
+        match live.unstaged() {
+            Some(base) => self.rank_view_into(base, activity, k, scratch),
+            None => self.rank_view_into(&live, activity, k, scratch),
         }
     }
 }
