@@ -1,13 +1,17 @@
-//! `loadgen` — closed-loop load generator for `goalrec-server`.
+//! `loadgen` — CI smokes and the hot-path regression gate for
+//! `goalrec-server`, each against an in-process server on an ephemeral
+//! loopback port (no network noise, no fixed-port races). One mode flag
+//! is required.
 //!
 //! ```text
-//! loadgen [--clients N] [--seconds S] [--out FILE] [--smoke [--shards N]]
-//!         [--chaos-smoke] [--perf]
+//! loadgen --smoke [--shards N] | --chaos-smoke
+//!       | --perf [--clients N] [--seconds S] [--out FILE]
 //!
-//! --clients N     keep-alive client threads for the throughput phase (default 8)
-//! --seconds S     measurement window per phase, seconds (default 3)
-//! --out FILE      where to write the JSON report (default BENCH_serve.json,
-//!                 or BENCH_perf.json under --perf)
+//! --clients N     keep-alive client threads for the --perf throughput
+//!                 windows (default 8)
+//! --seconds S     --perf measurement window, seconds (default 3)
+//! --out FILE      where --perf writes its JSON report (default
+//!                 BENCH_perf.json)
 //! --smoke         CI mode: probe /healthz and /v1/recommend against an
 //!                 in-process server, raise a real SIGTERM, assert a clean
 //!                 drain, exit 0 — no load, no report; `--shards N` boots
@@ -49,15 +53,6 @@
 //!                 against the committed baseline, or the idle (empty
 //!                 delta) live plane costs more than 5% of throughput
 //! ```
-//!
-//! Two measurement phases, both against an in-process server on an
-//! ephemeral loopback port (no network noise, no fixed-port races):
-//!
-//! 1. **throughput** — N keep-alive clients hammer `POST /v1/recommend`
-//!    at the default queue depth; reports req/s and p50/p95/p99 latency.
-//! 2. **queue-depth sweep** — connection-per-request clients outnumber
-//!    the workers at queue depths {1, 16, 256}; reports the reject (503)
-//!    rate at each depth, demonstrating admission control under overload.
 
 use goalrec_core::LibraryBuilder;
 use goalrec_server::{shutdown, start, ServerConfig, Shutdown};
@@ -213,42 +208,6 @@ fn keep_alive_client(addr: SocketAddr, stop: Arc<AtomicBool>) -> ClientTally {
     tally
 }
 
-/// One connection-per-request client: reconnects for every request, so
-/// concurrent clients pile up in the admission queue.
-fn reconnect_client(addr: SocketAddr, stop: Arc<AtomicBool>) -> ClientTally {
-    let mut tally = ClientTally::default();
-    let request = recommend_request(false);
-    let mut buf = Vec::with_capacity(8192);
-    // ordering: Relaxed — `stop` only quiesces the request loop; the
-    // tallies are handed back through thread join, which synchronizes.
-    while !stop.load(Ordering::Relaxed) {
-        let t0 = Instant::now();
-        let Ok(mut stream) = TcpStream::connect(addr) else {
-            tally.errors += 1;
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-        if stream.write_all(&request).is_err() {
-            tally.errors += 1;
-            continue;
-        }
-        match read_status(&mut stream, &mut buf) {
-            Ok(200) => {
-                tally.ok += 1;
-                tally
-                    .latencies_ns
-                    .push(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            }
-            Ok(503) => tally.rejected += 1,
-            Ok(_) => tally.other += 1,
-            Err(_) => tally.errors += 1,
-        }
-    }
-    tally
-}
-
 fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
     if sorted_ns.is_empty() {
         return 0.0;
@@ -257,21 +216,21 @@ fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
     sorted_ns[rank.min(sorted_ns.len() - 1)] as f64 / 1_000.0
 }
 
-/// Runs `clients` copies of `client` against a fresh server for `seconds`,
-/// merges the tallies, and returns the phase report.
+/// One throughput window's report.
 struct PhaseOutcome {
     value: serde_json::Value,
     summary: String,
     req_per_s: f64,
 }
 
+/// Runs `clients` keep-alive clients against a fresh server for
+/// `seconds`, merges the tallies, and returns the phase report.
 fn run_phase(
     workers: usize,
     queue_depth: usize,
     shards: usize,
     clients: usize,
     seconds: f64,
-    client: fn(SocketAddr, Arc<AtomicBool>) -> ClientTally,
 ) -> PhaseOutcome {
     let mut cfg = config(workers, queue_depth);
     cfg.shards = shards;
@@ -283,7 +242,7 @@ fn run_phase(
     let threads: Vec<_> = (0..clients)
         .map(|_| {
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || client(addr, stop))
+            std::thread::spawn(move || keep_alive_client(addr, stop))
         })
         .collect();
     std::thread::sleep(Duration::from_secs_f64(seconds));
@@ -607,6 +566,16 @@ fn validate_traces(addr: SocketAddr, out: &std::path::Path) {
     );
 }
 
+/// Writes the serving library's compiled model to `path` cut at three
+/// fifths: the partial file a non-crash-safe writer would leave behind.
+fn torn_model(path: &std::path::Path) -> std::path::PathBuf {
+    let model = goalrec_core::GoalModel::build(&synthetic_library()).expect("chaos: model");
+    goalrec_datasets::grlb2::write_model_v2(&model, path).expect("chaos: write model");
+    let bytes = std::fs::read(path).expect("chaos: read model");
+    std::fs::write(path, &bytes[..bytes.len() * 3 / 5]).expect("chaos: torn file");
+    path.to_path_buf()
+}
+
 /// Chaos smoke: recommend traffic flows continuously while reload
 /// attempts are pushed through injected fault plans. Every faulted
 /// attempt must answer 500 and leave the last good generation serving;
@@ -618,8 +587,11 @@ fn chaos_smoke() {
 
     let dir = std::env::temp_dir().join("goalrec-chaos-smoke");
     std::fs::create_dir_all(&dir).expect("chaos: temp dir");
-    let serving = dir.join("chaos-serving.grlb");
-    goalrec_datasets::binary::write_library_binary(&synthetic_library(), &serving)
+    // A JSONL serving file: every byte of it is read through the fault
+    // layer, so plans may fire anywhere in it (a mapped `.grlb2` reads
+    // only its 256-byte header that way).
+    let serving = dir.join("chaos-serving.jsonl");
+    goalrec_datasets::io::write_library_jsonl(&synthetic_library(), &serving)
         .expect("chaos: seed library");
     let good_bytes = std::fs::read(&serving).expect("chaos: read seed");
 
@@ -651,10 +623,9 @@ fn chaos_smoke() {
     assert_eq!(generation(addr), 1, "failed reload must roll back");
     eprintln!("chaos: reload under injected read error rolled back, generation 1 serving");
 
-    // Faulted attempt 2: a torn-write artifact — the partial file a
+    // Faulted attempt 2: a torn-write artifact — the partial model file a
     // non-crash-safe writer would leave behind — must be rejected whole.
-    let torn = dir.join("chaos-torn.grlb");
-    std::fs::write(&torn, &good_bytes[..good_bytes.len() * 3 / 5]).expect("chaos: torn file");
+    let torn = torn_model(&dir.join("chaos-torn.grlb2"));
     assert_eq!(
         admin_reload(addr, &format!(r#"{{"path": "{}"}}"#, torn.display())),
         500,
@@ -667,8 +638,7 @@ fn chaos_smoke() {
         FaultPlan::parse("path=chaos-serving;torn-write@byte=64").expect("chaos: plan"),
         || {
             assert!(
-                goalrec_datasets::binary::write_library_binary(&synthetic_library(), &serving)
-                    .is_err(),
+                goalrec_datasets::io::write_library_jsonl(&synthetic_library(), &serving).is_err(),
                 "torn write must fail the writer"
             );
         },
@@ -746,10 +716,9 @@ fn sharded_chaos() {
 
     let dir = std::env::temp_dir().join("goalrec-chaos-sharded");
     std::fs::create_dir_all(&dir).expect("chaos: temp dir");
-    let serving = dir.join("sharded-serving.grlb");
-    goalrec_datasets::binary::write_library_binary(&synthetic_library(), &serving)
+    let serving = dir.join("sharded-serving.jsonl");
+    goalrec_datasets::io::write_library_jsonl(&synthetic_library(), &serving)
         .expect("chaos: seed library");
-    let good_bytes = std::fs::read(&serving).expect("chaos: read seed");
 
     let mut cfg = config(8, 64);
     cfg.library_path = Some(serving.clone());
@@ -787,9 +756,8 @@ fn sharded_chaos() {
     );
     eprintln!("chaos: targeted reload of shard 1 under injected read error rolled back alone");
 
-    // A torn library file aimed at one shard must be rejected whole.
-    let torn = dir.join("sharded-torn.grlb");
-    std::fs::write(&torn, &good_bytes[..good_bytes.len() * 3 / 5]).expect("chaos: torn file");
+    // A torn model file aimed at one shard must be rejected whole.
+    let torn = torn_model(&dir.join("sharded-torn.grlb2"));
     assert_eq!(
         admin_reload(
             addr,
@@ -1232,13 +1200,12 @@ fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
     );
 
     // Phase 2: cold start — time from an on-disk artifact to a servable
-    // GoalModel, across the three formats a deployment can ship: the
-    // JSONL source (parse + build), the GRLB v1 library stream (decode +
-    // build), and the GRLB v2 model file (validate + mmap in place).
-    // The v2 path skips model construction entirely, which is the whole
-    // point of `goalrec compile`; the guardrail pins that win at ≥10x
-    // over JSONL at the larger scale.
-    eprintln!("phase 2/6: cold start — JSONL build vs GRLB v1 stream vs GRLB v2 mmap");
+    // GoalModel, for the two forms a deployment can ship: the JSONL
+    // source (parse + build) and the GRLB v2 model file (validate + mmap
+    // in place). The v2 path skips model construction entirely, which is
+    // the whole point of `goalrec compile`; the guardrail pins that win
+    // at ≥10x over JSONL at the larger scale.
+    eprintln!("phase 2/6: cold start — JSONL build vs GRLB v2 mmap");
     let cold_dir = std::env::temp_dir().join("goalrec-perf-cold");
     std::fs::create_dir_all(&cold_dir).expect("perf: cold-start temp dir");
     let mut cold_rows = Vec::new();
@@ -1251,21 +1218,14 @@ fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
             synthetic_library_sized(impls, vocab, 8)
         };
         let jsonl = cold_dir.join(format!("cold-{impls}.jsonl"));
-        let v1 = cold_dir.join(format!("cold-{impls}.grlb"));
         let v2 = cold_dir.join(format!("cold-{impls}.grlb2"));
         goalrec_datasets::io::write_library_jsonl(&lib, &jsonl).expect("perf: write jsonl");
-        goalrec_datasets::binary::write_library_binary(&lib, &v1).expect("perf: write grlb v1");
         let built = GoalModel::build(&lib).expect("perf: cold-start model");
         goalrec_datasets::grlb2::write_model_v2(&built, &v2).expect("perf: write grlb v2");
 
         let jsonl_ms = best_cold_start_ms(|| {
             let l = goalrec_datasets::io::read_library_auto(&jsonl).expect("perf: read jsonl");
             GoalModel::build(&l).expect("perf: jsonl build").num_impls()
-        });
-        let v1_ms = best_cold_start_ms(|| {
-            goalrec_datasets::binary::read_model_binary(&v1)
-                .expect("perf: read grlb v1")
-                .num_impls()
         });
         let v2_ms = best_cold_start_ms(|| {
             goalrec_datasets::grlb2::read_model_v2(&v2)
@@ -1274,8 +1234,8 @@ fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
         });
         let speedup = jsonl_ms / v2_ms.max(f64::EPSILON);
         eprintln!(
-            "  {impls} impls: jsonl {jsonl_ms:.1} ms, v1 stream {v1_ms:.1} ms, \
-             v2 mmap {v2_ms:.2} ms ({speedup:.0}x vs jsonl)"
+            "  {impls} impls: jsonl {jsonl_ms:.1} ms, v2 mmap {v2_ms:.2} ms \
+             ({speedup:.0}x vs jsonl)"
         );
         if impls == 200_000 {
             cold_v2_speedup = speedup;
@@ -1286,11 +1246,10 @@ fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
             "action_vocabulary": vocab,
             "impl_len": 8,
             "jsonl_build_ms": jsonl_ms,
-            "grlb_v1_stream_ms": v1_ms,
             "grlb_v2_mmap_ms": v2_ms,
             "v2_vs_jsonl_speedup": speedup,
         }));
-        for p in [&jsonl, &v1, &v2] {
+        for p in [&jsonl, &v2] {
             std::fs::remove_file(p).ok();
         }
     }
@@ -1409,7 +1368,6 @@ fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
             num_shards,
             clients,
             seconds.min(2.0),
-            keep_alive_client,
         );
         eprintln!("  {num_shards} shard(s) serving: {}", tp.summary);
         shard_reports.push(serde_json::json!({
@@ -1435,7 +1393,6 @@ fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
             1,
             clients,
             seconds,
-            keep_alive_client,
         );
         eprintln!("  window {window}: {}", run.summary);
         if phase
@@ -1620,7 +1577,6 @@ fn main() {
         perf(clients, seconds, &out);
         return;
     }
-    let out = out.unwrap_or_else(|| std::path::PathBuf::from("BENCH_serve.json"));
 
     if is_chaos {
         chaos_smoke();
@@ -1643,37 +1599,7 @@ fn main() {
         return;
     }
 
-    eprintln!("phase 1/2: throughput — {clients} keep-alive clients, default queue depth");
-    let throughput_phase = run_phase(
-        ServerConfig::default().workers,
-        ServerConfig::default().queue_depth,
-        1,
-        clients,
-        seconds,
-        keep_alive_client,
-    );
-    eprintln!("  {}", throughput_phase.summary);
-    let throughput = throughput_phase.value;
-
-    let mut sweep = Vec::new();
-    for depth in [1usize, 16, 256] {
-        eprintln!(
-            "phase 2/2: overload sweep — queue depth {depth}, 2 workers, 16 reconnecting clients"
-        );
-        let phase = run_phase(2, depth, 0, 16, seconds.min(2.0), reconnect_client);
-        eprintln!("  {}", phase.summary);
-        sweep.push(phase.value);
-    }
-
-    let report = serde_json::json!({
-        "bench": "goalrec-serve loadgen",
-        "throughput": throughput,
-        "queue_depth_sweep": sweep,
-    });
-    let text = serde_json::to_string_pretty(&report).expect("serialise report");
-    std::fs::write(&out, &text).expect("write report");
-    println!("{text}");
-    eprintln!("report → {}", out.display());
+    usage("one of --smoke, --chaos-smoke or --perf is required");
 }
 
 fn usage(err: &str) -> ! {
@@ -1681,8 +1607,8 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: loadgen [--clients N] [--seconds S] [--out FILE] [--smoke [--shards N]] \
-         [--chaos-smoke] [--perf]"
+        "usage: loadgen --smoke [--shards N] | --chaos-smoke | \
+         --perf [--clients N] [--seconds S] [--out FILE]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -23,7 +23,7 @@ pub fn dispatch(argv: &[String]) -> CmdResult {
         Some("compile") => compile(&args),
         Some("stats") => stats(&args),
         Some("recommend") => recommend(&args),
-        Some("serve") => serve(&args),
+        Some("serve") => serve(argv.get(1..).unwrap_or_default()),
         Some("demo") => demo(),
         Some(other) => Err(format!("unknown command '{other}'\n{USAGE}")),
         None => Err(USAGE.to_owned()),
@@ -34,17 +34,14 @@ const USAGE: &str = "usage:\n  \
     goalrec generate  foodmart|fortythree [--scale test|paper] --out FILE\n  \
     goalrec synth     --out FILE.json [--stories N] [--seed N]\n  \
     goalrec extract   --stories FILE.json --out FILE.jsonl\n  \
-    goalrec convert   --library FILE.jsonl --out FILE.grlb (and back)\n  \
+    goalrec convert   --library FILE --out FILE.jsonl\n  \
     goalrec compile   --library FILE --out MODEL.grlb2 [--shards N] [--shard-mode hash|balanced]\n  \
-    goalrec stats     --library FILE.jsonl [--json] [--metrics] [--actions N] [--goals N]\n  \
-    goalrec recommend --library FILE.jsonl --activity a1,a2,... \
+    goalrec stats     --library FILE [--json] [--metrics]\n  \
+    goalrec recommend --library FILE --activity a1,a2,... \
 [--strategy breadth|best-match|focus-cmp|focus-cl] [--k N] [--explain]\n  \
-    goalrec serve     --library FILE.jsonl [--addr HOST] [--port N] [--workers N] \
-[--queue-depth N] [--deadline-ms N] [--idle-ms N] [--no-trace] \
-[--trace-sample-every N] [--access-log] [--access-log-every N] \
-[--shards N] [--shard-mode hash|balanced] [--admin-deadline-ms N] \
-[--append-max-entries N] [--watch] [--compact-threshold N] [--compact-max-age-ms N]\n  \
-    goalrec demo";
+    goalrec serve     --library FILE [the goalrec-serve flags; goalrec serve --help]\n  \
+    goalrec demo\n\
+  a library FILE is JSON lines or a compiled GRLB v2 model, told apart by its first bytes";
 
 fn generate(args: &Args) -> CmdResult {
     let which = args
@@ -151,46 +148,27 @@ fn extract(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// Loads a library: `GRLB` binary (v1 stream or v2 model file, the
-/// reader dispatches on the version stamp) when the file has a `.grlb` /
-/// `.grlb2` extension, JSON-lines otherwise (with id spaces inferred
-/// when the `--actions`/`--goals` flags are absent).
+/// Loads `--library`: JSON lines or a compiled GRLB v2 model, told apart
+/// by the file's first bytes (see `goalrec_datasets::io::read_library_file`).
 fn load_library(args: &Args) -> Result<goalrec_core::GoalLibrary, String> {
-    let path = args.required("library")?;
-    if dsio::is_binary_library(Path::new(path)) {
-        return dsio::read_library_auto(Path::new(path)).map_err(|e| e.to_string());
-    }
-    // First pass to infer bounds if flags are absent.
-    let (mut max_a, mut max_g) = (0u32, 0u32);
-    let raw = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    for line in raw.lines().filter(|l| !l.trim().is_empty()) {
-        let imp: goalrec_core::Implementation =
-            serde_json::from_str(line).map_err(|e| e.to_string())?;
-        max_g = max_g.max(imp.goal.raw());
-        for a in &imp.actions {
-            max_a = max_a.max(a.raw());
-        }
-    }
-    let actions = args.num("actions", (max_a + 1) as usize)? as u32;
-    let goals = args.num("goals", (max_g + 1) as usize)? as u32;
-    dsio::read_library_jsonl(Path::new(path), actions, goals).map_err(|e| e.to_string())
+    dsio::read_library_auto(Path::new(args.required("library")?)).map_err(|e| e.to_string())
 }
 
+/// Writes any library file back out as JSON lines (`goalrec compile`
+/// goes the other way).
 fn convert(args: &Args) -> CmdResult {
     let lib = load_library(args)?;
     let out = args.required("out")?;
-    if out.ends_with(".grlb2") {
-        return Err(
-            "convert writes library formats; use `goalrec compile` for GRLB v2 model files"
-                .to_owned(),
-        );
+    if Path::new(out)
+        .extension()
+        .is_some_and(|e| e.to_string_lossy().starts_with("grlb"))
+    {
+        return Err(format!(
+            "convert writes JSON-lines libraries, not {out}; \
+             use `goalrec compile --library FILE --out MODEL.grlb2` for a model file"
+        ));
     }
-    if out.ends_with(".grlb") {
-        goalrec_datasets::binary::write_library_binary(&lib, Path::new(out))
-            .map_err(|e| e.to_string())?;
-    } else {
-        dsio::write_library_jsonl(&lib, Path::new(out)).map_err(|e| e.to_string())?;
-    }
+    dsio::write_library_jsonl(&lib, Path::new(out)).map_err(|e| e.to_string())?;
     println!("converted {} implementations → {out}", lib.len());
     Ok(())
 }
@@ -349,51 +327,12 @@ fn recommend(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// Runs the HTTP server over a library file: a thin wrapper around
-/// `goalrec_server::run_blocking` so `goalrec serve` and the standalone
-/// `goalrec-serve` binary behave identically.
-fn serve(args: &Args) -> CmdResult {
-    use std::time::Duration;
-    let lib = load_library(args)?;
-    let mut cfg = goalrec_server::ServerConfig::default();
-    if let Some(addr) = args.flag("addr") {
-        cfg.addr = addr.to_owned();
-    }
-    cfg.port = u16::try_from(args.num("port", usize::from(cfg.port))?)
-        .map_err(|_| "--port must fit in 16 bits".to_owned())?;
-    cfg.workers = args.num("workers", cfg.workers)?;
-    cfg.queue_depth = args.num("queue-depth", cfg.queue_depth)?;
-    cfg.deadline =
-        Duration::from_millis(u64::try_from(args.num("deadline-ms", 1000)?).unwrap_or(u64::MAX));
-    cfg.idle_timeout =
-        Duration::from_millis(u64::try_from(args.num("idle-ms", 5000)?).unwrap_or(u64::MAX));
-    cfg.trace_enabled = !args.has("no-trace");
-    cfg.trace_sample_every = u64::try_from(args.num("trace-sample-every", 64)?).unwrap_or(u64::MAX);
-    if args.has("access-log") {
-        cfg.access_log_every = 1;
-    }
-    cfg.access_log_every = u64::try_from(args.num(
-        "access-log-every",
-        usize::try_from(cfg.access_log_every).unwrap_or(0),
-    )?)
-    .unwrap_or(u64::MAX);
-    cfg.shards = args.num("shards", cfg.shards)?;
-    if let Some(mode) = args.flag("shard-mode") {
-        cfg.shard_mode = goalrec_server::PartitionMode::parse(mode)
-            .ok_or_else(|| format!("--shard-mode expects 'hash' or 'balanced', got '{mode}'"))?;
-    }
-    cfg.admin_deadline = Duration::from_millis(
-        u64::try_from(args.num("admin-deadline-ms", 10_000)?).unwrap_or(u64::MAX),
-    );
-    cfg.append_max_entries = args.num("append-max-entries", cfg.append_max_entries)?;
-    cfg.watch = args.has("watch");
-    cfg.compact_threshold = args.num("compact-threshold", cfg.compact_threshold)?;
-    cfg.compact_max_age = Duration::from_millis(
-        u64::try_from(args.num("compact-max-age-ms", 60_000)?).unwrap_or(u64::MAX),
-    );
-    // SIGHUP and path-less admin reloads re-read the same file.
-    cfg.library_path = args.required("library").ok().map(std::path::PathBuf::from);
-    goalrec_server::run_blocking(lib, cfg).map_err(|e| e.to_string())
+/// Runs the HTTP server over a library file. The flags are handed to
+/// the parser the `goalrec-serve` binary uses, so both entry points take
+/// the same flags with the same defaults and serve identically.
+fn serve(argv: &[String]) -> CmdResult {
+    let config = goalrec_server::parse_args(argv)?;
+    goalrec_server::run_blocking(config).map_err(|e| e.to_string())
 }
 
 fn demo() -> CmdResult {
@@ -510,30 +449,110 @@ mod tests {
     }
 
     #[test]
-    fn convert_roundtrips_between_formats() {
+    fn convert_writes_jsonl_from_any_library_file() {
         let dir = tmpdir();
         let ft = FortyThings::generate(&FortyThingsConfig::test_scale());
         let jsonl = dir.join("conv.jsonl");
         dsio::write_library_jsonl(&ft.library, &jsonl).unwrap();
-        let grlb = dir.join("conv.grlb");
+        let model = dir.join("conv.grlb2");
         run(&[
+            "compile",
+            "--library",
+            jsonl.to_str().unwrap(),
+            "--out",
+            model.to_str().unwrap(),
+        ])
+        .unwrap();
+        let back = dir.join("conv-back.jsonl");
+        run(&[
+            "convert",
+            "--library",
+            model.to_str().unwrap(),
+            "--out",
+            back.to_str().unwrap(),
+        ])
+        .unwrap();
+        assert_eq!(
+            dsio::read_library_auto(&back).unwrap().implementations(),
+            ft.library.implementations()
+        );
+        // A model name is refused with the command that writes one.
+        let err = run(&[
             "convert",
             "--library",
             jsonl.to_str().unwrap(),
             "--out",
-            grlb.to_str().unwrap(),
+            dir.join("conv.grlb").to_str().unwrap(),
         ])
-        .unwrap();
-        // Stats and recommend work on the binary file directly.
-        run(&["stats", "--library", grlb.to_str().unwrap()]).unwrap();
-        run(&[
-            "recommend",
+        .unwrap_err();
+        assert!(err.contains("goalrec compile"), "{err}");
+    }
+
+    #[test]
+    fn a_version_one_file_fails_compile_and_stats_naming_version_and_compile() {
+        let dir = tmpdir();
+        let retired = dir.join("retired.grlb");
+        let mut bytes = b"GRLB".to_vec();
+        for v in [1u32, 2, 1, 1, 0, 1, 0] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        std::fs::write(&retired, &bytes).unwrap();
+        let lib = retired.to_str().unwrap();
+        let out = dir.join("never.grlb2");
+        for cmd in [
+            vec!["stats", "--library", lib],
+            vec!["compile", "--library", lib, "--out", out.to_str().unwrap()],
+        ] {
+            let err = run(&cmd).unwrap_err();
+            assert!(
+                err.contains("GRLB version 1") && err.contains("goalrec compile"),
+                "{cmd:?}: {err}"
+            );
+        }
+        assert!(!out.exists());
+    }
+
+    #[test]
+    fn serve_takes_the_server_binarys_flags() {
+        let argv = |parts: &[&str]| parts.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // Bad flags fail exactly as goalrec-serve's own parser fails them.
+        for bad in [
+            &["--library", "x.jsonl", "--port", "hi"][..],
+            &["--library", "x.jsonl", "--bogus"],
+            &["--library", "x.jsonl", "--actions", "9"],
+            &["--port", "1"],
+            &["--help"],
+        ] {
+            let mut cmd = vec!["serve"];
+            cmd.extend_from_slice(bad);
+            assert_eq!(
+                run(&cmd).unwrap_err(),
+                goalrec_server::parse_args(&argv(bad)).unwrap_err(),
+                "{bad:?}"
+            );
+        }
+        // A full, valid flag set parses and reaches the loader, which
+        // names the missing file — before anything is bound.
+        let missing = tmpdir().join("no-such-library.jsonl");
+        let err = run(&[
+            "serve",
             "--library",
-            grlb.to_str().unwrap(),
-            "--activity",
+            missing.to_str().unwrap(),
+            "--port",
             "0",
+            "--workers",
+            "1",
+            "--shards",
+            "2",
+            "--shard-mode",
+            "balanced",
+            "--watch",
         ])
-        .unwrap();
+        .unwrap_err();
+        assert!(
+            err.contains("loading the library") && err.contains("no-such-library.jsonl"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -2,16 +2,22 @@
 //!
 //! ```text
 //! goalrec generate  foodmart|fortythree [--scale test|paper] --out FILE
+//! goalrec synth     --out FILE.json [--stories N] [--seed N]
 //! goalrec extract   --stories FILE.json --out FILE.jsonl
-//! goalrec stats     --library FILE.jsonl [--actions N] [--goals N]
-//! goalrec recommend --library FILE.jsonl --activity a1,a2,…
+//! goalrec convert   --library FILE --out FILE.jsonl
+//! goalrec compile   --library FILE --out MODEL.grlb2 [--shards N]
+//! goalrec stats     --library FILE [--json] [--metrics]
+//! goalrec recommend --library FILE --activity a1,a2,…
 //!                   [--strategy breadth|best-match|focus-cmp|focus-cl]
 //!                   [-k N] [--explain]
+//! goalrec serve     --library FILE [the goalrec-serve flags]
 //! goalrec demo
 //! ```
 //!
-//! Libraries are exchanged as JSON-lines (`io::write_library_jsonl`);
-//! stories as a JSON array of `{"goal": …, "text": …}` objects.
+//! Libraries are exchanged as JSON-lines (`io::write_library_jsonl`) and
+//! compiled to GRLB v2 model files by `compile`; every `--library` takes
+//! either, told apart by the file's first bytes. Stories are a JSON array
+//! of `{"goal": …, "text": …}` objects.
 
 mod args;
 mod commands;

@@ -1,11 +1,13 @@
 //! GRLB v2 — the servable model format: aligned, sectioned, checksummed.
 //!
-//! GRLB v1 ([`crate::binary`]) is a *stream* format: reading it still
-//! means parsing records and building the inverted indexes. v2 instead
-//! writes the compiled [`GoalModel`]'s flat arrays exactly as they sit in
-//! memory, so loading is `mmap` + validate — no parse, no allocation, no
-//! index inversion — and N shard workers share one physical copy through
-//! the page cache. Layout (all integers little-endian):
+//! A JSONL library (see [`crate::io`]) must be parsed and compiled into
+//! the inverted indexes before it serves. v2 instead writes the compiled
+//! [`GoalModel`]'s flat arrays exactly as they sit in memory, so loading
+//! is `mmap` + validate — no parse, no allocation, no index inversion —
+//! and N shard workers share one physical copy through the page cache.
+//! Version 2 is the only version read: a GRLB file stamped with any other
+//! version is the typed [`UnsupportedVersion`] error. Layout (all
+//! integers little-endian):
 //!
 //! ```text
 //! offset   0  magic    b"GRLB"                                  4 bytes
@@ -41,15 +43,83 @@
 //! over the mapped words. Every failure is a typed `InvalidData` error —
 //! corruption can never panic the server or read out of bounds.
 
-use crate::binary::{core_to_io, invalid};
 use crate::mmap::{mmap_supported, ModelBytes};
-use goalrec_core::{GoalLibrary, GoalModel};
+use goalrec_core::GoalModel;
+use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, Read};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"GRLB";
 const VERSION: u32 = 2;
+
+/// Typed payload of the error a GRLB file of any version other than 2
+/// gets — from every reader of this module and from the format sniff in
+/// [`crate::io::read_library_file`], so boot, reload, `compile` and
+/// `stats` all name the found version and the way to a servable file.
+#[derive(Debug)]
+pub struct UnsupportedVersion {
+    /// The file that was read.
+    pub path: PathBuf,
+    /// The version stamped in its header.
+    pub version: u32,
+}
+
+impl fmt::Display for UnsupportedVersion {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} is a GRLB version {} file; only version {VERSION} is read — rebuild it from \
+             its JSONL library with `goalrec compile --library LIB.jsonl --out MODEL.grlb2`",
+            self.path.display(),
+            self.version
+        )
+    }
+}
+
+impl std::error::Error for UnsupportedVersion {}
+
+/// An `InvalidData` error with a plain message.
+pub(crate) fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
+}
+
+/// Maps core build errors onto io errors, treating an empty model as the
+/// shared "empty library" condition of [`crate::io`].
+pub(crate) fn core_to_io(path: &Path, e: goalrec_core::Error) -> io::Error {
+    match e {
+        goalrec_core::Error::EmptyLibrary => crate::io::empty_library(path),
+        other => invalid(&other.to_string()),
+    }
+}
+
+/// Whether `head` — the first bytes of the file at `path` — opens a GRLB
+/// file. A GRLB file stamped with a version other than 2 is the typed
+/// [`UnsupportedVersion`] error; a head too short to hold the version is
+/// left for [`read_model_v2`] to reject as truncated.
+pub(crate) fn sniff(path: &Path, head: &[u8]) -> io::Result<bool> {
+    if !head.starts_with(MAGIC) {
+        return Ok(false);
+    }
+    match head.get(4..8) {
+        Some(&[a, b, c, d]) => check_version(path, u32::from_le_bytes([a, b, c, d])).map(|()| true),
+        _ => Ok(true),
+    }
+}
+
+fn check_version(path: &Path, version: u32) -> io::Result<()> {
+    if version == VERSION {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        UnsupportedVersion {
+            path: path.to_path_buf(),
+            version,
+        },
+    ))
+}
+
 /// Fixed header size; the first section starts here.
 pub const HEADER_LEN: usize = 256;
 /// Every section offset is a multiple of this (cache-line, and a fortiori
@@ -65,11 +135,11 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// The v2 corruption checksum: FNV-1a run over four interleaved 64-bit
 /// little-endian lanes (one 32-byte stripe per round), with the lane
 /// states and any sub-stripe tail folded in byte-wise at the end. Same
-/// constants and corruption-detection contract as GRLB v1's byte-wise
-/// `Fnv`, but the serial xor-multiply dependency advances per lane word
-/// instead of per byte and the four lanes run in parallel — which is
-/// what keeps the two checksum passes over a multi-megabyte model file
-/// inside the single-digit-millisecond cold-start budget. Not
+/// constants as byte-wise FNV-1a, but the serial xor-multiply dependency
+/// advances per lane word instead of per byte and the four lanes run in
+/// parallel — which is what keeps the two checksum passes over a
+/// multi-megabyte model file inside the single-digit-millisecond
+/// cold-start budget. Not
 /// cryptographic; detects bit flips, torn writes and truncation.
 struct Fnv4 {
     lanes: [u64; 4],
@@ -185,16 +255,11 @@ fn get_u64(bytes: &[u8], at: usize) -> u64 {
 }
 
 /// Parses and checksum-verifies the fixed 256-byte header.
-fn parse_header(h: &[u8; HEADER_LEN]) -> io::Result<Header> {
+fn parse_header(path: &Path, h: &[u8; HEADER_LEN]) -> io::Result<Header> {
     if &h[0..4] != MAGIC {
         return Err(invalid("not a GRLB file (bad magic)"));
     }
-    let version = u32::from_le_bytes([h[4], h[5], h[6], h[7]]);
-    if version != VERSION {
-        return Err(invalid(&format!(
-            "unsupported GRLB version {version} (this reader supports version {VERSION})"
-        )));
-    }
+    check_version(path, u32::from_le_bytes([h[4], h[5], h[6], h[7]]))?;
     if Fnv4::digest(&h[..HEADER_FNV_AT]) != get_u64(h, HEADER_FNV_AT) {
         return Err(invalid("header checksum mismatch (corrupted header)"));
     }
@@ -468,7 +533,7 @@ fn open_v2(path: &Path, use_mmap: bool) -> io::Result<(Header, ModelBytes)> {
             e
         }
     })?;
-    let h = parse_header(&header)?;
+    let h = parse_header(path, &header)?;
     validate_layout(&h, actual_len)?;
     let bytes = if use_mmap {
         #[cfg(all(unix, target_endian = "little"))]
@@ -543,14 +608,6 @@ pub fn read_shard_v2(path: &Path) -> io::Result<(GoalModel, Vec<u32>)> {
         .section(ig.offset as usize, ig.words as usize)
         .to_vec();
     Ok((model, map))
-}
-
-/// Reads a v2 file back as a [`GoalLibrary`] (synthetic `a{i}`/`g{i}`
-/// names — v2 stores no name tables). This is what lets `repro` and other
-/// library-level consumers accept `.grlb2` inputs.
-pub fn read_library_v2(path: &Path) -> io::Result<GoalLibrary> {
-    let model = read_model_v2(path)?;
-    model.to_library().map_err(|e| core_to_io(path, e))
 }
 
 #[cfg(test)]
@@ -698,7 +755,7 @@ mod tests {
         write_model_v2(&model, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let header: [u8; HEADER_LEN] = bytes[..HEADER_LEN].try_into().unwrap();
-        let h = parse_header(&header).unwrap();
+        let h = parse_header(&path, &header).unwrap();
         let cut_at = tmp("truncsweep-cut.grlb2");
         // Every section boundary (start and end), the header edge, one
         // byte into each section, and one byte short of the full file.
@@ -790,7 +847,7 @@ mod tests {
         write_model_v2(&model, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let header: [u8; HEADER_LEN] = bytes[..HEADER_LEN].try_into().unwrap();
-        let h = parse_header(&header).unwrap();
+        let h = parse_header(&path, &header).unwrap();
         let ia = h.sections[2];
         // Break sortedness of the first row by maxing its first action id.
         let at = ia.offset as usize;
@@ -825,24 +882,39 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_files_cross_reject_with_named_versions() {
-        let fm = FoodMart::generate(&FoodMartConfig::test_scale());
-        let v1 = tmp("cross.grlb");
-        crate::binary::write_library_binary(&fm.library, &v1).unwrap();
-        let err = read_model_v2(&v1).unwrap_err();
-        assert!(
-            err.to_string().contains("version 1") && err.to_string().contains("supports version 2"),
-            "{err}"
-        );
-        let v2 = tmp("cross.grlb2");
-        write_model_v2(&GoalModel::build(&fm.library).unwrap(), &v2).unwrap();
-        let err = crate::binary::read_library_binary(&v2).unwrap_err();
-        assert!(
-            err.to_string().contains("version 2") && err.to_string().contains("supports version 1"),
-            "{err}"
-        );
-        assert_eq!(crate::binary::sniff_version(&v1).unwrap(), 1);
-        assert_eq!(crate::binary::sniff_version(&v2).unwrap(), 2);
+    fn other_versions_are_the_typed_error_naming_the_version_and_compile() {
+        let path = tmp("version.grlb2");
+        write_model_v2(&tiny_model(), &path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        // A version-1 stamp, as the retired stream format wrote it: both
+        // the sniff and every reader give the typed error.
+        let mut v1 = good.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &v1).unwrap();
+        let errors = [
+            sniff(&path, &v1[..8]).unwrap_err(),
+            read_model_v2(&path).unwrap_err(),
+            read_model_v2_heap(&path).unwrap_err(),
+            read_shard_v2(&path).unwrap_err(),
+        ];
+        for err in errors {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let typed = err
+                .get_ref()
+                .and_then(|e| e.downcast_ref::<UnsupportedVersion>())
+                .unwrap_or_else(|| panic!("untyped version error: {err}"));
+            assert_eq!(typed.version, 1);
+            let msg = err.to_string();
+            assert!(
+                msg.contains("version 1") && msg.contains("goalrec compile"),
+                "{msg}"
+            );
+        }
+        // The sniff tells GRLB from anything else by the magic alone.
+        assert!(sniff(&path, &good[..8]).unwrap());
+        assert!(sniff(&path, b"GRLB").unwrap());
+        assert!(!sniff(&path, b"{\"goal\"").unwrap());
+        assert!(!sniff(&path, b"").unwrap());
     }
 
     #[test]
@@ -850,7 +922,7 @@ mod tests {
         let model = test_model();
         let path = tmp("lib.grlb2");
         write_model_v2(&model, &path).unwrap();
-        let lib = read_library_v2(&path).unwrap();
+        let lib = crate::io::read_library_auto(&path).unwrap();
         assert_eq!(lib.len(), model.num_impls());
         assert_eq!(lib.num_actions(), model.num_actions());
         assert_eq!(lib.num_goals(), model.num_goals());

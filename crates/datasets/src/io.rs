@@ -16,18 +16,18 @@
 //!   stalls and torn writes against these exact code paths. With no plan
 //!   armed the wrappers are passthrough.
 
-use goalrec_core::{ActionId, GoalId, GoalLibrary};
+use goalrec_core::{ActionId, GoalId, GoalLibrary, GoalModel};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use serde_json::Value;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Typed payload of the "library file contains no implementations" load
-/// error. Surfaced at load time by [`read_library_auto`] so callers (the
+/// error. Surfaced at load time by [`read_library_file`] so callers (the
 /// server boot path, hot reload) can answer with a precise message instead
 /// of a confusing downstream model-build failure. Retrieve it through
 /// [`is_empty_library`].
@@ -50,7 +50,7 @@ impl fmt::Display for EmptyLibraryError {
 impl std::error::Error for EmptyLibraryError {}
 
 /// Whether `err` is the typed empty-library error raised by
-/// [`read_library_auto`].
+/// [`read_library_file`].
 pub fn is_empty_library(err: &io::Error) -> bool {
     err.get_ref().is_some_and(|e| e.is::<EmptyLibraryError>())
 }
@@ -146,11 +146,17 @@ pub fn write_library_jsonl(library: &GoalLibrary, path: &Path) -> std::io::Resul
     })
 }
 
-/// An `InvalidData` error pinned to a 1-based line of a JSONL file.
+/// An `InvalidData` error pinned to a 1-based line of a JSONL file, with
+/// the expected shape of a line — what a file of another schema (say, a
+/// `goalrec generate` dataset) needs to be told.
 fn invalid_line(path: &Path, line: usize, detail: impl fmt::Display) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
-        format!("{}:{line}: {detail}", path.display()),
+        format!(
+            "{}:{line}: {detail} (a library is JSON lines: one \
+             {{\"goal\": id, \"actions\": [id, …]}} object per line)",
+            path.display()
+        ),
     )
 }
 
@@ -160,7 +166,7 @@ fn invalid_line(path: &Path, line: usize, detail: impl fmt::Display) -> io::Erro
 /// exactly which part of the record is wrong. Unknown extra fields are
 /// ignored, matching the serde-derived reader this replaces.
 ///
-/// Shared by [`read_library_auto`], [`read_library_jsonl`], the append WAL
+/// Shared by [`read_library_file`], [`read_library_jsonl`], the append WAL
 /// ([`crate::wal`]), and the server's live-append admission check, so a
 /// record rejected at the HTTP boundary and one rejected at replay produce
 /// the same message.
@@ -209,62 +215,62 @@ pub fn parse_implementation_line(line: &str) -> Result<(u32, Vec<u32>), String> 
     implementation_from_value(&value)
 }
 
-/// Reads a library from `path`, choosing the format by extension
-/// (`.grlb`/`.grlb2` binary, JSON-lines otherwise) and inferring the
-/// action/goal id spaces from the data itself. This is the one-argument
-/// loader the server binary, hot reload, and CLI share.
-///
-/// Binary files are dispatched on the *version stamped in the file*, not
-/// the extension: a `.grlb` holding a v2 image (or a `.grlb2` holding v1)
-/// still loads with the right reader, so `serve`/`repro` accept compiled
-/// `.grlb2` artifacts anywhere a library path is expected.
-///
-/// A file with zero implementations is rejected here with the typed
-/// [`EmptyLibraryError`] (see [`is_empty_library`]) instead of letting an
-/// empty library surface as a confusing model-build failure downstream.
-/// Parse failures report the offending line number, and schema failures
-/// additionally name the offending field (see
-/// [`implementation_from_value`]).
-pub fn read_library_auto(path: &Path) -> std::io::Result<GoalLibrary> {
-    if is_binary_library(path) {
-        return if crate::binary::sniff_version(path)? == 2 {
-            crate::grlb2::read_library_v2(path)
-        } else {
-            crate::binary::read_library_binary(path)
-        };
-    }
-    let f = open_read(path)?;
-    let mut impls = Vec::new();
-    let (mut max_action, mut max_goal) = (0u32, 0u32);
-    for (idx, line) in f.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (goal, actions) = parse_implementation_line(&line)
-            .map_err(|detail| invalid_line(path, idx + 1, detail))?;
-        max_goal = max_goal.max(goal);
-        for &a in &actions {
-            max_action = max_action.max(a);
-        }
-        impls.push((
-            GoalId::new(goal),
-            actions.into_iter().map(ActionId::new).collect(),
-        ));
-    }
-    if impls.is_empty() {
-        return Err(empty_library(path));
-    }
-    GoalLibrary::from_id_implementations(max_action + 1, max_goal + 1, impls)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+/// What a library file holds, told apart by its first bytes.
+pub enum LibraryFile {
+    /// A JSON-lines library, id spaces inferred from the data.
+    Jsonl(GoalLibrary),
+    /// A compiled GRLB v2 model, mapped in place where the platform
+    /// allows (see [`crate::grlb2::read_model_v2`]).
+    Model(GoalModel),
 }
 
-/// Whether `path` is a binary `GRLB` family file by extension (`.grlb`
-/// v1 stream or `.grlb2` mapped model). Which *reader* applies is decided
-/// by [`crate::binary::sniff_version`], not the extension.
-pub fn is_binary_library(path: &Path) -> bool {
-    path.extension()
-        .is_some_and(|e| e == "grlb" || e == "grlb2")
+impl LibraryFile {
+    /// The library the file holds: a compiled model is turned back into
+    /// one (synthetic `a{i}`/`g{i}` names — v2 stores no name tables).
+    pub fn into_library(self) -> goalrec_core::Result<GoalLibrary> {
+        match self {
+            LibraryFile::Jsonl(library) => Ok(library),
+            LibraryFile::Model(model) => model.to_library(),
+        }
+    }
+}
+
+/// Reads the library file at `path`, deciding its format from the file's
+/// first bytes, not its extension: the GRLB magic opens a compiled v2
+/// model, anything else is JSON-lines. This is the one place a file's
+/// format is decided — the server's boot and reload and every CLI
+/// command load through it (or through [`read_library_auto`]).
+///
+/// A GRLB file stamped with any version other than 2 is the typed
+/// [`crate::grlb2::UnsupportedVersion`] error, which names the version
+/// and `goalrec compile`. A file with zero implementations is the typed
+/// [`EmptyLibraryError`] (see [`is_empty_library`]). JSONL failures
+/// report the offending line and, for schema errors, the field (see
+/// [`implementation_from_value`]).
+pub fn read_library_file(path: &Path) -> io::Result<LibraryFile> {
+    let mut file = goalrec_faults::read_wrap(path, File::open(path)?);
+    let mut head = Vec::with_capacity(8);
+    (&mut file).take(8).read_to_end(&mut head)?;
+    if crate::grlb2::sniff(path, &head)? {
+        drop(file);
+        return crate::grlb2::read_model_v2(path).map(LibraryFile::Model);
+    }
+    let records = read_records(path, BufReader::new(head.chain(file)))?;
+    GoalLibrary::from_id_implementations(
+        records.max_action + 1,
+        records.max_goal + 1,
+        records.impls,
+    )
+    .map(LibraryFile::Jsonl)
+    .map_err(|e| crate::grlb2::core_to_io(path, e))
+}
+
+/// [`read_library_file`] as a [`GoalLibrary`] (see
+/// [`LibraryFile::into_library`]).
+pub fn read_library_auto(path: &Path) -> std::io::Result<GoalLibrary> {
+    read_library_file(path)?
+        .into_library()
+        .map_err(|e| crate::grlb2::core_to_io(path, e))
 }
 
 /// The typed empty-library `InvalidData` error for `path`.
@@ -277,6 +283,42 @@ pub(crate) fn empty_library(path: &Path) -> io::Error {
     )
 }
 
+/// The implementation records of a JSON-lines library, in file order,
+/// with the largest goal and action ids seen.
+struct Records {
+    impls: Vec<(GoalId, Vec<ActionId>)>,
+    max_action: u32,
+    max_goal: u32,
+}
+
+/// The record loop both JSONL readers share: blank lines are skipped,
+/// and the first bad line is an error naming its number (and, for schema
+/// errors, the field).
+fn read_records(path: &Path, lines: impl BufRead) -> io::Result<Records> {
+    let mut records = Records {
+        impls: Vec::new(),
+        max_action: 0,
+        max_goal: 0,
+    };
+    for (idx, line) in lines.lines().enumerate() {
+        let line = line?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let (goal, actions) = parse_implementation_line(&line)
+            .map_err(|detail| invalid_line(path, idx + 1, detail))?;
+        records.max_goal = records.max_goal.max(goal);
+        for &a in &actions {
+            records.max_action = records.max_action.max(a);
+        }
+        records.impls.push((
+            GoalId::new(goal),
+            actions.into_iter().map(ActionId::new).collect(),
+        ));
+    }
+    Ok(records)
+}
+
 /// Reads implementations from a JSON-lines file and rebuilds a library.
 /// `num_actions`/`num_goals` bound the id spaces (as in
 /// [`GoalLibrary::from_id_implementations`]). Parse failures report the
@@ -286,22 +328,9 @@ pub fn read_library_jsonl(
     num_actions: u32,
     num_goals: u32,
 ) -> std::io::Result<GoalLibrary> {
-    let f = open_read(path)?;
-    let mut impls = Vec::new();
-    for (idx, line) in f.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (goal, actions) = parse_implementation_line(&line)
-            .map_err(|detail| invalid_line(path, idx + 1, detail))?;
-        impls.push((
-            GoalId::new(goal),
-            actions.into_iter().map(ActionId::new).collect(),
-        ));
-    }
-    GoalLibrary::from_id_implementations(num_actions, num_goals, impls)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+    let records = read_records(path, open_read(path)?)?;
+    GoalLibrary::from_id_implementations(num_actions, num_goals, records.impls)
+        .map_err(|e| crate::grlb2::core_to_io(path, e))
 }
 
 #[cfg(test)]
@@ -420,6 +449,83 @@ mod tests {
         assert!(parse_implementation_line("[1,2]")
             .unwrap_err()
             .contains("expected an object"));
+    }
+
+    #[test]
+    fn format_is_decided_by_the_first_bytes_not_the_extension() {
+        let fm = FoodMart::generate(&FoodMartConfig::test_scale());
+        let model = GoalModel::build(&fm.library).unwrap();
+        // A compiled model under a JSONL name still loads as the model...
+        let v2 = tmp("compiled-model.jsonl");
+        crate::grlb2::write_model_v2(&model, &v2).unwrap();
+        match read_library_file(&v2).unwrap() {
+            LibraryFile::Model(m) => assert_eq!(m.flat_sections(), model.flat_sections()),
+            LibraryFile::Jsonl(_) => panic!("a GRLB v2 file was read as JSONL"),
+        }
+        assert_eq!(read_library_auto(&v2).unwrap().len(), fm.library.len());
+        // ...and a JSONL library under a model name loads as JSONL.
+        let jsonl = tmp("plain-library.grlb2");
+        write_library_jsonl(&fm.library, &jsonl).unwrap();
+        match read_library_file(&jsonl).unwrap() {
+            LibraryFile::Jsonl(lib) => {
+                assert_eq!(lib.implementations(), fm.library.implementations())
+            }
+            LibraryFile::Model(_) => panic!("a JSONL file was read as a model"),
+        }
+    }
+
+    #[test]
+    fn a_version_one_file_is_the_typed_error_naming_compile() {
+        // The retired stream format's header: magic, version 1, then
+        // records this build no longer decodes.
+        let path = tmp("retired.grlb");
+        let mut bytes = b"GRLB".to_vec();
+        for v in [1u32, 3, 2, 1, 0, 1, 2] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        for err in [
+            read_library_file(&path).err().unwrap(),
+            read_library_auto(&path).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let typed = err
+                .get_ref()
+                .and_then(|e| e.downcast_ref::<crate::grlb2::UnsupportedVersion>())
+                .unwrap_or_else(|| panic!("untyped: {err}"));
+            assert_eq!(typed.version, 1);
+            assert!(err.to_string().contains("goalrec compile"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_dataset_json_file_fails_on_line_one_naming_goal_and_the_library_format() {
+        // What `goalrec generate` writes: one JSON document on one line.
+        let path = tmp("dataset-not-library.json");
+        write_json(&FoodMart::generate(&FoodMartConfig::test_scale()), &path).unwrap();
+        let err = read_library_auto(&path).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains(":1: field `goal`: missing"), "{msg}");
+        assert!(msg.contains("a library is JSON lines"), "{msg}");
+
+        // At paper scale that line is megabytes of names; the parse must
+        // stay linear in it.
+        let names: Vec<String> = (0..400_000)
+            .map(|i| format!("\"ingredient-{i}\""))
+            .collect();
+        std::fs::write(&path, format!("{{\"names\": [{}]}}\n", names.join(","))).unwrap();
+        assert!(std::fs::metadata(&path).unwrap().len() > 4_000_000);
+        let t0 = std::time::Instant::now();
+        let err = read_library_auto(&path).unwrap_err();
+        assert!(
+            err.to_string().contains(":1: field `goal`: missing"),
+            "{err}"
+        );
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(10),
+            "{:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]

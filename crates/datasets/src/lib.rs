@@ -9,10 +9,9 @@
 //!   family-local library plus user goal activities.
 //! * [`split`] — the 30 %-visible / 70 %-hidden evaluation protocol.
 //! * [`zipf`] — the skewed samplers both generators share.
-//! * [`io`] — JSON / JSON-lines persistence; [`binary`] — the compact
-//!   checksummed `GRLB` v1 stream format for large libraries; [`grlb2`] —
-//!   the aligned, sectioned `GRLB` v2 model format that serves in place
-//!   via [`mmap`].
+//! * [`io`] — JSON / JSON-lines persistence and the one library-file
+//!   loader; [`grlb2`] — the aligned, sectioned `GRLB` v2 model format
+//!   that serves in place via [`mmap`].
 //! * [`wal`] — the append-ahead log that makes live library appends
 //!   durable between admission and background compaction.
 //!
@@ -23,7 +22,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod binary;
 pub mod foodmart;
 pub mod fortythree;
 pub mod grlb2;

@@ -6,8 +6,8 @@
 //! Fault plans are process-global, so every test takes the `GATE` mutex
 //! and scopes its plan with a path filter unique to its own files.
 
-use goalrec_core::{GoalLibrary, LibraryBuilder};
-use goalrec_datasets::binary::{read_library_binary, write_library_binary};
+use goalrec_core::{GoalLibrary, GoalModel, LibraryBuilder};
+use goalrec_datasets::grlb2::write_model_v2;
 use goalrec_datasets::io::{read_library_auto, write_library_jsonl};
 use goalrec_faults::{with_plan, FaultPlan};
 use std::path::PathBuf;
@@ -52,20 +52,20 @@ fn library_b() -> GoalLibrary {
 #[test]
 fn torn_write_at_every_offset_never_corrupts_the_target() {
     let _g = lock();
-    let path = tmp("torn-every-offset.grlb");
-    write_library_binary(&library_a(), &path).unwrap();
+    let path = tmp("torn-every-offset.jsonl");
+    write_library_jsonl(&library_a(), &path).unwrap();
     let good = std::fs::read(&path).unwrap();
 
     // Size the sweep off a throwaway clean write of the replacement.
-    let probe = tmp("torn-probe.grlb");
-    write_library_binary(&library_b(), &probe).unwrap();
+    let probe = tmp("torn-probe.jsonl");
+    write_library_jsonl(&library_b(), &probe).unwrap();
     let new_len = std::fs::read(&probe).unwrap().len();
 
     for offset in 0..new_len as u64 {
         let plan =
             FaultPlan::parse(&format!("path=torn-every-offset;torn-write@byte={offset}")).unwrap();
         with_plan(plan, || {
-            let err = write_library_binary(&library_b(), &path)
+            let err = write_library_jsonl(&library_b(), &path)
                 .expect_err("torn write must fail the writer");
             assert!(err.to_string().contains("torn write"), "{err}");
         });
@@ -76,17 +76,40 @@ fn torn_write_at_every_offset_never_corrupts_the_target() {
         );
         // And the surviving file still loads.
         assert_eq!(
-            read_library_binary(&path).unwrap().implementations(),
+            read_library_auto(&path).unwrap().implementations(),
             library_a().implementations()
         );
     }
 
     // With the chaos over, the replacement goes through.
-    write_library_binary(&library_b(), &path).unwrap();
+    write_library_jsonl(&library_b(), &path).unwrap();
     assert_eq!(
-        read_library_binary(&path).unwrap().implementations(),
+        read_library_auto(&path).unwrap().implementations(),
         library_b().implementations()
     );
+}
+
+/// The model writer shares the crash-safe path: a tear anywhere in a
+/// `.grlb2` replacement (header, section, padding) leaves the old model.
+#[test]
+fn torn_model_write_never_corrupts_the_target() {
+    let _g = lock();
+    let path = tmp("torn-model.grlb2");
+    let model_a = GoalModel::build(&library_a()).unwrap();
+    let model_b = GoalModel::build(&library_b()).unwrap();
+    write_model_v2(&model_a, &path).unwrap();
+    let good = std::fs::read(&path).unwrap();
+    let probe = tmp("torn-model-probe.grlb2");
+    write_model_v2(&model_b, &probe).unwrap();
+    let new_len = std::fs::read(&probe).unwrap().len() as u64;
+    for offset in (0..new_len).step_by(61).chain([new_len - 1]) {
+        let plan = FaultPlan::parse(&format!("path=torn-model;torn-write@byte={offset}")).unwrap();
+        with_plan(plan, || {
+            assert!(write_model_v2(&model_b, &path).is_err());
+        });
+        assert_eq!(std::fs::read(&path).unwrap(), good, "tear at byte {offset}");
+    }
+    assert_eq!(read_library_auto(&path).unwrap().len(), library_a().len());
 }
 
 #[test]
@@ -109,12 +132,12 @@ fn write_error_leaves_jsonl_target_untouched() {
 #[test]
 fn injected_read_errors_surface_as_errors_not_panics() {
     let _g = lock();
-    let grlb = tmp("rerr.grlb");
+    let grlb2 = tmp("rerr.grlb2");
     let jsonl = tmp("rerr.jsonl");
-    write_library_binary(&library_a(), &grlb).unwrap();
+    write_model_v2(&GoalModel::build(&library_a()).unwrap(), &grlb2).unwrap();
     write_library_jsonl(&library_a(), &jsonl).unwrap();
 
-    for (path, filter) in [(&grlb, "rerr.grlb"), (&jsonl, "rerr.jsonl")] {
+    for (path, filter) in [(&grlb2, "rerr.grlb2"), (&jsonl, "rerr.jsonl")] {
         let plan = FaultPlan::parse(&format!("path={filter};read-error@byte=8")).unwrap();
         with_plan(plan, || {
             let err = read_library_auto(path).expect_err("injected read error must surface");
@@ -128,22 +151,26 @@ fn injected_read_errors_surface_as_errors_not_panics() {
 #[test]
 fn short_reads_and_stalls_still_load_correctly() {
     let _g = lock();
-    let path = tmp("slow.grlb");
-    write_library_binary(&library_a(), &path).unwrap();
-    let plan = FaultPlan::parse("path=slow.grlb;short-read@op=1;stall-20ms@op=2").unwrap();
-    let t0 = std::time::Instant::now();
-    let lib = with_plan(plan, || read_library_auto(&path).unwrap());
-    assert!(t0.elapsed() >= std::time::Duration::from_millis(15));
-    assert_eq!(lib.implementations(), library_a().implementations());
+    let grlb2 = tmp("slow.grlb2");
+    let jsonl = tmp("slow.jsonl");
+    write_model_v2(&GoalModel::build(&library_a()).unwrap(), &grlb2).unwrap();
+    write_library_jsonl(&library_a(), &jsonl).unwrap();
+    for path in [&grlb2, &jsonl] {
+        let plan = FaultPlan::parse("path=slow.;short-read@op=1;stall-20ms@op=2").unwrap();
+        let t0 = std::time::Instant::now();
+        let lib = with_plan(plan, || read_library_auto(path).unwrap());
+        assert!(t0.elapsed() >= std::time::Duration::from_millis(15));
+        assert_eq!(lib.implementations(), library_a().implementations());
+    }
 }
 
 #[test]
-fn faulted_binary_read_through_auto_loader_rolls_up_cleanly() {
+fn faulted_read_past_the_first_bytes_rolls_up_cleanly() {
     let _g = lock();
-    let path = tmp("auto-fault.grlb");
-    write_library_binary(&library_a(), &path).unwrap();
-    // Error in the middle of the impl records: must be an Err, and the
-    // next (unfaulted) load must succeed — no sticky state.
+    let path = tmp("auto-fault.jsonl");
+    write_library_jsonl(&library_a(), &path).unwrap();
+    // Error in the middle of the records: must be an Err, and the next
+    // (unfaulted) load must succeed — no sticky state.
     let plan = FaultPlan::parse("path=auto-fault;read-error@op=2").unwrap();
     with_plan(plan, || {
         assert!(read_library_auto(&path).is_err());

@@ -7,7 +7,11 @@
 //! the context's monotonic start instant, which makes every span directly
 //! comparable to the request's `server.latency` observation: the
 //! top-level (non-child) spans of a completed trace partition the same
-//! `[0, total_ns]` window that the latency histogram records.
+//! `[0, total_ns]` window that the latency histogram records. They tile
+//! it by construction: a top-level span starts at the clock read that
+//! ended the previous one, and [`TraceContext::finish`] ends the trace
+//! at the last one's end, so a thread descheduled between two spans
+//! stretches a span instead of opening a hole in the sum.
 //!
 //! Span names are `&'static str` constants from [`crate::names`] — the
 //! same registry discipline (and `goalrec-lint` rule) as metric names.
@@ -136,6 +140,9 @@ pub struct TraceContext {
     generation: u64,
     queue_wait_ns: u64,
     total_ns: u64,
+    /// Where the last top-level span ended (0 before the first): the
+    /// next top-level span starts here, and the trace ends here.
+    tiled_ns: u64,
     spans: [Span; MAX_SPANS],
     len: u32,
     dropped: u32,
@@ -155,6 +162,7 @@ impl TraceContext {
             generation: 0,
             queue_wait_ns: 0,
             total_ns: 0,
+            tiled_ns: 0,
             spans: [EMPTY_SPAN; MAX_SPANS],
             len: 0,
             dropped: 0,
@@ -178,6 +186,7 @@ impl TraceContext {
         self.generation = 0;
         self.queue_wait_ns = 0;
         self.total_ns = 0;
+        self.tiled_ns = 0;
         self.len = 0;
         self.dropped = 0;
     }
@@ -230,10 +239,25 @@ impl TraceContext {
         u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Opens a top-level span clocked from now. Returns a token for
+    /// Opens a top-level span where the previous top-level span ended
+    /// (at the trace start for the first one), so time between two spans
+    /// is charged to the later one. Returns a token for
     /// [`TraceContext::end_span`]; the sentinel when not recording.
     #[inline]
     pub fn start_span(&mut self, name: &'static str) -> SpanToken {
+        self.open(name, false)
+    }
+
+    /// Opens a child span clocked from now: the span subdivides an
+    /// enclosing parent, so it is excluded from the top-level span-sum
+    /// invariant.
+    #[inline]
+    pub fn start_child_span(&mut self, name: &'static str) -> SpanToken {
+        self.open(name, true)
+    }
+
+    #[inline]
+    fn open(&mut self, name: &'static str, child: bool) -> SpanToken {
         if !self.enabled {
             return SpanToken::NONE;
         }
@@ -244,27 +268,20 @@ impl TraceContext {
         }
         self.spans[i] = Span {
             name,
-            start_ns: self.elapsed_ns(),
+            start_ns: if child {
+                self.elapsed_ns()
+            } else {
+                self.tiled_ns
+            },
             dur_ns: 0,
-            child: false,
+            child,
         };
         self.len += 1;
         SpanToken(i as u32)
     }
 
-    /// Opens a child span clocked from now: same mechanics as
-    /// [`TraceContext::start_span`] but the span subdivides an enclosing
-    /// parent, so it is excluded from the top-level span-sum invariant.
-    #[inline]
-    pub fn start_child_span(&mut self, name: &'static str) -> SpanToken {
-        let token = self.start_span(name);
-        if token != SpanToken::NONE {
-            self.spans[token.0 as usize].child = true;
-        }
-        token
-    }
-
-    /// Closes a span opened by [`TraceContext::start_span`].
+    /// Closes a span opened by [`TraceContext::start_span`] or
+    /// [`TraceContext::start_child_span`].
     #[inline]
     pub fn end_span(&mut self, token: SpanToken) {
         if token == SpanToken::NONE {
@@ -275,6 +292,9 @@ impl TraceContext {
             let now = self.elapsed_ns();
             let span = &mut self.spans[i];
             span.dur_ns = now.saturating_sub(span.start_ns);
+            if !span.child {
+                self.tiled_ns = now;
+            }
         }
     }
 
@@ -298,13 +318,23 @@ impl TraceContext {
             child,
         };
         self.len += 1;
+        if !child {
+            self.tiled_ns = start_ns.saturating_add(dur_ns);
+        }
     }
 
     /// Seals the trace: records the response status and the total
-    /// duration (which it also returns, in nanoseconds).
+    /// duration (which it also returns, in nanoseconds). The total is the
+    /// end of the last top-level span — the clock read that closed it —
+    /// so the top-level spans sum to it; a trace without one reads the
+    /// clock now.
     pub fn finish(&mut self, status: u16) -> u64 {
         self.status = status;
-        self.total_ns = self.elapsed_ns();
+        self.total_ns = if self.tiled_ns > 0 {
+            self.tiled_ns
+        } else {
+            self.elapsed_ns()
+        };
         self.total_ns
     }
 
@@ -484,6 +514,43 @@ mod tests {
         // Child spans are excluded from the top-level sum.
         assert_eq!(snap.top_level_span_sum_ns(), snap.spans()[0].dur_ns);
         assert!(snap.total_ns >= snap.spans()[0].dur_ns);
+    }
+
+    #[test]
+    fn top_level_spans_tile_the_trace_across_stalls_between_them() {
+        use crate::names::{SPAN_HANDLE, SPAN_PARSE, SPAN_QUEUE_WAIT, SPAN_RANK, SPAN_WRITE};
+        let stall = || std::thread::sleep(std::time::Duration::from_millis(5));
+        let mut t = TraceContext::new(true);
+        t.begin(TraceId(9), Instant::now());
+        t.add_span(SPAN_QUEUE_WAIT, 0, 1_000, false);
+        stall();
+        t.add_span(SPAN_PARSE, 1_000, t.elapsed_ns() - 1_000, false);
+        stall(); // descheduled after parse, before handle opens
+        let handle = t.start_span(SPAN_HANDLE);
+        let rank = t.start_child_span(SPAN_RANK);
+        t.end_span(rank);
+        t.end_span(handle);
+        stall(); // ... after handle, before write opens
+        let write = t.start_span(SPAN_WRITE);
+        t.end_span(write);
+        stall(); // ... after write, before the trace is sealed
+        let total = t.finish(200);
+
+        let snap = t.snapshot();
+        assert_eq!(snap.top_level_span_sum_ns(), total);
+        assert!(total >= 15_000_000, "the stalls land inside the spans");
+        let top: Vec<&Span> = snap.spans().iter().filter(|s| !s.child).collect();
+        for pair in top.windows(2) {
+            assert_eq!(pair[0].start_ns + pair[0].dur_ns, pair[1].start_ns);
+        }
+        assert_eq!(top[0].start_ns, 0);
+        // A child span is clocked from its own start, inside its parent.
+        let child = snap.spans().iter().find(|s| s.child).unwrap();
+        assert!(child.start_ns >= top[2].start_ns);
+        // A trace with no top-level span reads the clock when sealed.
+        t.begin(TraceId(10), Instant::now());
+        stall();
+        assert!(t.finish(200) >= 5_000_000);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod args;
 mod debug;
 pub mod error;
 pub mod http;
@@ -44,6 +45,7 @@ pub mod router;
 pub mod shards;
 pub mod shutdown;
 
+pub use args::{parse_args, USAGE};
 pub use error::ServerError;
 pub use goalrec_shard::PartitionMode;
 pub use http::{Limits, Request, Response};
@@ -211,8 +213,10 @@ impl ServerHandle {
     }
 }
 
-/// Builds the model from `library` and starts serving with a fresh
-/// (programmatic-only) shutdown token.
+/// Compiles `library` (in memory — nothing is read from
+/// `config.library_path`, which only names the reload target and the
+/// WAL's home) and starts serving with a fresh (programmatic-only)
+/// shutdown token.
 pub fn start(
     library: goalrec_core::GoalLibrary,
     config: ServerConfig,
@@ -227,12 +231,21 @@ pub fn start_with_shutdown(
     config: ServerConfig,
     shutdown: Shutdown,
 ) -> Result<ServerHandle, ServerError> {
-    let state = AppState::boot(
+    let state = AppState::build(
         library,
         config.shards,
         config.shard_mode,
-        config.library_path.as_deref(),
+        &mut obs::TraceContext::disabled(),
     )?;
+    serve(state, config, shutdown)
+}
+
+/// Starts serving `state`.
+fn serve(
+    state: AppState,
+    config: ServerConfig,
+    shutdown: Shutdown,
+) -> Result<ServerHandle, ServerError> {
     let set = Arc::new(ShardSet::new(state));
     // Boot the live mutation plane: bind the append WAL next to the
     // library file and re-stage anything a previous process acknowledged
@@ -456,19 +469,45 @@ fn reject(mut stream: TcpStream, metrics: &ServerMetrics) {
     }
 }
 
-/// Loads nothing, owns nothing: binds, prints the endpoints, serves until
-/// `SIGTERM`/`SIGINT`, then drains. This is the body of both the
-/// `goalrec-serve` binary and the `goalrec serve` subcommand.
-pub fn run_blocking(
-    library: goalrec_core::GoalLibrary,
-    config: ServerConfig,
-) -> Result<(), ServerError> {
+/// The body of both the `goalrec-serve` binary and the `goalrec serve`
+/// subcommand: loads `config.library_path` through the same loader every
+/// full reload uses (`reload::load` — a one-shard `.grlb2` is mapped
+/// and served in place, anything else compiled once), binds, prints the
+/// endpoints, serves until `SIGTERM`/`SIGINT`, then drains.
+pub fn run_blocking(config: ServerConfig) -> Result<(), ServerError> {
+    let loading = |detail: String| ServerError::Io {
+        context: "loading the library",
+        detail,
+    };
+    let path = config
+        .library_path
+        .clone()
+        .ok_or_else(|| loading("no library file given".to_owned()))?;
+    let state = reload::load(
+        &path,
+        None,
+        config.shards,
+        config.shard_mode,
+        &mut obs::TraceContext::disabled(),
+    )
+    .map_err(|e| match e {
+        ServerError::ReloadFailed(detail) => loading(detail),
+        other => other,
+    })?;
+    let stats = state.stats();
+    eprintln!(
+        "loaded {}: {} implementations, {} goals, {} actions",
+        path.display(),
+        stats.num_implementations,
+        stats.num_goals,
+        stats.num_actions
+    );
     shutdown::install_signal_handlers();
     let token = Shutdown::watching_signals();
-    let shards = config.shards.clamp(1, obs::names::MAX_NAMED_SHARDS);
+    let shards = state.shards().len();
     let shard_mode = config.shard_mode;
-    let watching = config.watch && config.library_path.is_some();
-    let handle = start_with_shutdown(library, config, token)?;
+    let watching = config.watch;
+    let handle = serve(state, config, token)?;
     println!("goalrec-serve listening on http://{}", handle.local_addr());
     if shards > 1 {
         println!(

@@ -1,7 +1,7 @@
 //! `goalrec-serve` — the standalone server binary.
 //!
 //! ```text
-//! goalrec-serve --library FILE[.jsonl|.grlb]
+//! goalrec-serve --library FILE[.jsonl|.grlb2]
 //!               [--addr HOST] [--port N] [--workers N]
 //!               [--queue-depth N] [--deadline-ms N] [--idle-ms N]
 //!               [--admin-deadline-ms N] [--append-max-entries N]
@@ -11,227 +11,20 @@
 //!               [--shards N] [--shard-mode hash|balanced]
 //! ```
 //!
-//! Loads the library once, compiles it into `--shards` shard models (one
-//! by default: the whole [`goalrec_core::GoalModel`]), and serves until `SIGTERM`/ctrl-c, draining in-flight requests before
-//! exit. The `goalrec serve` CLI subcommand is a thin wrapper over the
-//! same [`goalrec_server::run_blocking`] entry point.
-
-use goalrec_server::{PartitionMode, ServerConfig};
-use std::time::Duration;
-
-const USAGE: &str = "usage: goalrec-serve --library FILE[.jsonl|.grlb] \
-    [--addr HOST] [--port N] [--workers N] [--queue-depth N] \
-    [--deadline-ms N] [--idle-ms N] \
-    [--admin-deadline-ms N] [--append-max-entries N] \
-    [--watch] [--compact-threshold N] [--compact-max-age-ms N] \
-    [--no-trace] [--trace-sample-every N] \
-    [--access-log] [--access-log-every N] \
-    [--shards N] [--shard-mode hash|balanced]";
-
-fn parse_args(argv: &[String]) -> Result<(String, ServerConfig), String> {
-    let mut config = ServerConfig::default();
-    let mut library: Option<String> = None;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("missing value for {flag}\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--library" => library = Some(value("--library")?.to_owned()),
-            "--addr" => config.addr = value("--addr")?.to_owned(),
-            "--port" => config.port = parse_num(value("--port")?, "--port")?,
-            "--workers" => config.workers = parse_num(value("--workers")?, "--workers")?,
-            "--queue-depth" => {
-                config.queue_depth = parse_num(value("--queue-depth")?, "--queue-depth")?
-            }
-            "--deadline-ms" => {
-                config.deadline =
-                    Duration::from_millis(parse_num(value("--deadline-ms")?, "--deadline-ms")?)
-            }
-            "--idle-ms" => {
-                config.idle_timeout =
-                    Duration::from_millis(parse_num(value("--idle-ms")?, "--idle-ms")?)
-            }
-            "--admin-deadline-ms" => {
-                config.admin_deadline = Duration::from_millis(parse_num(
-                    value("--admin-deadline-ms")?,
-                    "--admin-deadline-ms",
-                )?)
-            }
-            "--append-max-entries" => {
-                config.append_max_entries =
-                    parse_num(value("--append-max-entries")?, "--append-max-entries")?
-            }
-            "--watch" => config.watch = true,
-            "--compact-threshold" => {
-                config.compact_threshold =
-                    parse_num(value("--compact-threshold")?, "--compact-threshold")?
-            }
-            "--compact-max-age-ms" => {
-                config.compact_max_age = Duration::from_millis(parse_num(
-                    value("--compact-max-age-ms")?,
-                    "--compact-max-age-ms",
-                )?)
-            }
-            "--no-trace" => config.trace_enabled = false,
-            "--trace-sample-every" => {
-                config.trace_sample_every =
-                    parse_num(value("--trace-sample-every")?, "--trace-sample-every")?
-            }
-            "--access-log" => config.access_log_every = config.access_log_every.max(1),
-            "--access-log-every" => {
-                config.access_log_every =
-                    parse_num(value("--access-log-every")?, "--access-log-every")?
-            }
-            "--shards" => config.shards = parse_num(value("--shards")?, "--shards")?,
-            "--shard-mode" => {
-                let raw = value("--shard-mode")?;
-                config.shard_mode = PartitionMode::parse(raw).ok_or_else(|| {
-                    format!("--shard-mode expects 'hash' or 'balanced', got '{raw}'")
-                })?
-            }
-            "--help" | "-h" => return Err(USAGE.to_owned()),
-            other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
-        }
-    }
-    let library = library.ok_or_else(|| format!("missing required --library\n{USAGE}"))?;
-    Ok((library, config))
-}
-
-fn parse_num<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
-    raw.parse()
-        .map_err(|_| format!("{flag} expects a number, got '{raw}'"))
-}
-
-fn run() -> Result<(), String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (library_path, mut config) = parse_args(&argv)?;
-    let library = goalrec_datasets::io::read_library_auto(std::path::Path::new(&library_path))
-        .map_err(|e| format!("cannot load library {library_path}: {e}"))?;
-    // SIGHUP and path-less admin reloads re-read the same file.
-    config.library_path = Some(std::path::PathBuf::from(&library_path));
-    let stats = library.stats();
-    eprintln!(
-        "loaded {library_path}: {} implementations, {} goals, {} actions",
-        stats.num_implementations, stats.num_goals, stats.num_actions
-    );
-    goalrec_server::run_blocking(library, config).map_err(|e| e.to_string())
-}
+//! Loads the library file through the same loader every full reload
+//! uses — a compiled `.grlb2` on one shard is mapped and served in place,
+//! a JSONL library is compiled once into `--shards` shard models — and
+//! serves until `SIGTERM`/ctrl-c, draining in-flight requests before
+//! exit. The `goalrec serve` CLI subcommand parses the same flags
+//! ([`goalrec_server::parse_args`]) into the same
+//! [`goalrec_server::run_blocking`] entry point.
 
 fn main() {
-    if let Err(e) = run() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let served = goalrec_server::parse_args(&argv)
+        .and_then(|config| goalrec_server::run_blocking(config).map_err(|e| e.to_string()));
+    if let Err(e) = served {
         eprintln!("error: {e}");
         std::process::exit(2);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn args(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn parses_the_full_flag_set() {
-        let (lib, cfg) = parse_args(&args(&[
-            "--library",
-            "x.jsonl",
-            "--addr",
-            "0.0.0.0",
-            "--port",
-            "9000",
-            "--workers",
-            "3",
-            "--queue-depth",
-            "17",
-            "--deadline-ms",
-            "250",
-            "--idle-ms",
-            "750",
-            "--no-trace",
-            "--trace-sample-every",
-            "16",
-            "--access-log-every",
-            "32",
-            "--shards",
-            "4",
-            "--shard-mode",
-            "balanced",
-        ]))
-        .unwrap();
-        assert_eq!(lib, "x.jsonl");
-        assert_eq!(cfg.addr, "0.0.0.0");
-        assert_eq!(cfg.port, 9000);
-        assert_eq!(cfg.workers, 3);
-        assert_eq!(cfg.queue_depth, 17);
-        assert_eq!(cfg.deadline, Duration::from_millis(250));
-        assert_eq!(cfg.idle_timeout, Duration::from_millis(750));
-        assert!(!cfg.trace_enabled);
-        assert_eq!(cfg.trace_sample_every, 16);
-        assert_eq!(cfg.access_log_every, 32);
-        assert_eq!(cfg.shards, 4);
-        assert!(matches!(cfg.shard_mode, PartitionMode::BalancedMass));
-    }
-
-    #[test]
-    fn defaults_to_one_shard_and_rejects_bad_shard_modes() {
-        let (_, cfg) = parse_args(&args(&["--library", "x.jsonl"])).unwrap();
-        assert_eq!(cfg.shards, 1);
-        assert!(matches!(cfg.shard_mode, PartitionMode::HashGoal));
-        assert!(parse_args(&args(&["--library", "x", "--shards", "two"])).is_err());
-        assert!(parse_args(&args(&["--library", "x", "--shard-mode", "zig"])).is_err());
-    }
-
-    #[test]
-    fn parses_the_live_mutation_flags() {
-        let (_, cfg) = parse_args(&args(&[
-            "--library",
-            "x.jsonl",
-            "--admin-deadline-ms",
-            "30000",
-            "--append-max-entries",
-            "64",
-            "--watch",
-            "--compact-threshold",
-            "256",
-            "--compact-max-age-ms",
-            "5000",
-        ]))
-        .unwrap();
-        assert_eq!(cfg.admin_deadline, Duration::from_millis(30_000));
-        assert_eq!(cfg.append_max_entries, 64);
-        assert!(cfg.watch);
-        assert_eq!(cfg.compact_threshold, 256);
-        assert_eq!(cfg.compact_max_age, Duration::from_millis(5_000));
-    }
-
-    #[test]
-    fn live_mutation_flags_default_off() {
-        let (_, cfg) = parse_args(&args(&["--library", "x.jsonl"])).unwrap();
-        assert!(!cfg.watch);
-        assert!(cfg.admin_deadline >= cfg.deadline);
-        assert!(cfg.append_max_entries > 0);
-        assert!(parse_args(&args(&["--library", "x", "--compact-threshold", "many"])).is_err());
-    }
-
-    #[test]
-    fn defaults_trace_on_and_access_log_off() {
-        let (_, cfg) = parse_args(&args(&["--library", "x.jsonl"])).unwrap();
-        assert!(cfg.trace_enabled);
-        assert_eq!(cfg.access_log_every, 0);
-        let (_, cfg) = parse_args(&args(&["--library", "x.jsonl", "--access-log"])).unwrap();
-        assert_eq!(cfg.access_log_every, 1);
-    }
-
-    #[test]
-    fn rejects_missing_library_and_bad_numbers() {
-        assert!(parse_args(&args(&["--port", "1"])).is_err());
-        assert!(parse_args(&args(&["--library", "x", "--port", "hi"])).is_err());
-        assert!(parse_args(&args(&["--library", "x", "--bogus"])).is_err());
-        assert!(parse_args(&args(&["--library"])).is_err());
     }
 }

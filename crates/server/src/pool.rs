@@ -216,9 +216,10 @@ fn respond(
     let ok = response.write_to(reader.get_mut(), keep_alive).is_ok();
     trace.end_span(write);
     metrics.requests.inc();
-    // One clock read seals the trace AND feeds the latency histogram, so
-    // a trace's total_ns is byte-identical to its latency observation.
-    // (begin() anchored the trace at t0, so this holds untraced too.)
+    // One clock read — the one that closed the write span — seals the
+    // trace AND feeds the latency histogram, so a trace's total_ns is
+    // byte-identical to its latency observation. (Untraced, begin() still
+    // anchored the trace at t0 and finish reads the clock itself.)
     let total_ns = trace.finish(response.status);
     metrics.latency.record(total_ns);
     if traced {

@@ -14,19 +14,21 @@
 //!                                                └─ on error: keep old
 //! ```
 //!
-//! A full reload loads the library file (through the fault-injectable
-//! `goalrec-datasets` readers), compiles every shard model and runs
+//! A full reload goes through `load`, the same loader the server boots
+//! through: it reads the library file (through the fault-injectable
+//! `goalrec-datasets` reader, which decides the format from the file's
+//! first bytes), compiles every shard model and runs
 //! [`goalrec_core::GoalModel::validate`] on each — all **off** the request
 //! path — and swaps only a fully validated snapshot; any failure (missing
-//! file, torn write, injected fault, corrupt model) leaves the previous
-//! generation serving. On a one-shard server a GRLB v2 file skips the
-//! compilation: the reader's validated (mapped) model becomes shard 0 as
-//! is. A targeted `{"shard": i}` reload compiles and swaps shard `i`
-//! alone; a failure there rolls back that one shard while every other
-//! shard keeps serving untouched. On a one-shard server `{"shard": 0}`
-//! is a full reload: shard 0 is the whole library, so the stats, names
-//! and compaction base move with it. The `server.reload.*` metrics and the
-//! `server.model_generation` gauge record every attempt.
+//! file, torn write, injected fault, corrupt model, a GRLB version other
+//! than 2) leaves the previous generation serving. On a one-shard server
+//! a GRLB v2 file skips the compilation: the reader's validated (mapped)
+//! model becomes shard 0 as is. A targeted `{"shard": i}` reload compiles
+//! and swaps shard `i` alone; a failure there rolls back that one shard
+//! while every other shard keeps serving untouched. On a one-shard server
+//! `{"shard": 0}` is a full reload: shard 0 is the whole library, so the
+//! stats, names and compaction base move with it. The `server.reload.*`
+//! metrics and the `server.model_generation` gauge record every attempt.
 //!
 //! The same supervisor thread owns the **live mutation plane**
 //! (`LivePlane`): `POST /v1/admin/library/append` jobs are WAL-logged
@@ -49,9 +51,10 @@ use crate::shards::{self, AppState, ShardSet};
 use crate::shutdown::{self, Shutdown};
 use goalrec_core::ids::{ActionId, GoalId};
 use goalrec_core::{GoalLibrary, GoalModel};
+use goalrec_datasets::io::{read_library_file, LibraryFile};
 use goalrec_datasets::wal::{AppendWal, WalEntry};
 use goalrec_obs::{self as obs, names};
-use goalrec_shard::ShardView;
+use goalrec_shard::{PartitionMode, ShardView};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -635,9 +638,9 @@ fn persist_compacted(live: &LivePlane, next: &AppState) -> Result<(), ServerErro
         return Ok(());
     };
     let library = next.library()?;
-    // Match the serving file's format (the loaders dispatch on the
-    // version stamp, so what we write here is what the next reload — and
-    // the read-back verify below — will parse).
+    // A `.grlb2` target gets a model, anything else JSONL (the loader
+    // tells the two apart by their first bytes, so what we write here is
+    // what the next reload — and the read-back verify below — will parse).
     if path.extension().is_some_and(|e| e == "grlb2") {
         // GRLB v2 target: persist the compacted model sections directly,
         // then re-read through the full validate-before-trust pipeline.
@@ -678,12 +681,7 @@ fn persist_compacted(live: &LivePlane, next: &AppState) -> Result<(), ServerErro
             )));
         }
     } else {
-        let write = if path.extension().is_some_and(|e| e == "grlb") {
-            goalrec_datasets::binary::write_library_binary
-        } else {
-            goalrec_datasets::io::write_library_jsonl
-        };
-        write(library, path).map_err(|e| {
+        goalrec_datasets::io::write_library_jsonl(library, path).map_err(|e| {
             ServerError::ReloadFailed(format!(
                 "cannot persist the compacted library to {}: {e}",
                 path.display()
@@ -739,7 +737,7 @@ fn attempt_reload(
     trace.begin(obs::fresh_trace_id(), t0);
     trace.set_route("reload");
     let current = set.load();
-    let loaded = load(&current, path, shard, &mut trace);
+    let loaded = reload_from(&current, path, shard, &mut trace);
     metrics
         .latency
         .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -789,9 +787,12 @@ fn attempt_reload(
     result
 }
 
-/// Loads `path` and builds the successor of `current` (unstaged): every
-/// shard, or only `shard` on a plane of more than one.
-fn load(
+/// Builds the successor of `current` (unstaged) from `path`: a full
+/// reload through [`load`], or — on a plane of more than one shard — a
+/// targeted rebuild of `shard` alone. On one shard, shard 0 is the whole
+/// library, so `{"shard": 0}` is a full reload: the stats, names and
+/// compaction base move with it.
+fn reload_from(
     current: &AppState,
     path: &Path,
     shard: Option<usize>,
@@ -800,47 +801,83 @@ fn load(
     if let Some(shard) = shard {
         current.check_shard(shard)?;
     }
-    // On one shard, shard 0 is the whole library: reloading it is a full
-    // reload, so the stats, names and compaction base move with it.
-    let shard = shard.filter(|_| current.shards().len() > 1);
-    // GRLB v2 fast path for a one-shard full reload: the reader hands
-    // back an already-trusted model (header → layout → checksums →
-    // structural pass, mapped in place when the platform allows), which
-    // becomes shard 0 as is — no JSON parse, no compilation, and no
-    // separate validate span. The format sniff is a read of the file, so
-    // it is timed as part of the load; spans close on the error paths
-    // too, so a failed attempt's trace still accounts for its time.
-    let load = trace.start_span(names::SPAN_RELOAD_LOAD);
-    let install = shard.is_none()
-        && current.shards().len() == 1
-        && goalrec_datasets::io::is_binary_library(path)
-        && matches!(goalrec_datasets::binary::sniff_version(path), Ok(2));
-    if install {
-        let model = goalrec_datasets::grlb2::read_model_v2(path)
-            .map_err(|e| ServerError::ReloadFailed(format!("cannot load {}: {e}", path.display())));
-        trace.end_span(load);
-        return current.installed(model?);
+    match shard.filter(|_| current.shards().len() > 1) {
+        None => load(
+            path,
+            Some(current),
+            current.shards().len(),
+            current.mode(),
+            trace,
+        ),
+        Some(shard) => {
+            let library = timed_load(path, trace).and_then(|file| library_of(path, file))?;
+            let part = shards::rebuild_shard(current, &library, shard, trace)?;
+            Ok(current.with_shard(shard, part))
+        }
     }
-    let library = goalrec_datasets::io::read_library_auto(path)
-        .map_err(|e| ServerError::ReloadFailed(format!("cannot load {}: {e}", path.display())));
-    trace.end_span(load);
-    let library = library?;
-    if let Some(shard) = shard {
-        let part = shards::rebuild_shard(current, &library, shard, trace)?;
-        return Ok(current.with_shard(shard, part));
-    }
-    let next = current.rebuilt(library, trace)?;
+}
+
+/// The one loader boot and every full reload go through. Reads `path` —
+/// its format decided from the file's first bytes by
+/// [`goalrec_datasets::io::read_library_file`] — and builds the plane that
+/// serves it: the successor of `prior` (every shard one generation on),
+/// or at boot (`prior` is `None`) generation 1. `shards` and `mode` are
+/// the plane's shard count and placement (the prior's on reload).
+///
+/// A GRLB v2 model on a one-shard plane becomes shard 0 as is: the reader
+/// has already validated it (header → layout → checksums → structural
+/// pass, mapped in place where the platform allows), so there is no
+/// compile, no `model.build.*` span and no separate validate span.
+/// Anything else is compiled — a model file is turned back into its
+/// library first when it must be split across shards. At boot a matching
+/// persisted shard family is opened instead of compiling (see
+/// [`AppState::boot`]); on reload the compiled successor is validated
+/// before it may be swapped in. Spans close on the error paths too, so a
+/// failed attempt's trace still accounts for its time.
+pub(crate) fn load(
+    path: &Path,
+    prior: Option<&AppState>,
+    shards: usize,
+    mode: PartitionMode,
+    trace: &mut obs::TraceContext,
+) -> Result<AppState, ServerError> {
+    let file = timed_load(path, trace)?;
+    let generation = prior.map_or(1, |p| p.generation_of(0) + 1);
+    let library = match file {
+        LibraryFile::Model(model) if shards <= 1 => {
+            return AppState::installed(model, mode, generation)
+        }
+        file => library_of(path, file)?,
+    };
+    let Some(prior) = prior else {
+        return AppState::boot(library, shards, mode, path, trace);
+    };
+    let next = prior.rebuilt(library, trace)?;
     let validate = trace.start_span(names::SPAN_RELOAD_VALIDATE);
     let validated = next.validate();
     trace.end_span(validate);
     validated.map(|()| next)
 }
 
+/// Reads `path` inside one `span.reload.load` span.
+fn timed_load(path: &Path, trace: &mut obs::TraceContext) -> Result<LibraryFile, ServerError> {
+    let load = trace.start_span(names::SPAN_RELOAD_LOAD);
+    let file = read_library_file(path)
+        .map_err(|e| ServerError::ReloadFailed(format!("cannot load {}: {e}", path.display())));
+    trace.end_span(load);
+    file
+}
+
+/// The library a loaded file holds (see [`LibraryFile::into_library`]).
+fn library_of(path: &Path, file: LibraryFile) -> Result<GoalLibrary, ServerError> {
+    file.into_library()
+        .map_err(|e| ServerError::ReloadFailed(format!("cannot load {}: {e}", path.display())))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use goalrec_core::LibraryBuilder;
-    use goalrec_shard::PartitionMode;
 
     fn library(tag: &str) -> goalrec_core::GoalLibrary {
         let mut b = LibraryBuilder::new();
@@ -1138,10 +1175,17 @@ mod tests {
         let built = goalrec_core::GoalModel::build(&lib).unwrap();
         goalrec_datasets::grlb2::write_model_v2(&built, &path).unwrap();
         let _ = std::fs::remove_file(AppendWal::for_library(&path).path());
-        // Boot the way the server does: the file read through the
-        // version-dispatching loader.
-        let booted = goalrec_datasets::io::read_library_auto(&path).unwrap();
-        let set = plane(booted, shards);
+        // Boot the way the server does: through the one loader.
+        let set = Arc::new(ShardSet::new(
+            load(
+                &path,
+                None,
+                shards,
+                PartitionMode::HashGoal,
+                &mut obs::TraceContext::disabled(),
+            )
+            .unwrap(),
+        ));
         let shutdown = Shutdown::new();
         let live = LivePlane::boot(Some(&path), 0, Duration::ZERO).unwrap();
         let (handle, thread) = spawn_reloader(
@@ -1160,9 +1204,8 @@ mod tests {
 
         // The compacted model went to disk as GRLB v2 (not a library
         // stream), so the *next* cold start is a mapped fast-path load.
-        assert_eq!(
-            goalrec_datasets::binary::sniff_version(&path).unwrap(),
-            2,
+        assert!(
+            matches!(read_library_file(&path).unwrap(), LibraryFile::Model(_)),
             "compaction must persist v2 to a .grlb2 target"
         );
         let reread = goalrec_datasets::grlb2::read_model_v2(&path).unwrap();
@@ -1308,6 +1351,88 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Boots a one-shard plane from `path` through [`load`], as
+    /// `goalrec-serve --library path` does; returns it with the number of
+    /// model builds the boot recorded.
+    fn boot(path: &Path) -> (Arc<ShardSet>, usize) {
+        let mut trace = obs::TraceContext::new(true);
+        trace.begin(obs::fresh_trace_id(), Instant::now());
+        let state = load(path, None, 1, PartitionMode::HashGoal, &mut trace).unwrap();
+        trace.finish(200);
+        (
+            Arc::new(ShardSet::new(state)),
+            model_builds(&trace.snapshot()),
+        )
+    }
+
+    #[test]
+    fn a_grlb2_boot_builds_no_model_and_answers_like_a_jsonl_boot() {
+        let lib = library("boot");
+        let jsonl = tmp("boot-same.jsonl");
+        goalrec_datasets::io::write_library_jsonl(&lib, &jsonl).unwrap();
+        let v2 = tmp("boot-same.grlb2");
+        goalrec_datasets::grlb2::write_model_v2(&GoalModel::build(&lib).unwrap(), &v2).unwrap();
+
+        let (from_jsonl, jsonl_builds) = boot(&jsonl);
+        let (from_v2, v2_builds) = boot(&v2);
+        assert_eq!(jsonl_builds, 1, "a JSONL boot compiles the model once");
+        assert_eq!(
+            v2_builds, 0,
+            "a one-shard .grlb2 boot must not build a model"
+        );
+        let st = from_v2.load();
+        assert_eq!(st.generation(), 1);
+        if goalrec_datasets::mmap::mmap_supported() {
+            assert!(ShardView::model(&*st.shards()[0]).unwrap().is_mapped());
+        }
+        assert_eq!(answers(&from_v2), answers(&from_jsonl));
+        assert_eq!(
+            st.stats().num_implementations,
+            from_jsonl.load().stats().num_implementations
+        );
+    }
+
+    #[test]
+    fn a_version_one_file_is_a_typed_error_at_boot_and_reload_and_keeps_serving() {
+        let retired = tmp("retired.grlb");
+        let mut bytes = b"GRLB".to_vec();
+        for v in [1u32, 4, 2, 1, 0, 1, 2] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        std::fs::write(&retired, &bytes).unwrap();
+        let named = |err: &ServerError| {
+            let msg = err.to_string();
+            assert!(
+                msg.contains("GRLB version 1") && msg.contains("goalrec compile"),
+                "{msg}"
+            );
+            assert_eq!(err.status(), Some(500));
+        };
+        let boot_err = load(
+            &retired,
+            None,
+            1,
+            PartitionMode::HashGoal,
+            &mut obs::TraceContext::disabled(),
+        )
+        .err()
+        .unwrap();
+        named(&boot_err);
+
+        for shards in [1usize, 2] {
+            let set = plane(library("old"), shards);
+            let (shutdown, handle, thread) = supervise(&set, &tail());
+            named(&handle.reload_blocking(retired.clone()).unwrap_err());
+            named(
+                &handle
+                    .reload_one_shard_blocking(retired.clone(), 0)
+                    .unwrap_err(),
+            );
+            assert_eq!(set.load().generation(), 1, "shards {shards}");
+            stop(shutdown, handle, thread);
+        }
     }
 
     /// One serving lifetime: plain → live overlay → JSONL reload →

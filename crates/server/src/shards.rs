@@ -243,27 +243,26 @@ impl AppState {
         ))
     }
 
-    /// Boots the plane: from the persisted per-shard GRLB v2 snapshot
-    /// family next to `library_path` when a matching one is there
-    /// (written by `goalrec compile --shards N`), else by partitioning
-    /// `library`. A stale or corrupt family is reported and rebuilt over.
+    /// Generation 1 of a `num_shards` plane under `mode` at boot: opened
+    /// from the persisted per-shard GRLB v2 snapshot family next to
+    /// `library_path` when a matching one is there (written by `goalrec
+    /// compile --shards N`), else compiled from `library`. A stale or
+    /// corrupt family is reported and compiled over.
     pub(crate) fn boot(
         library: GoalLibrary,
         num_shards: usize,
         mode: PartitionMode,
-        library_path: Option<&Path>,
+        library_path: &Path,
+        trace: &mut obs::TraceContext,
     ) -> Result<Self, ServerError> {
-        let family = match library_path {
-            Some(path) => open_family(path, num_shards, &library).unwrap_or_else(|e| {
-                eprintln!(
-                    "goalrec-serve: shard snapshot family next to {} rejected ({e}); \
-                     rebuilding shards from the library",
-                    path.display()
-                );
-                None
-            }),
-            None => None,
-        };
+        let family = open_family(library_path, num_shards, &library).unwrap_or_else(|e| {
+            eprintln!(
+                "goalrec-serve: shard snapshot family next to {} rejected ({e}); \
+                 rebuilding shards from the library",
+                library_path.display()
+            );
+            None
+        });
         match family {
             Some(family) => {
                 eprintln!(
@@ -277,12 +276,7 @@ impl AppState {
                     |_| 1,
                 ))
             }
-            None => AppState::build(
-                library,
-                num_shards,
-                mode,
-                &mut obs::TraceContext::disabled(),
-            ),
+            None => AppState::build(library, num_shards, mode, trace),
         }
     }
 
@@ -323,11 +317,15 @@ impl AppState {
         ))
     }
 
-    /// The successor of a one-shard snapshot serving `model` — an
+    /// A one-shard plane at `generation` serving `model` — an
     /// already-validated GRLB v2 model — as shard 0 directly: no
     /// compilation, and the library is only rebuilt (with synthetic
     /// `a{i}`/`g{i}` names) if something asks for it.
-    pub(crate) fn installed(&self, model: GoalModel) -> Result<Self, ServerError> {
+    pub(crate) fn installed(
+        model: GoalModel,
+        mode: PartitionMode,
+        generation: u64,
+    ) -> Result<Self, ServerError> {
         let len = u32::try_from(model.num_impls()).unwrap_or(u32::MAX);
         let stats = model.stats();
         let num_goals = model.num_goals();
@@ -338,12 +336,11 @@ impl AppState {
             source: Some(Arc::clone(&part)),
             stats,
         });
-        let generation = self.generation_of(0) + 1;
         Ok(AppState {
             catalog,
             shards: vec![Arc::new(ShardState::new(part, generation))],
             assignments: Arc::new(vec![0; num_goals]),
-            mode: self.mode,
+            mode,
         })
     }
 
@@ -457,6 +454,11 @@ impl AppState {
             Some(&s) => s,
             None => g % self.shards.len().max(1),
         }
+    }
+
+    /// How goals are placed onto shards in this plane.
+    pub(crate) fn mode(&self) -> PartitionMode {
+        self.mode
     }
 
     /// Every shard's snapshot, indexed by shard.
@@ -863,7 +865,14 @@ mod tests {
             assert_eq!(opened.owner_of(g), built.owner_of(g), "goal {g}");
         }
         // Booting next to the family takes it.
-        let booted = AppState::boot(lib, 2, PartitionMode::HashGoal, Some(&base)).unwrap();
+        let booted = AppState::boot(
+            lib,
+            2,
+            PartitionMode::HashGoal,
+            &base,
+            &mut obs::TraceContext::disabled(),
+        )
+        .unwrap();
         assert_eq!(booted.shards().len(), 2);
     }
 
@@ -893,7 +902,14 @@ mod tests {
             Err(ServerError::ReloadFailed(_))
         ));
         // ...which boot reports and compiles the library over.
-        let booted = AppState::boot(lib.clone(), 2, PartitionMode::HashGoal, Some(&base)).unwrap();
+        let booted = AppState::boot(
+            lib.clone(),
+            2,
+            PartitionMode::HashGoal,
+            &base,
+            &mut obs::TraceContext::disabled(),
+        )
+        .unwrap();
         assert_eq!(booted.shards().len(), 2);
 
         // Too many shards for the goal count cannot produce a bootable

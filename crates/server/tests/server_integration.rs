@@ -241,9 +241,38 @@ fn hot_reload_swaps_generations_and_rolls_back_on_bad_files() {
         "requests must keep being served after a failed reload"
     );
 
-    // An explicit good path (binary this time) → generation 3.
-    let good = dir.join("replacement.grlb");
-    goalrec_datasets::binary::write_library_binary(&tiny_library(), &good).unwrap();
+    // A GRLB version-1 file (the retired stream format) is the typed
+    // version error: 500 naming the version and `goalrec compile`, and
+    // generation 2 keeps serving.
+    let retired = dir.join("retired.grlb");
+    let mut bytes = b"GRLB".to_vec();
+    for v in [1u32, 4, 2, 1, 0, 1, 2] {
+        bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    std::fs::write(&retired, &bytes).unwrap();
+    let reply = post_json(
+        addr,
+        "/v1/admin/reload",
+        &format!(r#"{{"path": "{}"}}"#, retired.display()),
+    );
+    assert_eq!(reply.status, 500, "body: {}", reply.body);
+    assert!(
+        reply.body.contains("GRLB version 1") && reply.body.contains("goalrec compile"),
+        "body: {}",
+        reply.body
+    );
+    assert!(
+        get(addr, "/healthz").body.contains("\"generation\":2"),
+        "a version-1 reload must leave the old generation serving"
+    );
+
+    // An explicit good path (a compiled model this time) → generation 3.
+    let good = dir.join("replacement.grlb2");
+    goalrec_datasets::grlb2::write_model_v2(
+        &goalrec_core::GoalModel::build(&tiny_library()).unwrap(),
+        &good,
+    )
+    .unwrap();
     let reply = post_json(
         addr,
         "/v1/admin/reload",
