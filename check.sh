@@ -4,15 +4,22 @@
 #   ./check.sh                full pipeline
 #   ./check.sh --perf-smoke   only the hot-path perf gate (build timing,
 #                             per-strategy latency, serve throughput →
-#                             BENCH_perf.json; fails on >30% throughput
-#                             regression or BestMatch p95 ≥ 1 ms)
+#                             target/BENCH_perf.json; fails on >30%
+#                             throughput regression or BestMatch p95 ≥ 1 ms)
+#
+# Reports go under target/, so a run leaves every tracked file as it was.
+# The committed BENCH_perf.json / BENCH_obs.json are refreshed by hand
+# (same commands, --out / --json pointing at the repository root) when
+# the hot path changes on purpose.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 perf_smoke() {
     echo "== perf smoke (hot-path regression gate) =="
-    cargo run -q --release -p goalrec-bench --bin loadgen -- --perf --seconds 2
-    cargo run -q --release -p goalrec-bench --bin repro -- stats table6 --scale test > /dev/null
+    cargo run -q --release -p goalrec-bench --bin loadgen -- --perf --seconds 2 \
+        --out target/BENCH_perf.json
+    cargo run -q --release -p goalrec-bench --bin repro -- stats table6 --scale test \
+        --json target > /dev/null
 }
 
 if [[ "${1:-}" == "--perf-smoke" ]]; then
@@ -45,7 +52,8 @@ for ex in grocery_store life_goals scalability; do
 done
 
 echo "== repro smoke (test scale) =="
-cargo run -q --release -p goalrec-bench --bin repro -- stats table6 --scale test > /dev/null
+cargo run -q --release -p goalrec-bench --bin repro -- stats table6 --scale test --json target \
+    > /dev/null
 
 echo "== server smoke (1 shard: healthz + recommend + SIGTERM drain) =="
 cargo run -q --release -p goalrec-bench --bin loadgen -- --smoke

@@ -49,7 +49,8 @@
 //!                 (appends/s {0, 50, 200} against the live delta);
 //!                 writes BENCH_perf.json and FAILS if BestMatch p95
 //!                 ≥ 1 ms, single-shard scatter-gather costs >10% over
-//!                 the unsharded path, throughput regresses >30%
+//!                 the unsharded path (median p95 of 5 interleaved
+//!                 repetitions a side), throughput regresses >30%
 //!                 against the committed baseline, or the idle (empty
 //!                 delta) live plane costs more than 5% of throughput
 //! ```
@@ -1033,6 +1034,11 @@ const PR3_BASELINE_KEEPALIVE_RPS: f64 = 26_700.0;
 /// there is nothing to merge across.
 const SHARD_OVERHEAD_LIMIT: f64 = 1.1;
 
+/// Timed repetitions of each side of the single-shard overhead gate. The
+/// sides alternate, and the gate compares their median p95s, so one noisy
+/// repetition on a shared host cannot decide it.
+const SHARD_OVERHEAD_REPS: usize = 5;
+
 /// Opening a compiled GRLB v2 model (validate checksums + mmap) must beat
 /// parsing the JSONL source and building the model by at least this
 /// factor at the 200k-implementation scale.
@@ -1175,11 +1181,34 @@ fn best_cold_start_ms(mut boot: impl FnMut() -> usize) -> f64 {
     best
 }
 
+/// Sorted per-call latencies (ns) of `rank` over three passes of `carts`.
+fn time_over_carts(
+    carts: &[goalrec_core::Activity],
+    mut rank: impl FnMut(&goalrec_core::Activity),
+) -> Vec<u64> {
+    let mut lat_ns: Vec<u64> = Vec::with_capacity(carts.len() * 3);
+    for _ in 0..3 {
+        lat_ns.extend(carts.iter().map(|cart| {
+            let t0 = Instant::now();
+            rank(cart);
+            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        }));
+    }
+    lat_ns.sort_unstable();
+    lat_ns
+}
+
+/// The median of a non-empty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// Hot-path regression bench: build timing, per-strategy latency, serving
 /// throughput. Writes the report to `out`; exits non-zero when a
 /// guardrail trips.
 fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
-    use goalrec_core::strategies::default_strategies;
+    use goalrec_core::strategies::{default_strategies, Strategy as _};
     use goalrec_core::{GoalModel, Scratch};
     use goalrec_datasets::foodmart::{FoodMart, FoodMartConfig};
     use goalrec_shard::{ShardScratch, ShardStrategy, ShardedModel};
@@ -1273,15 +1302,9 @@ fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
                 std::hint::black_box(strategy.rank_into(&model, cart, 10, &mut scratch));
             }
         }
-        let mut lat_ns: Vec<u64> = Vec::with_capacity(fm.carts.len() * 3);
-        for _ in 0..3 {
-            lat_ns.extend(fm.carts.iter().map(|cart| {
-                let t0 = Instant::now();
-                std::hint::black_box(strategy.rank_into(&model, cart, 10, &mut scratch));
-                u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-            }));
-        }
-        lat_ns.sort_unstable();
+        let lat_ns = time_over_carts(&fm.carts, |cart| {
+            std::hint::black_box(strategy.rank_into(&model, cart, 10, &mut scratch));
+        });
         let (p50, p95, p99) = (
             percentile_us(&lat_ns, 50.0),
             percentile_us(&lat_ns, 95.0),
@@ -1307,12 +1330,11 @@ fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
     // Phase 3: the sharded scatter-gather path over the same carts and
     // the same model data, across shard counts. The shard crate's
     // property tests prove the merge bit-exact; this phase prices it.
-    // At one shard the scatter is the unsharded ranking plus the merge
-    // replay, so the N=1 BestMatch p95 against phase 2 is the pure
-    // scatter-gather overhead — guard-railed at 10%.
+    // At one shard the scatter is the unsharded ranking plus the merge,
+    // so the N=1 BestMatch p95 against the unsharded one is the pure
+    // scatter-gather overhead — guard-railed at 10% after the sweep.
     eprintln!("phase 4/6: sharded scatter-gather latency — shards {{1, 2, 4, 8}}, same carts");
     let mut shard_reports = Vec::new();
-    let mut sharded_best_match_p95_n1_us = 0.0f64;
     for num_shards in [1usize, 2, 4, 8] {
         let t0 = Instant::now();
         let sharded = ShardedModel::build(
@@ -1345,9 +1367,6 @@ fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
                 percentile_us(&lat_ns, 95.0),
                 percentile_us(&lat_ns, 99.0),
             );
-            if num_shards == 1 && *internal == "BestMatch" {
-                sharded_best_match_p95_n1_us = p95;
-            }
             eprintln!(
                 "  {num_shards} shard(s) {internal:<10} p50 {p50:.0} µs, p95 {p95:.0} µs, \
                  p99 {p99:.0} µs"
@@ -1378,6 +1397,47 @@ fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
             "throughput": tp.value,
         }));
     }
+
+    // The single-shard overhead gate: the unsharded BestMatch and the
+    // one-shard scatter-gather over the same carts, in alternating timed
+    // repetitions after one warm-up pass each; each side's median p95 is
+    // what the 10% budget compares.
+    let best_match = goalrec_core::BestMatch::default();
+    let one_shard = ShardedModel::build(&fm.library, 1, goalrec_shard::PartitionMode::HashGoal)
+        .expect("perf: one-shard model");
+    let sharded_best_match = ShardStrategy::BestMatch(goalrec_core::DistanceMetric::Cosine);
+    let mut shard_scratch = ShardScratch::new();
+    let mut rank_unsharded = |cart: &goalrec_core::Activity| {
+        std::hint::black_box(best_match.rank_into(&model, cart, 10, &mut scratch));
+    };
+    let mut rank_one_shard = |cart: &goalrec_core::Activity| {
+        std::hint::black_box(sharded_best_match.rank_into(
+            one_shard.shards(),
+            cart,
+            10,
+            &mut shard_scratch,
+        ));
+    };
+    fm.carts.iter().for_each(&mut rank_unsharded);
+    fm.carts.iter().for_each(&mut rank_one_shard);
+    let (mut unsharded_p95s, mut one_shard_p95s) = (Vec::new(), Vec::new());
+    for _ in 0..SHARD_OVERHEAD_REPS {
+        unsharded_p95s.push(percentile_us(
+            &time_over_carts(&fm.carts, &mut rank_unsharded),
+            95.0,
+        ));
+        one_shard_p95s.push(percentile_us(
+            &time_over_carts(&fm.carts, &mut rank_one_shard),
+            95.0,
+        ));
+    }
+    let unsharded_best_match_p95_median_us = median(unsharded_p95s);
+    let sharded_best_match_p95_n1_us = median(one_shard_p95s);
+    eprintln!(
+        "  BestMatch p95, median of {SHARD_OVERHEAD_REPS} interleaved repetitions: \
+         unsharded {unsharded_best_match_p95_median_us:.0} µs, \
+         1 shard {sharded_best_match_p95_n1_us:.0} µs"
+    );
 
     // Phase 4: the keep-alive serving phase, workers allocation-free
     // after warm-up.
@@ -1460,6 +1520,8 @@ fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
         "best_match_p95_us": best_match_p95_us,
         "best_match_p95_limit_us": 1_000.0,
         "sharded_best_match_p95_n1_us": sharded_best_match_p95_n1_us,
+        "unsharded_best_match_p95_median_us": unsharded_best_match_p95_median_us,
+        "sharded_overhead_repetitions": SHARD_OVERHEAD_REPS,
         "sharded_overhead_limit": SHARD_OVERHEAD_LIMIT,
         "req_per_s": req_per_s,
         "req_per_s_floor": floor,
@@ -1494,11 +1556,12 @@ fn perf(clients: usize, seconds: f64, out: &std::path::Path) {
         );
         failed = true;
     }
-    if sharded_best_match_p95_n1_us > best_match_p95_us * SHARD_OVERHEAD_LIMIT {
+    if sharded_best_match_p95_n1_us > unsharded_best_match_p95_median_us * SHARD_OVERHEAD_LIMIT {
         eprintln!(
             "PERF REGRESSION: single-shard BestMatch p95 {sharded_best_match_p95_n1_us:.0} µs \
              costs more than {SHARD_OVERHEAD_LIMIT}x the unsharded path \
-             ({best_match_p95_us:.0} µs) — the scatter-gather overhead budget is 10%"
+             ({unsharded_best_match_p95_median_us:.0} µs; medians of {SHARD_OVERHEAD_REPS} \
+             interleaved repetitions) — the scatter-gather overhead budget is 10%"
         );
         failed = true;
     }

@@ -1,152 +1,272 @@
-//! Goal-based user and action representations (§5.3, Eq. 7–9, Alg. 3).
+//! Goal-based user and action representations (§5.3, Eq. 7–10, Alg. 3),
+//! computed goal-major in exact integers.
 //!
-//! Best Match represents both the user and every candidate action as count
-//! vectors in the feature space `F_GS(H)` — one coordinate per goal in the
-//! user's goal space. Coordinate `i` of an action vector counts the
-//! implementations through which the action contributes to goal `i`
-//! (Eq. 8); the user profile is the sum of the vectors of the actions in
-//! `H` (Eq. 9).
+//! Best Match compares the user profile `H⃗` (Eq. 9: for each goal `g` of
+//! `GS(H)`, the count `p_g` of `(a ∈ H, p ∈ IS(a))` pairs with `p` an
+//! implementation of `g`) with each candidate's vector `a⃗` (Eq. 8:
+//! coordinate `g` counts the implementations `c_g` of `g` that contain
+//! `a`). All three metrics of Eq. 10 need only five sums over `GS(H)`:
+//!
+//! * per request: `P1 = Σ p_g` and `P2 = Σ p_g²`;
+//! * per action: `dot = Σ p_g·c_g`, `c2 = Σ c_g²` and
+//!   `l1 = Σ (|p_g − c_g| − p_g)`.
+//!
+//! A goal the action does not implement (`c_g = 0`) adds 0 to each
+//! per-action sum, so the sums only need the `(goal, action)` pairs that
+//! occur in the library. [`TermBoard::fill`] gets them in one pass over
+//! the postings of `GS(H)`: for each goal `g` with count `p_g`, for each
+//! implementation of `g` (base rows, then staged ones), for each of its
+//! actions `a`, it raises `c_g(a)` by one and updates `a`'s sums by the
+//! difference that step makes (`dot += p_g`, `c2 += 2c − 1`, `l1 ∓= 1`).
+//! An action is flagged a candidate when one of those implementations is
+//! in `IS(H)`, which yields `CA = AS(H) − H` on the way. The cost is
+//! `O(Σ postings of GS(H))`, not `O(|CA| · |GS(H)|)` as a dense vector
+//! per candidate would be.
+//!
+//! ## Why the result is bit-identical to the dense definition
+//!
+//! Every coordinate is a small non-negative integer, so each of the five
+//! sums is an integer; `DistanceMetric::distance` asserts (in debug
+//! builds) that each stays below 2⁵³. Every integer of that size is
+//! an `f64` exactly, and so is every partial sum on the way to it. A
+//! literal dense evaluation in `f64` (the test oracle in
+//! `tests/support/best_match_oracle.rs`) therefore computes the very same
+//! integers, in any order, and the final formula sees identical inputs.
+//! The sums are also order-free in `u64`, which is what lets a base row
+//! split from its staged suffix, or goals partitioned whole across
+//! shards, add up to the unsplit answer ([`TermBoard::merge`]).
 
 use crate::ids::{ActionId, GoalId, ImplId};
 use crate::live::AssocView;
-use crate::model::GoalModel;
 use crate::setops;
+use crate::topk::{Scored, TopK};
+use crate::DistanceMetric;
 
-/// A dense vector in the goal feature space `F_GS(H)`, together with the
-/// goal ids that label each coordinate.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct GoalVector {
-    /// Sorted goal ids labelling the coordinates.
-    pub goals: Vec<u32>,
-    /// Contribution counts, one per goal in `goals`.
-    pub counts: Vec<f64>,
+/// The profile's own sums over `GS(H)`: `P1 = Σ p_g` and `P2 = Σ p_g²`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ProfileNorms {
+    /// `Σ p_g`, the profile's L1 norm.
+    pub(crate) p1: u64,
+    /// `Σ p_g²`, the profile's squared L2 norm.
+    pub(crate) p2: u64,
 }
 
-impl GoalVector {
-    /// A zero vector over the given (sorted) goal space.
-    pub fn zeros(goal_space: &[u32]) -> Self {
-        Self {
-            goals: goal_space.to_vec(),
-            counts: vec![0.0; goal_space.len()],
-        }
-    }
-
-    /// Dimensionality `|GS(H)|`.
-    pub fn dim(&self) -> usize {
-        self.goals.len()
-    }
-
-    /// The count for a specific goal, if it is in the space.
-    pub fn get(&self, g: GoalId) -> Option<f64> {
-        self.goals
-            .binary_search(&g.raw())
-            .ok()
-            .map(|i| self.counts[i])
-    }
-
-    /// Adds `delta` to the coordinate of `g`; ignores goals outside the
-    /// space (a candidate action may contribute to goals the user has shown
-    /// no evidence for — Best Match deliberately disregards those).
-    pub fn add(&mut self, g: GoalId, delta: f64) {
-        if let Ok(i) = self.goals.binary_search(&g.raw()) {
-            self.counts[i] += delta;
-        }
-    }
-
-    /// Sum of all coordinates.
-    pub fn total(&self) -> f64 {
-        self.counts.iter().sum()
-    }
-
-    /// Whether every coordinate is zero.
-    pub fn is_zero(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0.0)
-    }
-
-    /// Re-labels a reused vector over a new (sorted) goal space, zeroing
-    /// every coordinate while keeping both backing allocations — the
-    /// allocation-free counterpart of [`GoalVector::zeros`].
-    pub fn reset(&mut self, goal_space: &[u32]) {
-        self.goals.clear();
-        self.goals.extend_from_slice(goal_space);
-        self.counts.clear();
-        self.counts.resize(goal_space.len(), 0.0);
-    }
+/// One action's exact sums against the profile, over `GS(H)`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ActionTerms {
+    /// `Σ p_g·c_g`.
+    pub(crate) dot: u64,
+    /// `Σ c_g²`, the action vector's squared L2 norm.
+    pub(crate) c2: u64,
+    /// `Σ (|p_g − c_g| − p_g)`, so that the L1 distance is `P1 + l1`.
+    pub(crate) l1: i64,
+    /// Whether the action is in `AS(H)`: one of its implementations is in
+    /// `IS(H)`.
+    pub(crate) candidate: bool,
 }
 
-/// Builds the goal-based user profile `H⃗` (Algorithm 3,
-/// `Get-Goal-Based-Profile`).
+/// One action's slot on the board: its sums plus the goal the walk is on
+/// and the running count `c_g` within it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    terms: ActionTerms,
+    epoch: u32,
+    goal: u32,
+    count: u32,
+}
+
+/// The working memory of the goal-major pass, reused across requests.
 ///
-/// For each action in the activity, every implementation in its
-/// implementation space contributes `+1` to the coordinate of that
-/// implementation's goal. The resulting vector captures "for each goal in
-/// `GS(H)`, how many (action, implementation) pairs of the user's activity
-/// contribute to it".
-pub fn user_profile(model: &GoalModel, activity: &[u32], goal_space: &[u32]) -> GoalVector {
-    let mut profile = GoalVector::zeros(goal_space);
-    for &a in activity {
-        if (a as usize) >= model.num_actions() {
-            continue;
-        }
-        for &p in model.action_impls(ActionId::new(a)) {
-            profile.add(model.impl_goal(crate::ids::ImplId::new(p)), 1.0);
-        }
-    }
-    profile
+/// Per-action slots and per-implementation `IS(H)` marks are stamped
+/// with an epoch, so starting a request bumps one integer instead of
+/// re-zeroing either table (the same trick as the Breadth scoreboard in
+/// [`crate::Scratch`]). Every buffer grows to its high-water mark and then
+/// stays allocated, so steady-state requests never touch the heap.
+#[derive(Debug, Default)]
+pub struct TermBoard {
+    epoch: u32,
+    /// Per action id.
+    slots: Vec<Slot>,
+    /// Actions with a live slot, in first-touch order.
+    touched: Vec<u32>,
+    /// Per implementation id: the epoch in which it was found in `IS(H)`.
+    in_impl_space: Vec<u32>,
+    /// The goal of every `(a ∈ H, p ∈ IS(a))` pair, sorted.
+    pairs: Vec<u32>,
+    /// `H⃗` as `(goal, p_g)` over `GS(H)`, ascending goal id.
+    profile: Vec<(u32, u32)>,
+    norms: ProfileNorms,
 }
 
-/// Builds the goal-based representation `a⃗` of one candidate action
-/// (Eq. 8): coordinate `g` counts the implementations `p = (g, A)` with
-/// `a ∈ A` and `g ∈ GS(H)`.
-pub fn action_vector(model: &GoalModel, action: ActionId, goal_space: &[u32]) -> GoalVector {
-    let mut vec = GoalVector::zeros(goal_space);
-    for &p in model.action_impls(action) {
-        vec.add(model.impl_goal(crate::ids::ImplId::new(p)), 1.0);
-    }
-    vec
-}
-
-/// Computes the goal space and user profile together, avoiding a second
-/// pass over the implementation space.
-pub fn goal_space_and_profile(model: &GoalModel, activity: &[u32]) -> (Vec<u32>, GoalVector) {
-    let mut pairs = Vec::new();
-    let mut space = Vec::new();
-    let mut profile = GoalVector::zeros(&[]);
-    goal_space_and_profile_into(model, activity, &mut pairs, &mut space, &mut profile);
-    (space, profile)
-}
-
-/// [`goal_space_and_profile`] into caller-owned buffers (all cleared
-/// first): `pairs` holds the raw (goal, +1) contribution stream, `space`
-/// the normalised goal space, `profile` the user profile over it. The
-/// allocation-free form used by the Best Match hot path; generic over
-/// [`AssocView`] so a live base ⊕ delta overlay profiles identically to
-/// a compiled model (delta postings are a suffix of each action's row,
-/// and the pair stream is normalised before use).
-pub fn goal_space_and_profile_into<V: AssocView + ?Sized>(
-    view: &V,
-    activity: &[u32],
-    pairs: &mut Vec<u32>,
-    space: &mut Vec<u32>,
-    profile: &mut GoalVector,
-) {
-    // First pass: collect (goal, +1) pairs.
-    pairs.clear();
-    for &a in activity {
-        if (a as usize) >= view.num_actions() {
-            continue;
+impl TermBoard {
+    /// Starts a new epoch with room for `num_actions` slots and
+    /// `num_impls` implementation marks; every old stamp goes stale.
+    fn begin(&mut self, num_actions: usize, num_impls: usize) {
+        if self.slots.len() < num_actions {
+            self.slots.resize(num_actions, Slot::default());
         }
-        let (base, delta) = view.action_impls_parts(ActionId::new(a));
-        for &p in base.iter().chain(delta) {
-            pairs.push(view.impl_goal(ImplId::new(p)).raw());
+        if self.in_impl_space.len() < num_impls {
+            self.in_impl_space.resize(num_impls, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wraparound: stamps from 2³² requests ago could alias. Reset.
+            self.slots.iter_mut().for_each(|s| s.epoch = 0);
+            self.in_impl_space.fill(0);
+            self.epoch = 1;
+        }
+        self.touched.clear();
+        self.profile.clear();
+        self.norms = ProfileNorms::default();
+    }
+
+    /// The goal-major pass for activity `h` (sorted raw ids) over `view`:
+    /// builds `H⃗` (Algorithm 3), then walks `GS(H)`'s postings once,
+    /// leaving every touched action's sums on the board.
+    /// Actions of `h` beyond the view's extent are ignored.
+    pub fn fill<V: AssocView + ?Sized>(&mut self, view: &V, h: &[u32]) {
+        self.begin(view.num_actions(), view.num_impls());
+        let epoch = self.epoch;
+
+        // Algorithm 3: one +1 on goal(p) per (a ∈ H, p ∈ IS(a)), and p is
+        // marked as a member of IS(H).
+        self.pairs.clear();
+        for &a in h {
+            let a = ActionId::new(a);
+            if a.index() >= view.num_actions() {
+                continue;
+            }
+            let (base, delta) = view.action_impls_parts(a);
+            for &p in base.iter().chain(delta) {
+                let p = ImplId::new(p);
+                self.in_impl_space[p.index()] = epoch;
+                self.pairs.push(view.impl_goal(p).raw());
+            }
+        }
+        self.pairs.sort_unstable();
+        for &g in &self.pairs {
+            match self.profile.last_mut() {
+                Some((last, count)) if *last == g => *count += 1,
+                _ => self.profile.push((g, 1)),
+            }
+        }
+
+        // The goal-major walk. Within goal g, the k-th implementation of g
+        // seen containing a raises c_g(a) from k − 1 to k, which changes
+        // p_g·c_g by p_g, c_g² by 2k − 1, and |p_g − c_g| by −1 while
+        // k ≤ p_g and by +1 after.
+        for &(g, p_g) in &self.profile {
+            let p_g = u64::from(p_g);
+            self.norms.p1 += p_g;
+            self.norms.p2 += p_g * p_g;
+            let (base, delta) = view.goal_impls_parts(GoalId::new(g));
+            for &p in base.iter().chain(delta) {
+                let p = ImplId::new(p);
+                let in_impl_space = self.in_impl_space[p.index()] == epoch;
+                for &a in view.impl_actions(p) {
+                    let slot = &mut self.slots[ActionId::new(a).index()];
+                    if slot.epoch != epoch {
+                        *slot = Slot {
+                            epoch,
+                            goal: g,
+                            ..Slot::default()
+                        };
+                        self.touched.push(a);
+                    } else if slot.goal != g {
+                        slot.goal = g;
+                        slot.count = 0;
+                    }
+                    slot.count += 1;
+                    let c = u64::from(slot.count);
+                    let t = &mut slot.terms;
+                    t.dot += p_g;
+                    t.c2 += 2 * c - 1;
+                    t.l1 += if c <= p_g { -1 } else { 1 };
+                    t.candidate |= in_impl_space;
+                }
+            }
         }
     }
-    space.clear();
-    space.extend_from_slice(pairs);
-    setops::normalize(space);
-    profile.reset(space);
-    for &g in pairs.iter() {
-        profile.add(GoalId::new(g), 1.0);
+
+    /// Empties the board without touching its allocations.
+    pub(crate) fn clear(&mut self) {
+        self.begin(0, 0);
+    }
+
+    /// Starts an empty board for merging per-shard boards over an action
+    /// extent of `num_actions`.
+    pub fn begin_merge(&mut self, num_actions: usize) {
+        self.begin(num_actions, 0);
+    }
+
+    /// Adds `other`'s sums into this board. Exact when the two boards
+    /// were filled over disjoint goal sets — shards own whole goals — as
+    /// every sum is an integer sum over goals and candidacy is an OR.
+    /// The merged board keeps the norms but no profile.
+    pub fn merge(&mut self, other: &TermBoard) {
+        let epoch = self.epoch;
+        for &a in &other.touched {
+            let theirs = &other.slots[ActionId::new(a).index()].terms;
+            let slot = &mut self.slots[ActionId::new(a).index()];
+            if slot.epoch == epoch {
+                let t = &mut slot.terms;
+                t.dot += theirs.dot;
+                t.c2 += theirs.c2;
+                t.l1 += theirs.l1;
+                t.candidate |= theirs.candidate;
+            } else {
+                *slot = Slot {
+                    terms: *theirs,
+                    epoch,
+                    ..Slot::default()
+                };
+                self.touched.push(a);
+            }
+        }
+        self.norms.p1 += other.norms.p1;
+        self.norms.p2 += other.norms.p2;
+    }
+
+    /// Algorithm 4's ranking step: scores every candidate `a ∈ AS(H) − H`
+    /// by its negated `metric` distance to the profile, keeps the best
+    /// `k` in `out` (cleared first) and returns the candidate count.
+    pub fn rank_into(
+        &self,
+        metric: DistanceMetric,
+        h: &[u32],
+        k: usize,
+        topk: &mut TopK,
+        out: &mut Vec<Scored>,
+    ) -> usize {
+        topk.reset(k);
+        let mut num_candidates = 0;
+        for &a in &self.touched {
+            let terms = &self.slots[ActionId::new(a).index()].terms;
+            if !terms.candidate || setops::contains(h, a) {
+                continue;
+            }
+            num_candidates += 1;
+            // Scores are higher-is-better across the crate; negate distance.
+            let dist = metric.distance(self.norms, terms);
+            topk.push(Scored::new(ActionId::new(a), -dist));
+        }
+        topk.drain_sorted_into(out);
+        num_candidates
+    }
+
+    /// The profile `H⃗` of the last [`TermBoard::fill`] as `(goal, p_g)`
+    /// pairs over `GS(H)`, ascending goal id.
+    pub fn profile(&self) -> &[(u32, u32)] {
+        &self.profile
+    }
+
+    /// Action `a`'s sums this epoch, if the walk touched it.
+    #[cfg(test)]
+    fn terms(&self, a: ActionId) -> Option<ActionTerms> {
+        self.slots
+            .get(a.index())
+            .filter(|s| s.epoch == self.epoch && self.epoch != 0)
+            .map(|s| s.terms)
     }
 }
 
@@ -168,104 +288,58 @@ mod tests {
     }
 
     #[test]
-    fn zeros_and_accessors() {
-        let v = GoalVector::zeros(&[1, 4, 7]);
-        assert_eq!(v.dim(), 3);
-        assert!(v.is_zero());
-        assert_eq!(v.get(GoalId::new(4)), Some(0.0));
-        assert_eq!(v.get(GoalId::new(5)), None);
-    }
-
-    #[test]
-    fn add_ignores_goals_outside_space() {
-        let mut v = GoalVector::zeros(&[1, 4]);
-        v.add(GoalId::new(4), 2.0);
-        v.add(GoalId::new(9), 5.0); // outside — ignored
-        assert_eq!(v.get(GoalId::new(4)), Some(2.0));
-        assert_eq!(v.total(), 2.0);
-        assert!(!v.is_zero());
-    }
-
-    #[test]
     fn paper_example_profile_for_a2_a3() {
         // The paper's §5.3 example: H = {a2, a3}. a2 contributes to g1 (p1)
-        // and g5 (p5); a3 to g1 (p2). Goal space {g1, g5} = ids {0, 3};
-        // counts: g1 → 2 (p1 via a2, p2 via a3), g5 → 1.
-        // (The paper text renders the profile over the full goal layout as
-        // {3, 0, 2}-style counts for its figure ordering; the invariant is
-        // the per-goal counts, which we check directly.)
-        let m = model();
-        let h = [1u32, 2u32]; // a2 = id 1, a3 = id 2
-        let (space, profile) = goal_space_and_profile(&m, &h);
-        assert_eq!(space, vec![0, 3]); // g1, g5
-        assert_eq!(profile.get(GoalId::new(0)), Some(2.0));
-        assert_eq!(profile.get(GoalId::new(3)), Some(1.0));
-        assert_eq!(profile.total(), 3.0);
+        // and g5 (p5); a3 to g1 (p2). Goal space {g1, g5} = ids {0, 3}.
+        let mut board = TermBoard::default();
+        board.fill(&model(), &[1, 2]);
+        assert_eq!(board.profile(), &[(0, 2), (3, 1)]);
+        assert_eq!(board.norms, ProfileNorms { p1: 3, p2: 5 });
     }
 
     #[test]
-    fn user_profile_matches_combined_function() {
-        let m = model();
-        let h = [0u32, 5u32];
-        let space = m.goal_space(&h);
-        let p1 = user_profile(&m, &h, &space);
-        let (space2, p2) = goal_space_and_profile(&m, &h);
-        assert_eq!(space, space2);
-        assert_eq!(p1, p2);
+    fn terms_count_implementations_per_goal_within_the_space() {
+        // H = {a2, a3}, profile (g1: 2, g5: 1). a1 implements g1 twice and
+        // g5 once — the vector (2, 1): dot 5, c2 5, l1 = (0−2) + (0−1).
+        // a6 implements g5 once (g3 is outside GS(H)): (0, 1).
+        let mut board = TermBoard::default();
+        board.fill(&model(), &[1, 2]);
+        let a1 = board.terms(ActionId::new(0)).unwrap();
+        assert_eq!((a1.dot, a1.c2, a1.l1, a1.candidate), (5, 5, -3, true));
+        let a6 = board.terms(ActionId::new(5)).unwrap();
+        assert_eq!((a6.dot, a6.c2, a6.l1, a6.candidate), (1, 1, -1, true));
+        // a4 implements no goal of GS(H): the walk never touches it.
+        assert_eq!(board.terms(ActionId::new(3)), None);
     }
 
     #[test]
-    fn action_vector_counts_implementations_per_goal() {
+    fn reuse_and_epoch_wraparound_match_a_fresh_board() {
         let m = model();
-        // a1 (id 0) contributes: g1 via p1 and p2 (count 2), g2 via p3,
-        // g5 via p5. Over the full goal space of H = {a1}:
-        let space = m.goal_space(&[0]);
-        assert_eq!(space, vec![0, 1, 3]);
-        let v = action_vector(&m, ActionId::new(0), &space);
-        assert_eq!(v.get(GoalId::new(0)), Some(2.0));
-        assert_eq!(v.get(GoalId::new(1)), Some(1.0));
-        assert_eq!(v.get(GoalId::new(3)), Some(1.0));
+        let mut board = TermBoard::default();
+        board.fill(&m, &[0]);
+        board.fill(&m, &[1, 2]);
+        board.epoch = u32::MAX;
+        board.fill(&m, &[3]);
+        assert_eq!(board.epoch, 1);
+        let mut fresh = TermBoard::default();
+        fresh.fill(&m, &[3]);
+        assert_eq!(board.profile(), fresh.profile());
+        for a in 0..6 {
+            assert_eq!(board.terms(ActionId::new(a)), fresh.terms(ActionId::new(a)));
+        }
     }
 
     #[test]
-    fn action_vector_restricted_space_drops_other_goals() {
+    fn empty_and_unknown_activities_give_an_empty_profile() {
         let m = model();
-        // Space containing only g3 (id 2): a1 contributes nothing there.
-        let v = action_vector(&m, ActionId::new(0), &[2]);
-        assert!(v.is_zero());
-        // a6 (id 5) contributes to g3 via p4.
-        let v6 = action_vector(&m, ActionId::new(5), &[2]);
-        assert_eq!(v6.get(GoalId::new(2)), Some(1.0));
-    }
-
-    #[test]
-    fn into_buffers_are_reusable_across_activities() {
-        let m = model();
-        let (mut pairs, mut space, mut profile) = (Vec::new(), Vec::new(), GoalVector::zeros(&[]));
-        goal_space_and_profile_into(&m, &[0, 5], &mut pairs, &mut space, &mut profile);
-        let (s1, p1) = goal_space_and_profile(&m, &[0, 5]);
-        assert_eq!(space, s1);
-        assert_eq!(profile, p1);
-        // Second, smaller activity over the same (now dirty) buffers.
-        goal_space_and_profile_into(&m, &[1], &mut pairs, &mut space, &mut profile);
-        let (s2, p2) = goal_space_and_profile(&m, &[1]);
-        assert_eq!(space, s2);
-        assert_eq!(profile, p2);
-    }
-
-    #[test]
-    fn empty_activity_gives_empty_space_and_zero_profile() {
-        let m = model();
-        let (space, profile) = goal_space_and_profile(&m, &[]);
-        assert!(space.is_empty());
-        assert_eq!(profile.dim(), 0);
-        assert!(profile.is_zero());
-    }
-
-    #[test]
-    fn unknown_actions_in_activity_are_skipped() {
-        let m = model();
-        let (space, _) = goal_space_and_profile(&m, &[0, 999]);
-        assert_eq!(space, m.goal_space(&[0]));
+        let mut board = TermBoard::default();
+        board.fill(&m, &[]);
+        assert!(board.profile().is_empty());
+        board.fill(&m, &[999]);
+        assert!(board.profile().is_empty());
+        board.fill(&m, &[0, 999]);
+        let mut known = TermBoard::default();
+        known.fill(&m, &[0]);
+        assert_eq!(board.profile(), known.profile());
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! Every strategy needs the same handful of working buffers per request: a
 //! dense per-action scoreboard (Algorithm 2), the space buffers of §4
-//! (`IS(H)`, `GS(H)`, `AS(H)`), the goal-vector pair of Algorithm 3, and a
-//! bounded top-k accumulator. Allocating them per call makes the hot path
-//! allocator-bound; a [`Scratch`] owns all of them and is reused across
-//! requests, so steady-state [`crate::strategies::Strategy::rank_into`]
-//! calls touch the heap zero times (verified by the counting-allocator test
-//! in `tests/alloc_counting.rs`).
+//! (`IS(H)`, `GS(H)`, `AS(H)`), Best Match's per-action sums
+//! ([`TermBoard`]), and a bounded top-k accumulator. Allocating them per
+//! call makes the hot path allocator-bound; a [`Scratch`] owns all of them
+//! and is reused across requests, so steady-state
+//! [`crate::strategies::Strategy::rank_into`] calls touch the heap zero
+//! times (verified by the counting-allocator test in
+//! `tests/alloc_counting.rs`).
 //!
 //! ## Scoreboard epochs
 //!
@@ -26,7 +27,7 @@
 //! [`with_thread_scratch`]. A `Scratch` is plain mutable state — it is
 //! never shared between threads.
 
-use crate::profile::GoalVector;
+use crate::profile::TermBoard;
 use crate::topk::{Scored, TopK};
 use std::cell::RefCell;
 use std::time::Instant;
@@ -92,18 +93,14 @@ pub struct Scratch {
     pub(crate) impl_space: Vec<u32>,
     /// `GS(H)` buffer.
     pub(crate) space: Vec<u32>,
-    /// Raw (goal, +1) contribution pairs feeding the user profile.
-    pub(crate) pairs: Vec<u32>,
     /// `AS(H)` / candidate-action buffer.
     pub(crate) candidates: Vec<u32>,
     /// Running "already recommended or performed" set (Algorithm 1's `R`).
     pub(crate) seen: Vec<u32>,
     /// Per-implementation remaining-action buffer.
     pub(crate) remaining: Vec<u32>,
-    /// User profile vector `H⃗` (Eq. 9).
-    pub(crate) profile: GoalVector,
-    /// Candidate action vector `a⃗` (Eq. 8), re-labelled per request.
-    pub(crate) vec: GoalVector,
+    /// Best Match's goal-major sums (Eq. 8–10), per action.
+    pub(crate) terms: TermBoard,
     /// Scored implementations for the Focus fill loop.
     pub(crate) scored_impls: Vec<(f64, u32)>,
     /// Bounded top-k accumulator.
@@ -176,14 +173,26 @@ impl Scratch {
         &self.scored_impls
     }
 
-    /// Clears the per-request result buffers (`out`, `scored_impls`)
-    /// without touching the backing allocations. The scatter-gather layer
-    /// calls this before each shard's scatter phase so a shard that has no
-    /// model this generation can never leak the previous request's results
-    /// into the merge.
+    /// Best Match's sums from the last goal-major pass on this arena.
+    pub fn terms(&self) -> &TermBoard {
+        &self.terms
+    }
+
+    /// The term board, for a caller that runs the goal-major pass itself:
+    /// the scatter-gather layer fills it per shard and adds the boards.
+    pub fn terms_mut(&mut self) -> &mut TermBoard {
+        &mut self.terms
+    }
+
+    /// Clears the per-request result buffers (`out`, `scored_impls`, the
+    /// term board) without touching the backing allocations. The
+    /// scatter-gather layer calls this before each shard's scatter phase
+    /// so a shard that has no model this generation can never leak the
+    /// previous request's results into the merge.
     pub fn clear_results(&mut self) {
         self.out.clear();
         self.scored_impls.clear();
+        self.terms.clear();
     }
 }
 

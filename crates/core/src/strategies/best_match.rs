@@ -7,13 +7,19 @@
 //! ranks candidates by their vector distance to the profile (Eq. 10):
 //! actions whose per-goal contribution pattern mirrors the user's effort
 //! pattern rank first.
+//!
+//! The vectors are never built. [`TermBoard::fill`](crate::profile::TermBoard::fill)
+//! walks the postings of `GS(H)` once, goal by goal, and leaves each
+//! touched action's exact integer sums (`Σ p·c`, `Σ c²`, `Σ |p − c| − p`);
+//! each metric is then one formula over those sums per candidate. The
+//! [`crate::profile`] module docs explain why that is bit-identical to
+//! the dense definition. The scatter-gather layer (`goalrec-shard`) runs
+//! the same pass per shard and adds the sums up.
 
 use crate::activity::Activity;
 use crate::distance::DistanceMetric;
-use crate::ids::{ActionId, ImplId};
-use crate::live::{self, AssocView, LiveRef};
+use crate::live::{AssocView, LiveRef};
 use crate::model::GoalModel;
-use crate::profile::goal_space_and_profile_into;
 use crate::scratch::{with_thread_scratch, Scratch};
 use crate::strategies::Strategy;
 use crate::topk::Scored;
@@ -48,46 +54,18 @@ impl BestMatch {
         if k == 0 || activity.is_empty() {
             return 0;
         }
-        let h = activity.raw();
         let Scratch {
-            pairs,
-            space,
-            profile,
-            impl_space,
-            candidates,
-            vec,
+            terms,
             topk,
             out,
             phase,
             ..
         } = scratch;
-        goal_space_and_profile_into(view, h, pairs, space, profile);
-        if space.is_empty() {
-            return 0;
-        }
-
-        // Algorithm 4: CA = AS(H) − H (action_space_into already excludes
-        // H). Both the candidate pool and the per-candidate goal vector
-        // live in the arena — no per-call allocations.
-        live::implementation_space_into(view, h, impl_space);
-        live::action_space_into(view, h, impl_space, candidates);
-        let num_candidates = candidates.len();
-        phase.mark(); // candidate pool complete; distance scoring next
-        topk.reset(k);
-        vec.reset(space);
-        for &a in candidates.iter() {
-            // Re-zero the workhorse vector instead of reallocating.
-            vec.counts.iter_mut().for_each(|c| *c = 0.0);
-            let (base, delta) = view.action_impls_parts(ActionId::new(a));
-            for &p in base.iter().chain(delta) {
-                vec.add(view.impl_goal(ImplId::new(p)), 1.0);
-            }
-            let dist = self.metric.distance(&profile.counts, &vec.counts);
-            // Scores are higher-is-better across the crate; negate distance.
-            topk.push(Scored::new(ActionId::new(a), -dist));
-        }
-        topk.drain_sorted_into(out);
-        num_candidates
+        // Algorithms 3–4 in one goal-major pass: the profile, the
+        // candidate pool CA = AS(H) − H and every candidate's sums.
+        terms.fill(view, activity.raw());
+        phase.mark(); // candidate sums complete; distance scoring next
+        terms.rank_into(self.metric, activity.raw(), k, topk, out)
     }
 }
 
@@ -139,6 +117,7 @@ impl Strategy for BestMatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::ActionId;
     use crate::strategies::testutil::example_model;
 
     #[test]

@@ -1,14 +1,21 @@
 //! Property tests for the recommendation strategies: the §5 contracts
-//! must hold for any library and any activity.
+//! must hold for any library and any activity, and Best Match must equal
+//! a literal transcription of §5.3 to the bit.
+
+#[path = "support/best_match_oracle.rs"]
+mod best_match_oracle;
 
 use goalrec_core::strategies::default_strategies;
-use goalrec_core::{ActionId, Activity, GoalId, GoalLibrary, GoalModel, ImplId, Scored};
+use goalrec_core::{
+    ActionId, Activity, BestMatch, DeltaSegment, DistanceMetric, GoalId, GoalLibrary, GoalModel,
+    ImplId, LiveRef, Scored, Scratch, Strategy as _,
+};
 use proptest::prelude::*;
 
 const MAX_ACTIONS: u32 = 18;
 const MAX_GOALS: u32 = 7;
 
-fn model_and_activity() -> impl Strategy<Value = (GoalModel, Activity)> {
+fn library_and_activity() -> impl Strategy<Value = (GoalLibrary, Activity)> {
     (
         proptest::collection::vec(
             (
@@ -34,8 +41,35 @@ fn model_and_activity() -> impl Strategy<Value = (GoalModel, Activity)> {
                     .collect(),
             )
             .unwrap();
-            (GoalModel::build(&lib).unwrap(), Activity::from_raw(h))
+            (lib, Activity::from_raw(h))
         })
+}
+
+fn model_and_activity() -> impl Strategy<Value = (GoalModel, Activity)> {
+    library_and_activity().prop_map(|(lib, h)| (GoalModel::build(&lib).unwrap(), h))
+}
+
+/// `library`'s first `split` implementations compiled as a base model, and
+/// the rest staged over it as a live delta, in library order — the same
+/// logical library as a whole rebuild.
+fn split_as_overlay(library: &GoalLibrary, split: usize) -> (GoalModel, DeltaSegment) {
+    let imps = library.implementations();
+    let split = split.clamp(1, imps.len());
+    let base = GoalLibrary::from_id_implementations(
+        MAX_ACTIONS,
+        MAX_GOALS,
+        imps[..split]
+            .iter()
+            .map(|imp| (imp.goal, imp.actions.clone()))
+            .collect(),
+    )
+    .unwrap();
+    let base = GoalModel::build(&base).unwrap();
+    let mut delta = DeltaSegment::for_base(&base);
+    for imp in &imps[split..] {
+        delta.append(imp.goal, imp.actions.clone()).unwrap();
+    }
+    (base, delta)
 }
 
 /// Scores must never increase down the list. For the heap-ranked
@@ -127,7 +161,6 @@ proptest! {
     /// for every metric.
     #[test]
     fn best_match_score_ranges((m, h) in model_and_activity()) {
-        use goalrec_core::{BestMatch, DistanceMetric, Strategy as _};
         for metric in DistanceMetric::ALL {
             for r in BestMatch::new(metric).rank(&m, &h, 12) {
                 prop_assert!(r.score <= 1e-9, "{metric:?}");
@@ -135,6 +168,38 @@ proptest! {
                     prop_assert!(r.score >= -1.0 - 1e-9, "cosine bounded");
                 }
             }
+        }
+    }
+
+    /// Best Match, on a plain model and on a live base ⊕ delta overlay of
+    /// the same library, equals the §5.3 oracle for every metric: ids,
+    /// order, score bits and candidate count.
+    #[test]
+    fn best_match_equals_the_paper_oracle(
+        (lib, h) in library_and_activity(),
+        k in 1usize..12,
+        split in 1usize..25,
+    ) {
+        let model = GoalModel::build(&lib).unwrap();
+        let (base, delta) = split_as_overlay(&lib, split);
+        let mut scratch = Scratch::new();
+        for metric in DistanceMetric::ALL {
+            let expect = best_match_oracle::best_match(&lib, h.raw(), metric, k);
+            let ctx = format!("{metric:?} H={h:?} k={k}");
+            let n = BestMatch::new(metric).rank_into(&model, &h, k, &mut scratch);
+            best_match_oracle::assert_matches(scratch.out(), n, &expect, &format!("plain {ctx}"));
+            let n = BestMatch::new(metric).rank_live_into(
+                LiveRef::overlay(&base, &delta),
+                &h,
+                k,
+                &mut scratch,
+            );
+            best_match_oracle::assert_matches(
+                scratch.out(),
+                n,
+                &expect,
+                &format!("overlay split={split} {ctx}"),
+            );
         }
     }
 

@@ -607,7 +607,9 @@ impl ShardSet {
 ///
 /// Returns `Ok(None)` when no usable family is there (a snapshot file
 /// missing, or the family was written for a different library: id
-/// spaces or implementation total disagree); the caller then compiles
+/// spaces or implementation total disagree, or some snapshot row is not
+/// the library's row of the same global id — a library edited in place
+/// after `compile --shards N`); the caller then compiles
 /// the library, which is always correct, just slower. Returns `Err` only
 /// for a family that *claims* to match but is corrupt (failed
 /// checksums/structure, or a goal split across shards), so damage is
@@ -630,6 +632,8 @@ fn open_family(
     // no implementations anywhere get the same `g % n` fallback as
     // brand-new appended goals.
     let mut assignments: Vec<usize> = vec![usize::MAX; library.num_goals()];
+    let rows = library.implementations();
+    let mut covered = vec![false; rows.len()];
     for (i, path) in paths.iter().enumerate() {
         let (model, impl_global) = goalrec_datasets::grlb2::read_shard_v2(path).map_err(|e| {
             ServerError::ReloadFailed(format!(
@@ -643,10 +647,20 @@ fn open_family(
             return Ok(None);
         }
         total_impls += model.num_impls();
-        for p in 0..model.num_impls() {
-            let g = model
-                .impl_goal(ImplId::new(u32::try_from(p).unwrap_or(u32::MAX)))
-                .index();
+        for (p, &global) in impl_global.iter().enumerate().take(model.num_impls()) {
+            let p = ImplId::new(u32::try_from(p).unwrap_or(u32::MAX));
+            // Content check: each snapshot row must be the library's row
+            // with the same global id, and no row may be claimed twice.
+            let global = usize::try_from(global).unwrap_or(usize::MAX);
+            let same_row = rows.get(global).is_some_and(|row| {
+                row.goal == model.impl_goal(p) && row.action_raw() == model.impl_actions(p)
+            });
+            if !same_row || covered[global] {
+                // A different build of this library — stale, not corrupt.
+                return Ok(None);
+            }
+            covered[global] = true;
+            let g = model.impl_goal(p).index();
             let prior = assignments[g];
             if prior != usize::MAX && prior != i {
                 return Err(ServerError::ReloadFailed(format!(

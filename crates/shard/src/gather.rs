@@ -8,18 +8,20 @@
 //! `rank_into` on the unsharded model (`tests/exactness.rs` proves it
 //! property-style). The merge is exact because shards partition the
 //! implementation set by goal; see the [crate docs](crate) for the
-//! per-strategy argument.
+//! per-strategy argument. Best Match scatters the core goal-major pass
+//! ([`goalrec_core::profile::TermBoard::fill`]) over each shard's goals
+//! and gathers by adding the per-shard integer sums — the same pass and
+//! the same scoring the unsharded `BestMatch::rank_into` runs.
 //!
 //! Both phases run on a caller-owned [`ShardScratch`] arena and allocate
 //! nothing at steady state (`tests/alloc_counting.rs`).
 
 use crate::model::ShardView;
-use crate::scratch::{ShardScratch, ShardSlot};
+use crate::scratch::ShardScratch;
 use goalrec_core::activity::Activity;
 use goalrec_core::distance::DistanceMetric;
 use goalrec_core::ids::{ActionId, ImplId};
-use goalrec_core::live::{self as live_view, AssocView};
-use goalrec_core::profile::{goal_space_and_profile_into, GoalVector};
+use goalrec_core::live::AssocView;
 use goalrec_core::setops;
 use goalrec_core::strategies::{Breadth, Focus, FocusVariant};
 use goalrec_core::topk::{kway_next, Scored};
@@ -38,8 +40,8 @@ pub enum ShardStrategy {
     /// merged under (score desc, global implementation id asc), replaying
     /// the unsharded fill loop.
     Focus(FocusVariant),
-    /// Best Match (§5.3) with the given metric: disjoint per-shard goal
-    /// spaces merged, candidates re-scored against the merged profile.
+    /// Best Match (§5.3) with the given metric: per-shard integer sums of
+    /// the goal-major pass added up on a merged board, then scored once.
     BestMatch(DistanceMetric),
 }
 
@@ -116,9 +118,11 @@ impl ShardStrategy {
                     }
                 }
             }
+            // The shard's goal-major sums, the same pass the unsharded
+            // Best Match runs; scoring waits for the merge.
             Self::BestMatch(_) => match live.unstaged() {
-                Some(model) => scatter_best_match(model, activity.raw(), slot),
-                None => scatter_best_match(&live, activity.raw(), slot),
+                Some(model) => slot.scratch.terms_mut().fill(model, activity.raw()),
+                None => slot.scratch.terms_mut().fill(&live, activity.raw()),
             },
         }
     }
@@ -143,7 +147,7 @@ impl ShardStrategy {
         match self {
             Self::Breadth => gather_breadth(shards, k, scratch),
             Self::Focus(_) => gather_focus(shards, activity, k, scratch),
-            Self::BestMatch(metric) => gather_best_match(shards, *metric, k, scratch),
+            Self::BestMatch(metric) => gather_best_match(shards, activity, *metric, k, scratch),
         }
     }
 
@@ -167,27 +171,22 @@ impl ShardStrategy {
     }
 }
 
-/// The Best Match scatter body, generic over the association view so one
-/// pass serves both a plain shard model and a base ⊕ delta overlay:
-/// per-shard goal space + partial profile + candidate pool; scoring
-/// happens in the gather phase against the merged global profile.
-fn scatter_best_match<V: AssocView + ?Sized>(view: &V, h: &[u32], slot: &mut ShardSlot) {
-    goal_space_and_profile_into(view, h, &mut slot.pairs, &mut slot.space, &mut slot.profile);
-    live_view::implementation_space_into(view, h, &mut slot.impl_space);
-    live_view::action_space_into(view, h, &slot.impl_space, &mut slot.cand);
+/// The action extent a merge board needs. It comes from the live views:
+/// a staged delta may have introduced actions beyond any compiled base
+/// model's id space.
+fn merged_num_actions<V: ShardView>(shards: &[V]) -> usize {
+    shards
+        .iter()
+        .map(|s| s.live().num_actions())
+        .max()
+        .unwrap_or(0)
 }
 
 /// Breadth merge: per-action scores are integer sums over `IS(H)`, and the
 /// per-shard implementation spaces partition `IS(H)`, so summing the
 /// per-shard partial scores in `u64` is order-independent and exact.
 fn gather_breadth<V: ShardView>(shards: &[V], k: usize, scratch: &mut ShardScratch) -> usize {
-    // Action extents come from the live views: a staged delta may have
-    // introduced actions beyond any compiled base model's id space.
-    let num_actions = shards
-        .iter()
-        .map(|s| s.live().num_actions())
-        .max()
-        .unwrap_or(0);
+    let num_actions = merged_num_actions(shards);
     let ShardScratch {
         slots,
         board,
@@ -289,117 +288,33 @@ fn gather_focus<V: ShardView>(
     num_candidates
 }
 
-/// Best Match merge: the per-shard goal spaces are disjoint, so the global
-/// space/profile is a plain k-way merge (no summation); candidates are the
-/// deduplicated union of the per-shard pools; and every goal coordinate of
-/// a candidate's vector is computed entirely on that goal's home shard, so
-/// the distance inputs are bit-identical to the unsharded path.
+/// Best Match merge: shards own whole goals, so the per-shard sums are
+/// sums over disjoint goal sets; adding them in `u64` (and OR-ing the
+/// candidate flags) gives the unsharded board exactly, in any order. One
+/// shard's board already is the unsharded board and is scored in place.
 fn gather_best_match<V: ShardView>(
     shards: &[V],
+    activity: &Activity,
     metric: DistanceMetric,
     k: usize,
     scratch: &mut ShardScratch,
 ) -> usize {
-    let n = shards.len();
+    let h = activity.raw();
     let ShardScratch {
         slots,
-        heads,
-        gspace,
-        gprofile,
-        candidates,
-        vec,
+        terms,
         topk,
         out,
         ..
     } = scratch;
-
-    // Merged goal space + profile. The streams never share a goal, so the
-    // merge is a disjoint interleave: no key ever needs its counts summed.
-    // One shard degenerates to a copy — its stream is already sorted —
-    // which keeps the single-shard configuration priced like the unsharded
-    // path (the `--perf` guardrail holds it to 10%).
-    gspace.clear();
-    gprofile.clear();
-    if n == 1 {
-        gspace.extend_from_slice(&slots[0].space);
-        gprofile.extend_from_slice(&slots[0].profile.counts);
-    } else {
-        heads[..n].fill(0);
-        while let Some(s) = kway_next(
-            n,
-            heads,
-            |i, pos| slots[i].space.get(pos).copied(),
-            |a, b| a.cmp(b),
-        ) {
-            let pos = heads[s] - 1;
-            gspace.push(slots[s].space[pos]);
-            gprofile.push(slots[s].profile.counts[pos]);
-        }
+    if let [slot] = &slots[..shards.len()] {
+        return slot.scratch.terms().rank_into(metric, h, k, topk, out);
     }
-    if gspace.is_empty() {
-        // Matches the unsharded early return for an empty goal space.
-        return 0;
+    terms.begin_merge(merged_num_actions(shards));
+    for slot in slots.iter().take(shards.len()) {
+        terms.merge(slot.scratch.terms());
     }
-
-    // Merged candidate pool: deduplicated union of the per-shard
-    // `AS_s(H) − H` pools (an action can appear on several shards; a
-    // single shard's pool is already sorted and unique, so copy it).
-    candidates.clear();
-    if n == 1 {
-        candidates.extend_from_slice(&slots[0].cand);
-    } else {
-        heads[..n].fill(0);
-        while let Some(s) = kway_next(
-            n,
-            heads,
-            |i, pos| slots[i].cand.get(pos).copied(),
-            |a, b| a.cmp(b),
-        ) {
-            let v = slots[s].cand[heads[s] - 1];
-            if candidates.last() != Some(&v) {
-                candidates.push(v);
-            }
-        }
-    }
-    let num_candidates = candidates.len();
-
-    // Score each candidate against the merged profile. Every goal's
-    // implementations live on one shard, so walking all shards feeds each
-    // coordinate from exactly one source — the resulting vector equals the
-    // unsharded one bit-for-bit, and so does the distance. Reads go
-    // through each shard's live view (base postings first, then staged
-    // ones), or straight to the compiled model when nothing is staged.
-    topk.reset(k);
-    vec.reset(gspace);
-    for &a in candidates.iter() {
-        let a = ActionId::new(a);
-        vec.counts.iter_mut().for_each(|c| *c = 0.0);
-        for shard in shards {
-            let live = shard.live();
-            match live.unstaged() {
-                Some(model) => add_goal_counts(model, a, vec),
-                None => add_goal_counts(&live, a, vec),
-            }
-        }
-        let dist = metric.distance(gprofile, &vec.counts);
-        topk.push(Scored::new(a, -dist));
-    }
-    topk.drain_sorted_into(out);
-    num_candidates
-}
-
-/// Adds one to `vec`'s coordinate of each implementation of `a` in
-/// `view`. An action beyond the view's extent (introduced by another
-/// shard's delta) has no implementations here.
-#[inline]
-fn add_goal_counts<V: AssocView + ?Sized>(view: &V, a: ActionId, vec: &mut GoalVector) {
-    if a.index() >= view.num_actions() {
-        return;
-    }
-    let (base, delta) = view.action_impls_parts(a);
-    for &p in base.iter().chain(delta) {
-        vec.add(view.impl_goal(ImplId::new(p)), 1.0);
-    }
+    terms.rank_into(metric, h, k, topk, out)
 }
 
 #[cfg(test)]

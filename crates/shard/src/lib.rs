@@ -23,8 +23,10 @@
 //! * Focus's candidate implementations split disjointly, so a k-way merge
 //!   of the per-shard `(score, global impl id)` rankings replays the
 //!   unsharded fill loop verbatim;
-//! * Best Match's profile and candidate vectors decompose per goal, and
-//!   each goal's coordinate is computed entirely on its home shard.
+//! * Best Match's distance inputs are integer sums over the goals of
+//!   `GS(H)` (`Σ p_g`, `Σ p_g²` and, per action, `Σ p_g·c_g`, `Σ c_g²`,
+//!   `Σ |p_g − c_g| − p_g`), so each shard runs the unsharded goal-major
+//!   pass over its own goals and the merge adds the sums in `u64`.
 //!
 //! Shards keep the **full global id spaces** for actions and goals — only
 //! the implementation rows are local — so per-shard results speak global

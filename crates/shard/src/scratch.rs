@@ -9,31 +9,20 @@
 //! requests and stay allocated.
 
 use goalrec_core::ids::ActionId;
-use goalrec_core::profile::GoalVector;
+use goalrec_core::profile::TermBoard;
 use goalrec_core::topk::{Scored, TopK};
 use goalrec_core::Scratch;
 
 /// Scatter-phase working memory for one shard.
 ///
-/// Breadth and Focus scatter straight into the slot's core [`Scratch`]
-/// (full per-shard ranking and per-shard implementation ranking
-/// respectively); Best Match keeps its per-shard goal space, profile and
-/// candidate pool in the slot's own buffers because the gather phase needs
-/// all shards' spaces alive at once for the k-way merge.
+/// Every strategy scatters straight into the slot's core [`Scratch`]:
+/// Breadth its full per-shard ranking, Focus its per-shard implementation
+/// ranking, Best Match its per-action sums (the scratch's term board),
+/// which the gather phase adds up.
 #[derive(Default)]
 pub struct ShardSlot {
     /// Core arena driving the shard-local strategy code.
     pub(crate) scratch: Scratch,
-    /// Best Match: raw (goal, +1) contribution pairs.
-    pub(crate) pairs: Vec<u32>,
-    /// Best Match: the shard's goal space `GS_s(H)` (sorted).
-    pub(crate) space: Vec<u32>,
-    /// Best Match: the shard's partial user profile over `space`.
-    pub(crate) profile: GoalVector,
-    /// Best Match: the shard's implementation space `IS_s(H)`.
-    pub(crate) impl_space: Vec<u32>,
-    /// Best Match: the shard's candidate pool `AS_s(H) − H` (sorted).
-    pub(crate) cand: Vec<u32>,
 }
 
 impl ShardSlot {
@@ -42,11 +31,6 @@ impl ShardSlot {
     /// merge. Keeps all backing allocations.
     pub(crate) fn clear(&mut self) {
         self.scratch.clear_results();
-        self.pairs.clear();
-        self.space.clear();
-        self.profile.reset(&[]);
-        self.impl_space.clear();
-        self.cand.clear();
     }
 }
 
@@ -118,14 +102,8 @@ pub struct ShardScratch {
     pub(crate) heads: Vec<usize>,
     /// Breadth merge: summed integer scores.
     pub(crate) board: ScoreBoard,
-    /// Best Match merge: the merged global goal space `GS(H)`.
-    pub(crate) gspace: Vec<u32>,
-    /// Best Match merge: profile counts aligned with `gspace`.
-    pub(crate) gprofile: Vec<f64>,
-    /// Best Match merge: deduplicated global candidate pool.
-    pub(crate) candidates: Vec<u32>,
-    /// Best Match merge: the per-candidate goal vector.
-    pub(crate) vec: GoalVector,
+    /// Best Match merge: the per-shard sums added up (N > 1 only).
+    pub(crate) terms: TermBoard,
     /// Focus merge: the running excluded-action set (Algorithm 1's `R`).
     pub(crate) seen: Vec<u32>,
     /// Focus merge: per-implementation remaining-action buffer.
@@ -206,17 +184,21 @@ mod tests {
 
     #[test]
     fn slot_clear_wipes_results() {
+        let mut lib = goalrec_core::LibraryBuilder::new();
+        lib.add_impl("g", ["a", "b"]).unwrap();
+        let model = goalrec_core::GoalModel::build(&lib.build().unwrap()).unwrap();
         let mut slot = ShardSlot::default();
-        slot.pairs.push(1);
-        slot.space.push(2);
-        slot.impl_space.push(3);
-        slot.cand.push(4);
-        slot.profile.reset(&[1, 2]);
+        slot.scratch.terms_mut().fill(&model, &[0]);
         slot.clear();
-        assert!(slot.pairs.is_empty());
-        assert!(slot.space.is_empty());
-        assert!(slot.impl_space.is_empty());
-        assert!(slot.cand.is_empty());
-        assert_eq!(slot.profile.dim(), 0);
+        assert!(slot.scratch.terms().profile().is_empty());
+        let (mut topk, mut out) = (TopK::default(), Vec::new());
+        let metric = goalrec_core::DistanceMetric::Cosine;
+        assert_eq!(
+            slot.scratch
+                .terms()
+                .rank_into(metric, &[0], 5, &mut topk, &mut out),
+            0
+        );
+        assert!(slot.scratch.out().is_empty());
     }
 }

@@ -6,7 +6,12 @@
 //! order — at every shard count and under both partitioning policies.
 //! Candidate counts must also agree for Focus and Best Match (Breadth's
 //! merged pool deliberately excludes already-performed actions, which the
-//! unsharded accumulator counts; the crate docs call this out).
+//! unsharded accumulator counts; the crate docs call this out). Best Match
+//! is further held to a literal transcription of §5.3, not only to the
+//! unsharded path.
+
+#[path = "../../core/tests/support/best_match_oracle.rs"]
+mod best_match_oracle;
 
 use goalrec_core::ids::{ActionId, GoalId};
 use goalrec_core::scratch::Scratch;
@@ -91,6 +96,45 @@ proptest! {
                         prop_assert_eq!(cand, expect_cand, "candidate count {}", ctx);
                     }
                 }
+            }
+        }
+    }
+
+    /// Sharded Best Match at N ∈ {1, 2, 7} equals the §5.3 oracle for
+    /// every metric: ids, order, score bits and candidate count.
+    #[test]
+    fn sharded_best_match_equals_the_paper_oracle(
+        impls in proptest::collection::vec(
+            (0u32..8, proptest::collection::btree_set(0u32..15, 1..6)),
+            1..25
+        ),
+        h in proptest::collection::btree_set(0u32..15, 0..8),
+        k in 1usize..12
+    ) {
+        let lib = GoalLibrary::from_id_implementations(
+            15,
+            8,
+            impls
+                .into_iter()
+                .map(|(g, acts)| {
+                    (GoalId::new(g), acts.into_iter().map(ActionId::new).collect())
+                })
+                .collect(),
+        )
+        .unwrap();
+        let h = Activity::from_raw(h);
+        let mut sc = ShardScratch::new();
+        for n in [1usize, 2, 7] {
+            let sharded = ShardedModel::build(&lib, n, PartitionMode::BalancedMass).unwrap();
+            for metric in goalrec_core::DistanceMetric::ALL {
+                let expect = best_match_oracle::best_match(&lib, h.raw(), metric, k);
+                let cand = ShardStrategy::BestMatch(metric).rank_into(sharded.shards(), &h, k, &mut sc);
+                best_match_oracle::assert_matches(
+                    sc.out(),
+                    cand,
+                    &expect,
+                    &format!("{metric:?} n={n} H={h:?} k={k}"),
+                );
             }
         }
     }

@@ -13,6 +13,12 @@
 //! lands on that goal's home shard (goal-wholeness is what makes the
 //! merge exact), and an append for a brand-new goal falls back to the
 //! deterministic `g % n` placement.
+//!
+//! Best Match is also held to a literal transcription of §5.3 over the
+//! merged library, at N ∈ {1, 2, 7}.
+
+#[path = "../../core/tests/support/best_match_oracle.rs"]
+mod best_match_oracle;
 
 use goalrec_core::ids::{ActionId, GoalId};
 use goalrec_core::scratch::Scratch;
@@ -197,6 +203,59 @@ proptest! {
                         prop_assert_eq!(cand, expect_cand, "{}", ctx);
                     }
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Best Match through per-shard base ⊕ delta views equals the §5.3
+    /// oracle over the merged library for every metric: ids, order,
+    /// score bits and candidate count.
+    #[test]
+    fn live_sharded_best_match_equals_the_paper_oracle(
+        base_impls in proptest::collection::vec(
+            (0u32..6, proptest::collection::btree_set(0u32..12, 1..5)),
+            1..18
+        ),
+        appends_set in proptest::collection::vec(
+            (0u32..9, proptest::collection::btree_set(0u32..16, 1..5)),
+            0..10
+        ),
+        h in proptest::collection::btree_set(0u32..16, 0..8),
+        k in 1usize..10
+    ) {
+        let appends: Vec<(u32, Vec<u32>)> = appends_set
+            .into_iter()
+            .map(|(g, acts)| (g, acts.into_iter().collect()))
+            .collect();
+        let base = GoalLibrary::from_id_implementations(
+            12,
+            6,
+            base_impls
+                .into_iter()
+                .map(|(g, acts)| {
+                    (GoalId::new(g), acts.into_iter().map(ActionId::new).collect())
+                })
+                .collect(),
+        )
+        .unwrap();
+        let merged = merged_library(&base, &appends);
+        let h = Activity::from_raw(h);
+        let mut sc = ShardScratch::new();
+        for n in [1usize, 2, 7] {
+            let shards = build_live_shards(&base, &appends, n, PartitionMode::HashGoal);
+            for metric in goalrec_core::DistanceMetric::ALL {
+                let expect = best_match_oracle::best_match(&merged, h.raw(), metric, k);
+                let cand = ShardStrategy::BestMatch(metric).rank_into(&shards, &h, k, &mut sc);
+                best_match_oracle::assert_matches(
+                    sc.out(),
+                    cand,
+                    &expect,
+                    &format!("{metric:?} n={n} H={h:?} k={k} appends={}", appends.len()),
+                );
             }
         }
     }

@@ -60,12 +60,14 @@ fn section_5_3_profile_of_a2_a3() {
         .iter()
         .map(|n| lib.action_id(n).unwrap().raw())
         .collect();
-    let (space, prof) = profile::goal_space_and_profile(&model, &h);
-    assert_eq!(space.len(), 2);
+    let mut board = profile::TermBoard::default();
+    board.fill(&model, &h);
+    let prof = board.profile();
+    assert_eq!(prof.len(), 2);
     let g1 = lib.goal_id("meeting friends").unwrap();
     let g5 = lib.goal_id("hiking").unwrap();
-    assert_eq!(prof.get(g1), Some(2.0));
-    assert_eq!(prof.get(g5), Some(1.0));
+    assert!(prof.contains(&(g1.raw(), 2)), "{prof:?}");
+    assert!(prof.contains(&(g5.raw(), 1)), "{prof:?}");
 }
 
 #[test]
