@@ -1,32 +1,17 @@
 #!/usr/bin/env bash
 # Full verification pipeline: what CI would run.
 #
-#   ./check.sh                full pipeline
-#   ./check.sh --perf-smoke   only the hot-path perf gate (build timing,
-#                             per-strategy latency, serve throughput →
-#                             target/BENCH_perf.json; fails on >30%
-#                             throughput regression or BestMatch p95 ≥ 1 ms)
+#   ./check.sh                build, lint, tests, docs (warnings denied),
+#                             examples, repro smoke, server smokes, and the
+#                             release-mode hot-path guard rails
 #
+# End-to-end performance is measured by perfbench/ (see BENCHMARK.json);
+# the guard rails here are in-process timing gates (BestMatch p95, N=1
+# scatter-gather overhead, GRLB v2 cold start, keep-alive floor, idle
+# live plane) in crates/bench/src/loadgen.rs's `guard_rails` module.
 # Reports go under target/, so a run leaves every tracked file as it was.
-# The committed BENCH_perf.json / BENCH_obs.json are refreshed by hand
-# (same commands, --out / --json pointing at the repository root) when
-# the hot path changes on purpose.
 set -euo pipefail
 cd "$(dirname "$0")"
-
-perf_smoke() {
-    echo "== perf smoke (hot-path regression gate) =="
-    cargo run -q --release -p goalrec-bench --bin loadgen -- --perf --seconds 2 \
-        --out target/BENCH_perf.json
-    cargo run -q --release -p goalrec-bench --bin repro -- stats table6 --scale test \
-        --json target > /dev/null
-}
-
-if [[ "${1:-}" == "--perf-smoke" ]]; then
-    perf_smoke
-    echo "OK"
-    exit 0
-fi
 
 echo "== build =="
 cargo build --workspace --all-targets
@@ -40,8 +25,8 @@ cargo test --workspace
 echo "== perfbench tests (the server API the benchmark imports) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
-echo "== docs =="
-cargo doc --workspace --no-deps
+echo "== docs (warnings denied) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== examples =="
 for ex in quickstart text_extraction explanations; do
@@ -64,6 +49,7 @@ cargo run -q --release -p goalrec-bench --bin loadgen -- --smoke --shards 2
 echo "== chaos-reload smoke (faulted reloads roll back under live traffic) =="
 cargo run -q --release -p goalrec-bench --bin loadgen -- --chaos-smoke
 
-perf_smoke
+echo "== hot-path guard rails (release, one timing gate at a time) =="
+cargo test --release -p goalrec-bench --bin loadgen -- --test-threads=1
 
 echo "OK"

@@ -235,20 +235,11 @@ impl Csr {
 ///
 /// One partition per available core, but never so many that a partition
 /// drops below a few thousand items — below that the per-partition count
-/// arrays cost more than the parallelism wins. `GOALREC_BUILD_SERIAL=1`
-/// forces a single partition (the sequential baseline the perf bench
-/// reports as "before"); `GOALREC_BUILD_PARTITIONS=N` pins an exact
-/// count, so tests exercise the multi-partition merge even on one core.
-fn partitions(num_items: usize) -> usize {
+/// arrays cost more than the parallelism wins. The output of
+/// [`invert_count`]/[`invert_fill`] and [`concat`] is identical for every
+/// partition count.
+pub(crate) fn partitions(num_items: usize) -> usize {
     const MIN_ITEMS_PER_PART: usize = 4096;
-    if let Some(forced) = std::env::var_os("GOALREC_BUILD_PARTITIONS") {
-        if let Some(n) = forced.to_str().and_then(|s| s.parse::<usize>().ok()) {
-            return n.clamp(1, num_items.max(1));
-        }
-    }
-    if std::env::var_os("GOALREC_BUILD_SERIAL").is_some() {
-        return 1;
-    }
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -269,15 +260,27 @@ pub(crate) struct InvertPlan {
     part_counts: Vec<Vec<u32>>,
 }
 
-/// Runs the counting phase over `num_items` items split into partitions.
-pub(crate) fn invert_count<F>(num_rows: usize, num_items: usize, keys_of: F) -> InvertPlan
+/// Contiguous `[start, end)` ranges splitting `num_items` into `parts`
+/// (at least one).
+fn part_bounds(num_items: usize, parts: usize) -> Vec<(usize, usize)> {
+    let parts = parts.max(1);
+    (0..parts)
+        .map(|p| (p * num_items / parts, (p + 1) * num_items / parts))
+        .collect()
+}
+
+/// Runs the counting phase over `num_items` items split into `parts`
+/// contiguous partitions.
+pub(crate) fn invert_count<F>(
+    num_rows: usize,
+    num_items: usize,
+    parts: usize,
+    keys_of: F,
+) -> InvertPlan
 where
     F: Fn(usize, &mut dyn FnMut(u32)) + Sync,
 {
-    let parts = partitions(num_items);
-    let bounds: Vec<(usize, usize)> = (0..parts)
-        .map(|p| (p * num_items / parts, (p + 1) * num_items / parts))
-        .collect();
+    let bounds = part_bounds(num_items, parts);
     let part_counts: Vec<Vec<u32>> = bounds
         .par_iter()
         .map(|&(lo, hi)| {
@@ -365,8 +368,8 @@ where
 
 /// Builds the *forward* CSR (row `i` = the postings of item `i`) by
 /// concatenating per-item slices — offsets by a serial prefix sum over the
-/// lengths, data filled by a parallel partitioned copy.
-pub(crate) fn concat<'a, F>(num_items: usize, row_of: F) -> Csr
+/// lengths, data filled by a copy split into `parts` parallel partitions.
+pub(crate) fn concat<'a, F>(num_items: usize, parts: usize, row_of: F) -> Csr
 where
     F: Fn(usize) -> &'a [u32] + Sync,
 {
@@ -382,10 +385,7 @@ where
     let ptr = SyncPtr(data.as_mut_ptr());
     let ptr = &ptr;
     let offsets_ref = &offsets;
-    let parts = partitions(num_items);
-    let bounds: Vec<(usize, usize)> = (0..parts)
-        .map(|p| (p * num_items / parts, (p + 1) * num_items / parts))
-        .collect();
+    let bounds = part_bounds(num_items, parts);
     bounds.par_iter().for_each(|&(lo, hi)| {
         for (i, &off) in offsets_ref.iter().enumerate().take(hi).skip(lo) {
             let src = row_of(i);
@@ -415,8 +415,8 @@ mod tests {
         rows
     }
 
-    fn invert_csr(num_rows: usize, items: &[Vec<u32>]) -> Csr {
-        let plan = invert_count(num_rows, items.len(), |i, emit| {
+    fn invert_csr(num_rows: usize, items: &[Vec<u32>], parts: usize) -> Csr {
+        let plan = invert_count(num_rows, items.len(), parts, |i, emit| {
             for &k in &items[i] {
                 emit(k);
             }
@@ -431,7 +431,7 @@ mod tests {
     #[test]
     fn invert_small_matches_naive() {
         let items = vec![vec![0, 2], vec![1], vec![0, 1, 2], vec![2]];
-        let csr = invert_csr(3, &items);
+        let csr = invert_csr(3, &items, partitions(items.len()));
         let naive = invert_naive(3, &items);
         assert_eq!(csr.rows(), 3);
         for (r, want) in naive.iter().enumerate() {
@@ -457,7 +457,7 @@ mod tests {
                 keys
             })
             .collect();
-        let csr = invert_csr(num_rows, &items);
+        let csr = invert_csr(num_rows, &items, partitions(items.len()));
         let naive = invert_naive(num_rows, &items);
         for (r, want) in naive.iter().enumerate() {
             assert_eq!(csr.row(r), &want[..], "row {r}");
@@ -470,7 +470,7 @@ mod tests {
     #[test]
     fn invert_empty_rows_and_items() {
         let items: Vec<Vec<u32>> = vec![vec![4], vec![4]];
-        let csr = invert_csr(6, &items);
+        let csr = invert_csr(6, &items, partitions(items.len()));
         assert_eq!(csr.row(4), &[0, 1]);
         for r in [0, 1, 2, 3, 5] {
             assert!(csr.row(r).is_empty());
@@ -480,7 +480,7 @@ mod tests {
     #[test]
     fn concat_round_trips_rows() {
         let rows: Vec<Vec<u32>> = vec![vec![5, 9], vec![], vec![1, 2, 3], vec![7]];
-        let csr = concat(rows.len(), |i| &rows[i][..]);
+        let csr = concat(rows.len(), partitions(rows.len()), |i| &rows[i][..]);
         assert_eq!(csr.rows(), 4);
         for (i, want) in rows.iter().enumerate() {
             assert_eq!(csr.row(i), &want[..]);
@@ -491,7 +491,7 @@ mod tests {
     #[test]
     fn concat_large_parallel() {
         let rows: Vec<Vec<u32>> = (0..30_000u32).map(|i| vec![i, i + 1, i + 2]).collect();
-        let csr = concat(rows.len(), |i| &rows[i][..]);
+        let csr = concat(rows.len(), partitions(rows.len()), |i| &rows[i][..]);
         for (i, want) in rows.iter().enumerate() {
             assert_eq!(csr.row(i), &want[..]);
         }
@@ -514,25 +514,11 @@ mod tests {
     }
 
     #[test]
-    fn serial_env_forces_one_partition() {
-        // partitions() itself is private; exercise the public effect: a
-        // build under the env var must equal the parallel build.
-        std::env::set_var("GOALREC_BUILD_SERIAL", "1");
-        let items: Vec<Vec<u32>> = (0..10_000u32).map(|i| vec![i % 13]).collect();
-        let serial = invert_csr(13, &items);
-        std::env::remove_var("GOALREC_BUILD_SERIAL");
-        let parallel = invert_csr(13, &items);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn forced_partition_counts_agree_with_serial() {
-        // Single-core machines never pick more than one partition on
-        // their own; pin the count so the multi-partition merge (disjoint
-        // prefix-sum cursors, increasing item ranges) is exercised
-        // everywhere. Uneven counts include partitions smaller than a
-        // row's posting list and a partition count that doesn't divide
-        // the item count.
+        // Pin the count so the multi-partition merge (disjoint prefix-sum
+        // cursors, increasing item ranges) is exercised on any machine.
+        // Uneven counts include partitions smaller than a row's posting
+        // list and a partition count that doesn't divide the item count.
         let items: Vec<Vec<u32>> = (0..5_000u32)
             .map(|i| {
                 let n = (i % 3) + 1;
@@ -542,19 +528,15 @@ mod tests {
                 keys
             })
             .collect();
-        std::env::set_var("GOALREC_BUILD_SERIAL", "1");
-        let serial = invert_csr(23, &items);
-        let serial_cat = concat(items.len(), |i| &items[i][..]);
-        std::env::remove_var("GOALREC_BUILD_SERIAL");
-        for forced in ["2", "3", "7", "64"] {
-            std::env::set_var("GOALREC_BUILD_PARTITIONS", forced);
-            assert_eq!(invert_csr(23, &items), serial, "{forced} partitions");
+        let serial = invert_csr(23, &items, 1);
+        let serial_cat = concat(items.len(), 1, |i| &items[i][..]);
+        for parts in [2, 3, 7, 64] {
+            assert_eq!(invert_csr(23, &items, parts), serial, "{parts} partitions");
             assert_eq!(
-                concat(items.len(), |i| &items[i][..]),
+                concat(items.len(), parts, |i| &items[i][..]),
                 serial_cat,
-                "{forced} partitions (concat)"
+                "{parts} partitions (concat)"
             );
-            std::env::remove_var("GOALREC_BUILD_PARTITIONS");
         }
     }
 }

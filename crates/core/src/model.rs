@@ -9,8 +9,8 @@
 //! * `A-GI-idx` — action id → the implementation ids it contributes to
 //!   (the action's *implementation space* `IS(a)`).
 //!
-//! [`GoalModel`] stores each posting-list index in CSR form (see
-//! [`crate::csr`]): one flat offsets array plus one flat data array, so a
+//! [`GoalModel`] stores each posting-list index in CSR form (the
+//! crate-private `csr` module): one flat offsets array plus one flat data array, so a
 //! whole index is two allocations and walking `IS(H)` streams contiguous
 //! memory. Every row is a strictly increasing `u32` slice, which makes the
 //! set algebra of [`crate::setops`] directly applicable.
@@ -19,6 +19,7 @@ use crate::csr::{self, Csr, CsrBacking};
 use crate::error::{Error, Result};
 use crate::ids::{ActionId, GoalId, ImplId};
 use crate::library::{actions_as_raw, GoalLibrary, LibraryStats};
+use crate::live;
 use crate::setops;
 use goalrec_obs::{self as obs, names, Timer};
 
@@ -64,7 +65,9 @@ impl GoalModel {
         // GI-A-idx: forward implementation → activity index, a parallel
         // concatenation into CSR.
         let span = Timer::scoped(names::MODEL_BUILD_GI_A_IDX);
-        let impl_actions = csr::concat(impls.len(), |i| actions_as_raw(&impls[i]));
+        let impl_actions = csr::concat(impls.len(), csr::partitions(impls.len()), |i| {
+            actions_as_raw(&impls[i])
+        });
         let impl_goal: Vec<u32> = impls.iter().map(|imp| imp.goal.raw()).collect();
         drop(span);
 
@@ -192,11 +195,12 @@ impl GoalModel {
         impl_actions: Csr,
     ) -> Result<Self> {
         let n = impl_actions.rows();
+        let parts = csr::partitions(n);
 
         // A-idx: per-action occurrence counts (partition-parallel), sizing
         // and positioning the A-GI fill below.
         let span = Timer::scoped(names::MODEL_BUILD_A_IDX);
-        let a_plan = csr::invert_count(num_actions, n, |i, emit| {
+        let a_plan = csr::invert_count(num_actions, n, parts, |i, emit| {
             for &a in impl_actions.row(i) {
                 emit(a);
             }
@@ -206,7 +210,7 @@ impl GoalModel {
         // G-idx: per-goal implementation counts, sizing the inverse GI-G
         // fill.
         let span = Timer::scoped(names::MODEL_BUILD_G_IDX);
-        let g_plan = csr::invert_count(num_goals, n, |i, emit| emit(impl_goal[i]));
+        let g_plan = csr::invert_count(num_goals, n, parts, |i, emit| emit(impl_goal[i]));
         drop(span);
 
         // Inverse GI-G-idx: goal → implementation ids. The partitioned
@@ -316,24 +320,12 @@ impl GoalModel {
 
     /// Implementation space of an activity: `IS(H) = ∪_{a∈H} IS(a)`,
     /// i.e. every implementation associated with the user activity
-    /// (`A ∩ H ≠ ∅`).
+    /// (`A ∩ H ≠ ∅`). The allocation-free forms the strategies run are
+    /// the generic [`live::implementation_space_into`] and its siblings.
     pub fn implementation_space(&self, activity: &[u32]) -> Vec<u32> {
         let mut out = Vec::new();
-        self.implementation_space_into(activity, &mut out);
+        live::implementation_space_into(self, activity, &mut out);
         out
-    }
-
-    /// [`GoalModel::implementation_space`] into a caller-owned buffer
-    /// (cleared first) — the allocation-free form the scratch-arena hot
-    /// path uses.
-    pub fn implementation_space_into(&self, activity: &[u32], out: &mut Vec<u32>) {
-        out.clear();
-        for &a in activity {
-            if (a as usize) < self.num_actions {
-                out.extend_from_slice(self.action_impls.row(a as usize));
-            }
-        }
-        setops::normalize(out);
     }
 
     /// Goal space of an activity (Definition 4.1 extended to sets, Eq. 1):
@@ -341,17 +333,8 @@ impl GoalModel {
     pub fn goal_space(&self, activity: &[u32]) -> Vec<u32> {
         let impls = self.implementation_space(activity);
         let mut goals = Vec::new();
-        self.goals_of_impls_into(&impls, &mut goals);
+        live::goals_of_impls_into(self, &impls, &mut goals);
         goals
-    }
-
-    /// The distinct goals of a pre-computed implementation set, into a
-    /// caller-owned buffer (cleared first). Public so the scatter-gather
-    /// layer can reproduce each shard's goal space exactly.
-    pub fn goals_of_impls_into(&self, impls: &[u32], out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(impls.iter().map(|&p| self.impl_goal[p as usize]));
-        setops::normalize(out);
     }
 
     /// Action space of an activity (Definition 4.2 extended to sets, Eq. 2):
@@ -360,20 +343,8 @@ impl GoalModel {
     pub fn action_space(&self, activity: &[u32]) -> Vec<u32> {
         let impls = self.implementation_space(activity);
         let mut out = Vec::new();
-        self.action_space_into(activity, &impls, &mut out);
+        live::action_space_into(self, activity, &impls, &mut out);
         out
-    }
-
-    /// [`GoalModel::action_space`] from a pre-computed `IS(H)`, into a
-    /// caller-owned buffer (cleared first). Public so the scatter-gather
-    /// layer can enumerate per-shard candidate sets without allocating.
-    pub fn action_space_into(&self, activity: &[u32], impl_space: &[u32], out: &mut Vec<u32>) {
-        out.clear();
-        for &p in impl_space {
-            out.extend_from_slice(self.impl_actions.row(p as usize));
-        }
-        setops::normalize(out);
-        out.retain(|&x| !setops::contains(activity, x));
     }
 
     /// Goal space of a single action: `GS(a)` (Definition 4.1).
@@ -726,13 +697,13 @@ mod tests {
     fn space_into_buffers_are_cleared_and_reused() {
         let m = model();
         let mut buf = vec![7, 7, 7]; // stale content must vanish
-        m.implementation_space_into(&[1], &mut buf);
+        live::implementation_space_into(&m, &[1], &mut buf);
         assert_eq!(buf, vec![0, 4]);
         let mut goals = vec![9];
-        m.goals_of_impls_into(&buf, &mut goals);
+        live::goals_of_impls_into(&m, &buf, &mut goals);
         assert_eq!(goals, vec![0, 3]);
         let mut acts = vec![1, 2, 3];
-        m.action_space_into(&[1], &buf, &mut acts);
+        live::action_space_into(&m, &[1], &buf, &mut acts);
         assert_eq!(acts, vec![0, 5]);
     }
 

@@ -14,7 +14,7 @@
 //!
 //! The dense scoreboard is `Vec<(u64 /*score*/, u32 /*epoch*/)>`, one slot
 //! per action. A slot is live only when its stamp equals the arena's current
-//! epoch, so [`Scratch::begin`] invalidates the whole board by bumping one
+//! epoch, so `Scratch::begin` invalidates the whole board by bumping one
 //! integer instead of re-zeroing `O(|𝒜|)` memory. On the (once per 2³²
 //! requests) wraparound every stamp is reset explicitly, so a stale stamp
 //! can never alias a live epoch.
@@ -23,7 +23,8 @@
 //!
 //! One `Scratch` per worker thread: each `goalrec-serve` worker owns one
 //! across its connections, each rayon batch worker reuses one via the
-//! thread-local fallback, and [`crate::GoalRecommender::recommend`] uses
+//! thread-local fallback, and `GoalRecommender`'s
+//! [`Recommender::recommend`](crate::Recommender::recommend) uses
 //! [`with_thread_scratch`]. A `Scratch` is plain mutable state — it is
 //! never shared between threads.
 

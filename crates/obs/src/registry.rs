@@ -103,7 +103,7 @@ fn intern<T>(
 }
 
 impl Registry {
-    /// A fresh, empty registry (tests; production code uses [`global`]).
+    /// A fresh, empty registry (tests; production code uses [`crate::global`]).
     pub fn new() -> Self {
         Self::default()
     }
