@@ -6,9 +6,10 @@
 #                             release-mode hot-path guard rails
 #
 # End-to-end performance is measured by perfbench/ (see BENCHMARK.json);
-# the guard rails here are in-process timing gates (BestMatch p95, N=1
-# scatter-gather overhead, GRLB v2 cold start, keep-alive floor, idle
-# live plane) in crates/bench/src/loadgen.rs's `guard_rails` module.
+# the guard rails here are in-process timing gates (BestMatch p95,
+# Breadth/Focus p95, N=1 scatter-gather overhead, GRLB v2 cold start,
+# keep-alive floor, idle live plane) in crates/bench/src/loadgen.rs's
+# `guard_rails` module.
 # Reports go under target/, so a run leaves every tracked file as it was.
 set -euo pipefail
 cd "$(dirname "$0")"

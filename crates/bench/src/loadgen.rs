@@ -949,14 +949,19 @@ fn usage(err: &str) -> ! {
 #[cfg(test)]
 mod guard_rails {
     use super::*;
-    use goalrec_core::strategies::Strategy as _;
-    use goalrec_core::{Activity, BestMatch, DistanceMetric, GoalModel, Scratch};
+    use goalrec_core::strategies::Strategy;
+    use goalrec_core::{
+        Activity, BestMatch, Breadth, DistanceMetric, Focus, FocusVariant, GoalModel, Scratch,
+    };
     use goalrec_datasets::foodmart::{FoodMart, FoodMartConfig};
     use goalrec_shard::{PartitionMode, ShardScratch, ShardStrategy, ShardedModel};
     use std::hint::black_box;
 
     /// BestMatch's p95 budget over the FoodMart test-scale carts.
     const BEST_MATCH_P95_LIMIT_US: f64 = 1_000.0;
+
+    /// The same budget for each of Breadth, Focus_cmp and Focus_cl.
+    const FOCUS_AND_BREADTH_P95_LIMIT_US: f64 = 1_000.0;
 
     /// Single-shard scatter-gather may cost at most this factor over the
     /// unsharded BestMatch p95 — the gather must stay ~free when there is
@@ -1041,6 +1046,37 @@ mod guard_rails {
             "BestMatch p95 gate: {p95:.0} µs over the FoodMart test-scale carts, \
              bound < {BEST_MATCH_P95_LIMIT_US:.0} µs"
         );
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing gate: check.sh runs it in release")]
+    fn focus_and_breadth_p95_under_1_ms() {
+        let fm = foodmart();
+        let model = GoalModel::build(&fm.library).expect("foodmart model");
+        let strategies: [&dyn Strategy; 3] = [
+            &Breadth,
+            &Focus::new(FocusVariant::Completeness),
+            &Focus::new(FocusVariant::Closeness),
+        ];
+        let mut scratch = Scratch::new();
+        for strategy in strategies {
+            let mut rank = |cart: &Activity| {
+                black_box(strategy.rank_into(&model, cart, 10, &mut scratch));
+            };
+            // The same method as the BestMatch gate: two untimed passes,
+            // then three timed passes over the carts.
+            for _ in 0..2 {
+                fm.carts.iter().for_each(&mut rank);
+            }
+            let p95 = p95_us(&time_over_carts(&fm.carts, rank));
+            let name = strategy.name();
+            eprintln!("{name} p95 {p95:.0} µs (bound {FOCUS_AND_BREADTH_P95_LIMIT_US:.0} µs)");
+            assert!(
+                p95 < FOCUS_AND_BREADTH_P95_LIMIT_US,
+                "{name} p95 gate: {p95:.0} µs over the FoodMart test-scale carts, \
+                 bound < {FOCUS_AND_BREADTH_P95_LIMIT_US:.0} µs"
+            );
+        }
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub mod ids;
 pub mod library;
 pub mod live;
 pub mod model;
+pub(crate) mod overlap;
 pub mod profile;
 pub mod recommend;
 pub mod rerank;

@@ -1,8 +1,9 @@
 //! Per-worker scratch arenas for the allocation-free recommend hot path.
 //!
 //! Every strategy needs the same handful of working buffers per request: a
-//! dense per-action scoreboard (Algorithm 2), the space buffers of §4
-//! (`IS(H)`, `GS(H)`, `AS(H)`), Best Match's per-action sums
+//! dense per-action scoreboard (Algorithm 2), the per-implementation
+//! overlaps `|A_p ∩ H|` with `IS(H)` and `GS(H)` (`overlap.rs`), Focus's
+//! lazily ranked implementations, Best Match's per-action sums
 //! ([`TermBoard`]), and a bounded top-k accumulator. Allocating them per
 //! call makes the hot path allocator-bound; a [`Scratch`] owns all of them
 //! and is reused across requests, so steady-state
@@ -28,8 +29,9 @@
 //! [`with_thread_scratch`]. A `Scratch` is plain mutable state — it is
 //! never shared between threads.
 
+use crate::overlap::OverlapBoard;
 use crate::profile::TermBoard;
-use crate::topk::{Scored, TopK};
+use crate::topk::{LazyRanking, Scored, TopK};
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -90,20 +92,17 @@ pub struct Scratch {
     /// Action ids written to the scoreboard this epoch, in first-touch
     /// order.
     pub(crate) touched: Vec<u32>,
-    /// `IS(H)` buffer.
-    pub(crate) impl_space: Vec<u32>,
-    /// `GS(H)` buffer.
-    pub(crate) space: Vec<u32>,
-    /// `AS(H)` / candidate-action buffer.
-    pub(crate) candidates: Vec<u32>,
+    /// `|A_p ∩ H|` per implementation, `IS(H)` and `GS(H)`, from one
+    /// counting pass (Focus and Breadth).
+    pub(crate) overlap: OverlapBoard,
     /// Running "already recommended or performed" set (Algorithm 1's `R`).
     pub(crate) seen: Vec<u32>,
     /// Per-implementation remaining-action buffer.
     pub(crate) remaining: Vec<u32>,
     /// Best Match's goal-major sums (Eq. 8–10), per action.
     pub(crate) terms: TermBoard,
-    /// Scored implementations for the Focus fill loop.
-    pub(crate) scored_impls: Vec<(f64, u32)>,
+    /// Focus's scored candidate implementations, ranked on demand.
+    pub(crate) scored_impls: LazyRanking,
     /// Bounded top-k accumulator.
     pub(crate) topk: TopK,
     /// The ranked result of the last `rank_into` call.
@@ -165,13 +164,22 @@ impl Scratch {
         &self.out
     }
 
-    /// The `(score, impl_id)` ranking left by the last
-    /// [`crate::strategies::Focus::rank_impls_into`] call on this arena,
-    /// sorted score-descending with ascending-id tie-break. The
-    /// scatter-gather layer reads per-shard rankings through this to
-    /// k-way-merge them without copying.
+    /// Every `(score, impl_id)` pair the last
+    /// [`crate::strategies::Focus::rank_impls_into`] call on this arena
+    /// scored; its length is Focus's candidate count. Only the ranks
+    /// [`Scratch::ranked_impl`] has reached are in rank order (score
+    /// descending, ascending-id tie-break); the rest follow in no order.
     pub fn scored_impls(&self) -> &[(f64, u32)] {
-        &self.scored_impls
+        self.scored_impls.as_slice()
+    }
+
+    /// The implementation at rank `i` (0 = best) of that ranking, sorting
+    /// further into it when needed; `None` past the end. Afterwards
+    /// `scored_impls()[..=i]` is in rank order. The scatter-gather layer
+    /// extends each shard's ranking through this before it k-way-merges
+    /// them without copying.
+    pub fn ranked_impl(&mut self, i: usize) -> Option<(f64, u32)> {
+        self.scored_impls.get(i)
     }
 
     /// Best Match's sums from the last goal-major pass on this arena.

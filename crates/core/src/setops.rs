@@ -146,30 +146,20 @@ pub fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Unions many sorted sequences at once. Used to build goal/action spaces
-/// (§4, Eq. 1–2) as the union of per-action posting lists.
+/// Unions many sorted sequences at once, by concatenating them and
+/// normalising the result: simple, and fine for a handful of lists. No
+/// ranking path calls it; Focus takes its candidates from the goals of
+/// `GS(H)`, whose implementation lists are disjoint and need no union.
 pub fn union_many<'a, I>(sets: I) -> Vec<u32>
 where
     I: IntoIterator<Item = &'a [u32]>,
 {
     let mut all: Vec<u32> = Vec::new();
-    union_many_into(sets, &mut all);
-    all
-}
-
-/// [`union_many`] into a caller-owned buffer (cleared first), so hot paths
-/// can reuse one allocation across requests.
-pub fn union_many_into<'a, I>(sets: I, out: &mut Vec<u32>)
-where
-    I: IntoIterator<Item = &'a [u32]>,
-{
-    // Concatenate-then-normalise beats a k-way heap merge for the posting
-    // list counts seen here (|H| ≲ 100 lists), and is simpler.
-    out.clear();
     for s in sets {
-        out.extend_from_slice(s);
+        all.extend_from_slice(s);
     }
-    normalize(out);
+    normalize(&mut all);
+    all
 }
 
 /// Binary-search membership test.
@@ -375,9 +365,6 @@ mod tests {
         assert_eq!(buf, vec![2, 3]);
         difference_into(&[1, 2, 3], &[2], &mut buf);
         assert_eq!(buf, vec![1, 3]);
-        let sets: Vec<&[u32]> = vec![&[1, 4], &[2, 4]];
-        union_many_into(sets, &mut buf);
-        assert_eq!(buf, vec![1, 2, 4]);
     }
 
     fn sorted_set() -> impl Strategy<Value = Vec<u32>> {

@@ -11,12 +11,16 @@
 //! Algorithm 2 computes all scores in a single pass over the implementation
 //! space: for each associated implementation, add its overlap `|A ∩ H|` to
 //! the running score of every action it contains, rather than re-scanning
-//! per candidate. The ablation bench (`benches/strategies.rs`) compares
-//! this against the naive per-candidate rescan.
+//! per candidate. The overlaps themselves come from one counting pass over
+//! `H`'s postings (`crate::overlap`), which yields `IS(H)` with every
+//! `|A_p ∩ H|` at once: no sort of `IS(H)` and no per-implementation
+//! intersection. The ablation bench (`crates/bench/benches/strategies.rs`,
+//! group `strategies/breadth_ablation`) compares this against the naive
+//! per-candidate rescan.
 
 use crate::activity::Activity;
 use crate::ids::{ActionId, ImplId};
-use crate::live::{self, AssocView, LiveRef};
+use crate::live::{AssocView, LiveRef};
 use crate::model::GoalModel;
 use crate::scratch::{with_thread_scratch, Scratch};
 use crate::setops;
@@ -36,19 +40,19 @@ impl Breadth {
     /// filters them out.
     fn accumulate<V: AssocView + ?Sized>(view: &V, h: &[u32], scratch: &mut Scratch) {
         scratch.begin(view.num_actions());
-        // Take the buffer out so the loop can both read the implementation
-        // space and mutate the scoreboard.
-        let mut impl_space = std::mem::take(&mut scratch.impl_space);
-        live::implementation_space_into(view, h, &mut impl_space);
-        for &p in &impl_space {
-            let actions = view.impl_actions(ImplId::new(p));
-            let comm = setops::intersection_len(actions, h) as u64;
+        // Take the overlap board out so the loop can both read it and
+        // mutate the scoreboard.
+        let mut overlap = std::mem::take(&mut scratch.overlap);
+        overlap.fill(view, h);
+        for &p in overlap.impls() {
+            let p = ImplId::new(p);
+            let comm = overlap.count(p) as u64;
             debug_assert!(comm > 0, "IS(H) must only contain associated impls");
-            for &a in actions {
+            for &a in view.impl_actions(p) {
                 scratch.board_add(a, comm);
             }
         }
-        scratch.impl_space = impl_space;
+        scratch.overlap = overlap;
     }
 
     /// The [`Strategy::rank_into`] body, generic over the view so the
@@ -70,8 +74,9 @@ impl Breadth {
         // per shared implementation), so a flat Vec beats hashing; the
         // dirty list keeps iteration proportional to the touched candidates
         // instead of |𝒜|, and the epoch stamp replaces the O(|𝒜|) re-zero
-        // between requests. `benches/strategies.rs` (breadth_scoreboard
-        // group) quantifies the win over the HashMap in `Self::scores`.
+        // between requests. `crates/bench/benches/strategies.rs`
+        // (`strategies/breadth_ablation` group) quantifies the win over the
+        // HashMap in `Self::scores`.
         let h = activity.raw();
         Self::accumulate(view, h, scratch);
         let num_candidates = scratch.touched.len();
@@ -88,7 +93,7 @@ impl Breadth {
             if setops::contains(h, a) {
                 continue;
             }
-            let (score, stamp) = board[a as usize];
+            let (score, stamp) = board[ActionId::new(a).index()];
             debug_assert_eq!(stamp, epoch, "touched entries are always stamped");
             if stamp == epoch {
                 topk.push(Scored::new(ActionId::new(a), score as f64));

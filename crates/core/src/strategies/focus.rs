@@ -14,10 +14,26 @@
 //!   (`Focus_cmp`);
 //! * **closeness** `1 / |A − H|` — inverse of the number of actions still
 //!   missing (`Focus_cl`).
+//!
+//! ## One counting pass, a lazily sorted ranking
+//!
+//! Both measures need only `|A|` and `|A ∩ H|`. The overlaps come from one
+//! counting pass over `H`'s own postings (`crate::overlap`), which also
+//! yields `GS(H)`; an implementation of a goal in `GS(H)` that the pass
+//! never reached has overlap 0. The candidates are the implementations of
+//! the goals of `GS(H)`. Every implementation has exactly one goal, so
+//! these lists are disjoint and are concatenated without a union. Each is
+//! scored from its action count and its overlap, with no per-candidate
+//! intersection. The fill loop reads only the first few implementations in
+//! rank order, so the ranking is a `LazyRanking`: a sorted prefix that
+//! grows on demand instead of a full sort. The cost is
+//! `O(Σ_{a∈H} |IS(a)| + |candidates|)` plus the sorting of what the fill
+//! loop reads. `crates/bench/benches/strategies.rs` times both variants
+//! on FoodMart and 43Things.
 
 use crate::activity::Activity;
 use crate::ids::{ActionId, GoalId, ImplId};
-use crate::live::{self, AssocView, LiveRef};
+use crate::live::{AssocView, LiveRef};
 use crate::model::GoalModel;
 use crate::scratch::{with_thread_scratch, Scratch};
 use crate::setops;
@@ -50,49 +66,16 @@ impl Focus {
         self.variant
     }
 
-    /// Scores one implementation against the activity, returning `None` for
-    /// implementations that are already complete (`A ⊆ H`) — they have no
-    /// action left to recommend.
-    pub(crate) fn score_impl(&self, actions: &[u32], h: &[u32]) -> Option<f64> {
-        let inter = setops::intersection_len(actions, h);
-        let remaining = actions.len() - inter;
-        if remaining == 0 {
-            return None;
-        }
-        Some(match self.variant {
-            FocusVariant::Completeness => inter as f64 / actions.len() as f64,
-            FocusVariant::Closeness => 1.0 / remaining as f64,
-        })
-    }
-
-    /// Candidate implementations: every implementation of every goal in
-    /// `GS(H)` (§5.1 considers action sets of implementations `(g, A)` with
-    /// `g ∈ GS(H)` — a superset of the directly-associated `IS(H)`, which
-    /// lets Focus "extend to a few more [implementations] to complete the
-    /// recommendation list"). Assembled in the caller's buffers:
-    /// `IS(H)` → `GS(H)` → ∪ goal_impls, all cleared first.
-    pub(crate) fn candidate_impls_into<V: AssocView + ?Sized>(
-        view: &V,
-        h: &[u32],
-        impl_space: &mut Vec<u32>,
-        goal_space: &mut Vec<u32>,
-        out: &mut Vec<u32>,
-    ) {
-        live::implementation_space_into(view, h, impl_space);
-        live::goals_of_impls_into(view, impl_space, goal_space);
-        setops::union_many_into(
-            goal_space.iter().flat_map(|&g| {
-                let (base, delta) = view.goal_impls_parts(GoalId::new(g));
-                [base, delta]
-            }),
-            out,
-        );
-    }
-
-    /// The implementation-ranking half of [`Strategy::rank_into`]: finds
-    /// and scores the candidate implementations, leaving them sorted by
-    /// the measure (tie-break: ascending implementation id) in
-    /// [`Scratch::scored_impls`], and returns how many were scored.
+    /// The implementation-ranking half of [`Strategy::rank_into`]: scores
+    /// every implementation of every goal in `GS(H)` (§5.1 considers the
+    /// action sets of implementations `(g, A)` with `g ∈ GS(H)`, a superset
+    /// of the directly associated `IS(H)`, which lets Focus "extend to a
+    /// few more \[implementations\] to complete the recommendation list").
+    /// Implementations already complete (`A ⊆ H`) have no action left to
+    /// recommend and are skipped. The scores land in
+    /// [`Scratch::scored_impls`], ranked on demand through
+    /// [`Scratch::ranked_impl`] (score descending, ascending
+    /// implementation id on ties).
     ///
     /// The scatter-gather layer calls this per shard and replays the fill
     /// loop over a k-way merge of the per-shard rankings, which is what
@@ -103,30 +86,30 @@ impl Focus {
         activity: &Activity,
         scratch: &mut Scratch,
     ) {
-        let h = activity.raw();
         let Scratch {
-            impl_space,
-            space,
-            candidates,
+            overlap,
             scored_impls,
             ..
         } = scratch;
-        Self::candidate_impls_into(view, h, impl_space, space, candidates);
-
-        // Rank candidate implementations by the measure; deterministic
-        // tie-break by implementation id (the comparator is total — scores
-        // are never NaN — so the allocation-free unstable sort produces
-        // the same order as a stable one).
+        overlap.fill(view, activity.raw());
         scored_impls.clear();
-        scored_impls.extend(candidates.iter().filter_map(|&p| {
-            self.score_impl(view.impl_actions(ImplId::new(p)), h)
-                .map(|s| (s, p))
-        }));
-        scored_impls.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.cmp(&b.1))
-        });
+        for &g in overlap.goals() {
+            let (base, delta) = view.goal_impls_parts(GoalId::new(g));
+            for &p in base.iter().chain(delta) {
+                let p = ImplId::new(p);
+                let len = view.impl_actions(p).len();
+                let inter = overlap.count(p);
+                let remaining = len - inter;
+                if remaining == 0 {
+                    continue;
+                }
+                let score = match self.variant {
+                    FocusVariant::Completeness => inter as f64 / len as f64,
+                    FocusVariant::Closeness => 1.0 / remaining as f64,
+                };
+                scored_impls.push((score, p.raw()));
+            }
+        }
     }
 
     /// The [`Strategy::rank_into`] body, generic over the view so the
@@ -154,12 +137,15 @@ impl Focus {
         } = scratch;
         // Focus scores implementations, not actions: report those.
         let num_candidates = scored_impls.len();
-        phase.mark(); // implementations ranked; fill loop next
+        phase.mark(); // implementations scored; ranking and fill loop next
 
-        // Pop the remaining actions of each implementation in rank order.
+        // Pop the remaining actions of each implementation in rank order,
+        // sorting only as far into the ranking as the loop reads.
         seen.clear();
         seen.extend_from_slice(h); // sorted set of excluded actions
-        'fill: for &(score, p) in scored_impls.iter() {
+        let mut rank = 0;
+        'fill: while let Some((score, p)) = scored_impls.get(rank) {
+            rank += 1;
             setops::difference_into(view.impl_actions(ImplId::new(p)), seen, remaining);
             for &a in remaining.iter() {
                 out.push(Scored::new(ActionId::new(a), score));

@@ -204,6 +204,91 @@ where
     Some(stream)
 }
 
+/// Orders `(score, id)` pairs best-first: score descending, then id
+/// ascending. Focus ranks its implementations under it, and the
+/// scatter-gather layer merges per-shard rankings under the same order.
+/// Focus scores are never NaN, so the order is total; ids are unique, so
+/// it is strict.
+pub fn score_id_cmp(a: &(f64, u32), b: &(f64, u32)) -> Ordering {
+    b.0.partial_cmp(&a.0)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| a.1.cmp(&b.1))
+}
+
+/// Entries a [`LazyRanking`] sorts on its first extension; each later
+/// extension at least doubles the sorted prefix.
+const FIRST_CHUNK: usize = 32;
+
+/// A `(score, id)` list ranked lazily under [`score_id_cmp`]: a sorted
+/// prefix, extended on demand, in front of an unsorted tail.
+///
+/// Focus scores every candidate implementation but its fill loop reads
+/// only the first few in rank order. [`LazyRanking::get`] sorts no more
+/// than it must: when asked past the prefix it extends the prefix by a
+/// chunk at least as large as the prefix, running `select_nth_unstable_by`
+/// on the tail (which moves the chunk's entries in front of all the
+/// others) and then sorting the chunk alone. Every tail entry therefore
+/// ranks after every prefix entry, and since the order is strict the
+/// prefix is always exactly the full sort's prefix. Reading `m` of `n`
+/// entries costs `O(n log m + m log m)` instead of `O(n log n)`, and
+/// nothing is ever dropped: reading to the end sorts the whole list.
+#[derive(Debug, Default)]
+pub(crate) struct LazyRanking {
+    items: Vec<(f64, u32)>,
+    /// Length of the sorted prefix of `items`.
+    sorted: usize,
+}
+
+impl LazyRanking {
+    /// Empties the list, keeping its allocation.
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+        self.sorted = 0;
+    }
+
+    /// Adds one entry. The sorted prefix is dropped, since the entry may
+    /// rank anywhere in it.
+    pub(crate) fn push(&mut self, item: (f64, u32)) {
+        self.items.push(item);
+        self.sorted = 0;
+    }
+
+    /// Number of entries, ranked or not.
+    pub(crate) fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Every entry: the prefix [`LazyRanking::get`] has reached in rank
+    /// order, then the rest in no particular order.
+    pub(crate) fn as_slice(&self) -> &[(f64, u32)] {
+        &self.items
+    }
+
+    /// The entry at rank `i` (0 = best), sorting further into the list
+    /// when `i` lies past the sorted prefix; `None` past the end.
+    pub(crate) fn get(&mut self, i: usize) -> Option<(f64, u32)> {
+        if i >= self.sorted && i < self.items.len() {
+            self.extend_through(i);
+        }
+        self.items.get(i).copied()
+    }
+
+    /// Extends the sorted prefix to cover index `i` (< `len`).
+    fn extend_through(&mut self, i: usize) {
+        let end = (i + 1)
+            .max(2 * self.sorted)
+            .max(FIRST_CHUNK)
+            .min(self.items.len());
+        let chunk = end - self.sorted;
+        let tail = &mut self.items[self.sorted..];
+        if chunk < tail.len() {
+            tail.select_nth_unstable_by(chunk - 1, score_id_cmp);
+        }
+        tail[..chunk].sort_unstable_by(score_id_cmp);
+        self.sorted = end;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,6 +415,54 @@ mod tests {
         );
     }
 
+    /// `n` entries with few distinct scores (so ties are common) and
+    /// unique, shuffled ids.
+    fn scored_ids(n: u32) -> Vec<(f64, u32)> {
+        (0..n)
+            .map(|i| {
+                let id = (i * 7919) % n; // 7919 is prime: a permutation of 0..n
+                (f64::from(id % 5) / 4.0, id)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lazy_ranking_read_one_at_a_time_equals_the_full_sort() {
+        // 1 000 entries cross the 32, 64, 128, 256 and 512 chunk bounds.
+        let items = scored_ids(1_000);
+        let mut want = items.clone();
+        want.sort_unstable_by(score_id_cmp);
+        let mut lazy = LazyRanking::default();
+        items.iter().for_each(|&it| lazy.push(it));
+        for (i, w) in want.iter().enumerate() {
+            assert_eq!(lazy.get(i), Some(*w), "rank {i}");
+            assert!(lazy.sorted > i && lazy.sorted <= lazy.len());
+        }
+        assert_eq!(lazy.get(want.len()), None);
+        assert_eq!(lazy.as_slice(), &want[..]);
+    }
+
+    #[test]
+    fn lazy_ranking_sorts_in_doubling_chunks() {
+        let mut lazy = LazyRanking::default();
+        scored_ids(300).into_iter().for_each(|it| lazy.push(it));
+        lazy.get(0);
+        assert_eq!(lazy.sorted, FIRST_CHUNK);
+        lazy.get(FIRST_CHUNK);
+        assert_eq!(lazy.sorted, 2 * FIRST_CHUNK);
+        lazy.get(200);
+        assert_eq!(lazy.sorted, 201);
+        lazy.get(201);
+        assert_eq!(lazy.sorted, 300, "capped at the list's end");
+        // Pushing drops the prefix; clearing empties the list.
+        lazy.push((2.0, 999));
+        assert_eq!(lazy.sorted, 0);
+        assert_eq!(lazy.get(0), Some((2.0, 999)));
+        lazy.clear();
+        assert_eq!(lazy.len(), 0);
+        assert_eq!(lazy.get(0), None);
+    }
+
     proptest! {
         #[test]
         fn prop_kway_merge_equals_global_sort(
@@ -356,6 +489,31 @@ mod tests {
             let mut expect: Vec<u32> = streams.iter().flatten().copied().collect();
             expect.sort_unstable();
             prop_assert_eq!(merged, expect);
+        }
+
+        /// Any sequence of reads, across any chunk bounds, sees exactly
+        /// the full sort.
+        #[test]
+        fn prop_lazy_ranking_equals_full_sort(
+            ids in proptest::collection::btree_set(0u32..400, 0..300),
+            scores in proptest::collection::vec(0u8..6, 300..301),
+            reads in proptest::collection::vec(0usize..320, 0..12)
+        ) {
+            let items: Vec<(f64, u32)> =
+                ids.iter().zip(&scores).map(|(&id, &sc)| (f64::from(sc), id)).collect();
+            let mut want = items.clone();
+            want.sort_unstable_by(score_id_cmp);
+            let mut lazy = LazyRanking::default();
+            // Shuffle the input deterministically: reversed id order.
+            items.iter().rev().for_each(|&it| lazy.push(it));
+            for &i in &reads {
+                prop_assert_eq!(lazy.get(i), want.get(i).copied());
+                prop_assert_eq!(&lazy.as_slice()[..lazy.sorted], &want[..lazy.sorted]);
+            }
+            for i in 0..=want.len() {
+                prop_assert_eq!(lazy.get(i), want.get(i).copied());
+            }
+            prop_assert_eq!(lazy.as_slice(), &want[..]);
         }
 
         #[test]

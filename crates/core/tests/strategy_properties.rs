@@ -1,14 +1,16 @@
 //! Property tests for the recommendation strategies: the §5 contracts
-//! must hold for any library and any activity, and Best Match must equal
-//! a literal transcription of §5.3 to the bit.
+//! must hold for any library and any activity, and every strategy must
+//! equal a literal transcription of §5 to the bit.
 
 #[path = "support/best_match_oracle.rs"]
 mod best_match_oracle;
+#[path = "support/focus_breadth_oracle.rs"]
+mod focus_breadth_oracle;
 
 use goalrec_core::strategies::default_strategies;
 use goalrec_core::{
-    ActionId, Activity, BestMatch, DeltaSegment, DistanceMetric, GoalId, GoalLibrary, GoalModel,
-    ImplId, LiveRef, Scored, Scratch, Strategy as _,
+    ActionId, Activity, BestMatch, Breadth, DeltaSegment, DistanceMetric, Focus, FocusVariant,
+    GoalId, GoalLibrary, GoalModel, ImplId, LiveRef, Scored, Scratch, Strategy as _,
 };
 use proptest::prelude::*;
 
@@ -16,15 +18,25 @@ const MAX_ACTIONS: u32 = 18;
 const MAX_GOALS: u32 = 7;
 
 fn library_and_activity() -> impl Strategy<Value = (GoalLibrary, Activity)> {
+    library_and_activity_sized(25, MAX_ACTIONS)
+}
+
+/// Up to `max_impls − 1` implementations over the full id spaces, and an
+/// activity drawn from `0..h_extent` (ids at or past `MAX_ACTIONS` lie
+/// beyond every model's extent).
+fn library_and_activity_sized(
+    max_impls: usize,
+    h_extent: u32,
+) -> impl Strategy<Value = (GoalLibrary, Activity)> {
     (
         proptest::collection::vec(
             (
                 0..MAX_GOALS,
                 proptest::collection::btree_set(0..MAX_ACTIONS, 1..6),
             ),
-            1..25,
+            1..max_impls,
         ),
-        proptest::collection::btree_set(0..MAX_ACTIONS, 0..7),
+        proptest::collection::btree_set(0..h_extent, 0..7),
     )
         .prop_map(|(impls, h)| {
             let lib = GoalLibrary::from_id_implementations(
@@ -130,7 +142,6 @@ proptest! {
     /// the user's goal space.
     #[test]
     fn focus_stays_within_goal_space((m, h) in model_and_activity()) {
-        use goalrec_core::{Focus, FocusVariant, Strategy as _};
         let gs = m.goal_space(h.raw());
         for variant in [FocusVariant::Completeness, FocusVariant::Closeness] {
             for r in Focus::new(variant).rank(&m, &h, 12) {
@@ -149,7 +160,6 @@ proptest! {
     /// maximum possible overlap).
     #[test]
     fn breadth_score_upper_bound((m, h) in model_and_activity()) {
-        use goalrec_core::{Breadth, Strategy as _};
         let bound = (m.implementation_space(h.raw()).len() * h.len()) as f64;
         for r in Breadth.rank(&m, &h, 12) {
             prop_assert!(r.score <= bound + 1e-9);
@@ -194,6 +204,53 @@ proptest! {
                 k,
                 &mut scratch,
             );
+            best_match_oracle::assert_matches(
+                scratch.out(),
+                n,
+                &expect,
+                &format!("overlay split={split} {ctx}"),
+            );
+        }
+    }
+
+    /// Focus_cmp, Focus_cl and Breadth, on a plain model and on a live
+    /// base ⊕ delta overlay of the same library, equal the §5.1/§5.2
+    /// oracle: ids, order, score bits and candidate count. Up to 59
+    /// implementations put more candidates than Focus's first sorted
+    /// chunk; a `k` above every candidate action makes the fill loop read
+    /// the whole ranking; activity ids up to `MAX_ACTIONS + 2` reach past
+    /// the model's extent.
+    #[test]
+    fn focus_and_breadth_equal_the_paper_oracle(
+        (lib, h) in library_and_activity_sized(60, MAX_ACTIONS + 3),
+        k in 1usize..12,
+        split in 1usize..60,
+    ) {
+        let model = GoalModel::build(&lib).unwrap();
+        let (base, delta) = split_as_overlay(&lib, split);
+        let overlay = LiveRef::overlay(&base, &delta);
+        let mut scratch = Scratch::new();
+        let past_every_candidate = MAX_ACTIONS as usize + 1;
+        for k in [k, past_every_candidate] {
+            for variant in [FocusVariant::Completeness, FocusVariant::Closeness] {
+                let expect = focus_breadth_oracle::focus(&lib, h.raw(), variant, k);
+                let ctx = format!("{variant:?} H={h:?} k={k}");
+                let focus = Focus::new(variant);
+                let n = focus.rank_into(&model, &h, k, &mut scratch);
+                best_match_oracle::assert_matches(scratch.out(), n, &expect, &format!("plain {ctx}"));
+                let n = focus.rank_live_into(overlay, &h, k, &mut scratch);
+                best_match_oracle::assert_matches(
+                    scratch.out(),
+                    n,
+                    &expect,
+                    &format!("overlay split={split} {ctx}"),
+                );
+            }
+            let expect = focus_breadth_oracle::breadth(&lib, h.raw(), k);
+            let ctx = format!("Breadth H={h:?} k={k}");
+            let n = Breadth.rank_into(&model, &h, k, &mut scratch);
+            best_match_oracle::assert_matches(scratch.out(), n, &expect, &format!("plain {ctx}"));
+            let n = Breadth.rank_live_into(overlay, &h, k, &mut scratch);
             best_match_oracle::assert_matches(
                 scratch.out(),
                 n,

@@ -24,8 +24,7 @@ use goalrec_core::ids::{ActionId, ImplId};
 use goalrec_core::live::AssocView;
 use goalrec_core::setops;
 use goalrec_core::strategies::{Breadth, Focus, FocusVariant};
-use goalrec_core::topk::{kway_next, Scored};
-use std::cmp::Ordering;
+use goalrec_core::topk::{kway_next, score_id_cmp, Scored};
 
 /// A strategy that can be served through the scatter-gather path.
 ///
@@ -211,21 +210,14 @@ fn gather_breadth<V: ShardView>(shards: &[V], k: usize, scratch: &mut ShardScrat
     board.touched().len()
 }
 
-/// Orders Focus implementation entries `(score, impl id)` best-first:
-/// score descending, id ascending — the same total order the per-shard
-/// sort uses, lifted to global implementation ids.
-fn focus_entry_cmp(a: &(f64, u32), b: &(f64, u32)) -> Ordering {
-    // Focus scores are in (0, 1] — never NaN — so partial_cmp is total.
-    b.0.partial_cmp(&a.0)
-        .unwrap_or(Ordering::Equal)
-        .then_with(|| a.1.cmp(&b.1))
-}
-
 /// Focus merge: the per-shard candidate implementation sets are disjoint
-/// and each shard's ranking is sorted under the global total order
-/// (`impl_global` is monotone), so a k-way merge visits implementations in
-/// exactly the unsharded rank order and the fill loop can be replayed
-/// verbatim.
+/// and each shard ranks its own under the global total order
+/// ([`score_id_cmp`]; `impl_global` is monotone), so a k-way merge visits
+/// implementations in exactly the unsharded rank order and the fill loop
+/// can be replayed verbatim. Each shard's ranking is a lazily sorted
+/// prefix: before every merge step each shard's prefix is extended to
+/// cover its head, so the merge sorts no further into a shard than it
+/// reads.
 fn gather_focus<V: ShardView>(
     shards: &[V],
     activity: &Activity,
@@ -252,6 +244,9 @@ fn gather_focus<V: ShardView>(
     seen.clear();
     seen.extend_from_slice(h);
     'fill: loop {
+        for (slot, &head) in slots.iter_mut().zip(heads.iter()).take(n) {
+            slot.scratch.ranked_impl(head);
+        }
         let next = kway_next(
             n,
             heads,
@@ -262,7 +257,7 @@ fn gather_focus<V: ShardView>(
                     .get(usize::try_from(local).unwrap_or(usize::MAX))?;
                 Some((score, global))
             },
-            focus_entry_cmp,
+            score_id_cmp,
         );
         let Some(s) = next else { break };
         let (score, local) = slots[s].scratch.scored_impls()[heads[s] - 1];

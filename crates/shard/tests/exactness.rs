@@ -7,11 +7,15 @@
 //! Candidate counts must also agree for Focus and Best Match (Breadth's
 //! merged pool deliberately excludes already-performed actions, which the
 //! unsharded accumulator counts; the crate docs call this out). Best Match
-//! is further held to a literal transcription of §5.3, not only to the
-//! unsharded path.
+//! is further held to a literal transcription of §5.3, and Focus and
+//! Breadth to one of §5.1/§5.2, not only to the unsharded path.
 
 #[path = "../../core/tests/support/best_match_oracle.rs"]
 mod best_match_oracle;
+#[path = "support/focus_breadth_checks.rs"]
+mod focus_breadth_checks;
+#[path = "../../core/tests/support/focus_breadth_oracle.rs"]
+mod focus_breadth_oracle;
 
 use goalrec_core::ids::{ActionId, GoalId};
 use goalrec_core::scratch::Scratch;
@@ -136,6 +140,46 @@ proptest! {
                     &format!("{metric:?} n={n} H={h:?} k={k}"),
                 );
             }
+        }
+    }
+
+    /// Sharded Focus_cmp, Focus_cl and Breadth at N ∈ {1, 2, 7} equal
+    /// the §5.1/§5.2 oracle: ids, order, score bits and candidate count.
+    /// Up to 69 implementations put more candidates on a shard than its
+    /// first sorted chunk, the checks include a `k` past every candidate
+    /// action, and activity ids 15..18 lie beyond the extent.
+    #[test]
+    fn sharded_focus_and_breadth_equal_the_paper_oracle(
+        impls in proptest::collection::vec(
+            (0u32..8, proptest::collection::btree_set(0u32..15, 1..6)),
+            1..70
+        ),
+        h in proptest::collection::btree_set(0u32..18, 0..8),
+        k in 1usize..12
+    ) {
+        let lib = GoalLibrary::from_id_implementations(
+            15,
+            8,
+            impls
+                .into_iter()
+                .map(|(g, acts)| {
+                    (GoalId::new(g), acts.into_iter().map(ActionId::new).collect())
+                })
+                .collect(),
+        )
+        .unwrap();
+        let h = Activity::from_raw(h);
+        let mut sc = ShardScratch::new();
+        for n in [1usize, 2, 7] {
+            let sharded = ShardedModel::build(&lib, n, PartitionMode::BalancedMass).unwrap();
+            focus_breadth_checks::assert_focus_and_breadth_match(
+                sharded.shards(),
+                &lib,
+                &h,
+                k,
+                &mut sc,
+                &format!("n={n}"),
+            );
         }
     }
 

@@ -15,10 +15,15 @@
 //! deterministic `g % n` placement.
 //!
 //! Best Match is also held to a literal transcription of §5.3 over the
-//! merged library, at N ∈ {1, 2, 7}.
+//! merged library, and Focus and Breadth to one of §5.1/§5.2, at
+//! N ∈ {1, 2, 7}.
 
 #[path = "../../core/tests/support/best_match_oracle.rs"]
 mod best_match_oracle;
+#[path = "support/focus_breadth_checks.rs"]
+mod focus_breadth_checks;
+#[path = "../../core/tests/support/focus_breadth_oracle.rs"]
+mod focus_breadth_oracle;
 
 use goalrec_core::ids::{ActionId, GoalId};
 use goalrec_core::scratch::Scratch;
@@ -257,6 +262,57 @@ proptest! {
                     &format!("{metric:?} n={n} H={h:?} k={k} appends={}", appends.len()),
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Focus_cmp, Focus_cl and Breadth through per-shard base ⊕ delta
+    /// views equal the §5.1/§5.2 oracle over the merged library at
+    /// N ∈ {1, 2, 7}: ids, order, score bits and candidate count.
+    #[test]
+    fn live_sharded_focus_and_breadth_equal_the_paper_oracle(
+        base_impls in proptest::collection::vec(
+            (0u32..6, proptest::collection::btree_set(0u32..12, 1..5)),
+            1..40
+        ),
+        appends_set in proptest::collection::vec(
+            (0u32..9, proptest::collection::btree_set(0u32..16, 1..5)),
+            0..20
+        ),
+        h in proptest::collection::btree_set(0u32..19, 0..8),
+        k in 1usize..10
+    ) {
+        let appends: Vec<(u32, Vec<u32>)> = appends_set
+            .into_iter()
+            .map(|(g, acts)| (g, acts.into_iter().collect()))
+            .collect();
+        let base = GoalLibrary::from_id_implementations(
+            12,
+            6,
+            base_impls
+                .into_iter()
+                .map(|(g, acts)| {
+                    (GoalId::new(g), acts.into_iter().map(ActionId::new).collect())
+                })
+                .collect(),
+        )
+        .unwrap();
+        let merged = merged_library(&base, &appends);
+        let h = Activity::from_raw(h);
+        let mut sc = ShardScratch::new();
+        for n in [1usize, 2, 7] {
+            let shards = build_live_shards(&base, &appends, n, PartitionMode::HashGoal);
+            focus_breadth_checks::assert_focus_and_breadth_match(
+                &shards,
+                &merged,
+                &h,
+                k,
+                &mut sc,
+                &format!("n={n} appends={}", appends.len()),
+            );
         }
     }
 }
