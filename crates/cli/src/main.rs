@@ -1,7 +1,7 @@
 //! `goalrec` — command-line front end for the goal-based recommender.
 //!
 //! ```text
-//! goalrec generate  foodmart|fortythree [--scale test|paper] --out FILE
+//! goalrec generate  foodmart|fortythree [--scale test|paper] --out FILE.jsonl
 //! goalrec synth     --out FILE.json [--stories N] [--seed N]
 //! goalrec extract   --stories FILE.json --out FILE.jsonl
 //! goalrec convert   --library FILE --out FILE.jsonl
@@ -14,8 +14,8 @@
 //! goalrec demo
 //! ```
 //!
-//! Libraries are exchanged as JSON-lines (`io::write_library_jsonl`) and
-//! compiled to GRLB v2 model files by `compile`; every `--library` takes
+//! Libraries are exchanged as JSON-lines (`io::write_library_jsonl`;
+//! `generate` writes its dataset's library in this form) and compiled to GRLB v2 model files by `compile`; every `--library` takes
 //! either, told apart by the file's first bytes. Stories are a JSON array
 //! of `{"goal": …, "text": …}` objects.
 

@@ -79,7 +79,6 @@ impl Breadth {
         // HashMap in `Self::scores`.
         let h = activity.raw();
         Self::accumulate(view, h, scratch);
-        let num_candidates = scratch.touched.len();
         scratch.phase.mark(); // candidate accumulation done; top-k next
         scratch.topk.reset(k);
         let epoch = scratch.epoch;
@@ -89,6 +88,9 @@ impl Breadth {
             topk,
             ..
         } = scratch;
+        // The candidates are what Breadth can recommend, AS(IS(H)) − H:
+        // the performed actions are on the board but not counted.
+        let mut num_candidates = 0;
         for &a in touched.iter() {
             if setops::contains(h, a) {
                 continue;
@@ -96,6 +98,7 @@ impl Breadth {
             let (score, stamp) = board[ActionId::new(a).index()];
             debug_assert_eq!(stamp, epoch, "touched entries are always stamped");
             if stamp == epoch {
+                num_candidates += 1;
                 topk.push(Scored::new(ActionId::new(a), score as f64));
             }
         }
@@ -319,6 +322,20 @@ mod tests {
         let m = example_model();
         let h = Activity::from_raw([0, 1, 2, 3, 4, 5]);
         assert!(Breadth.rank(&m, &h, 10).is_empty());
+        assert_eq!(Breadth.rank_observed(&m, &h, 10).1, 0);
+    }
+
+    #[test]
+    fn the_candidate_count_excludes_performed_actions() {
+        let m = example_model();
+        for h in [
+            Activity::from_raw([0]),
+            Activity::from_raw([0, 1]),
+            Activity::from_raw([1, 2, 5]),
+        ] {
+            let want = Breadth::scores_naive(&m, &h).len();
+            assert_eq!(Breadth.rank_observed(&m, &h, 1).1, want, "H={h:?}");
+        }
     }
 
     #[test]

@@ -83,9 +83,9 @@ pub fn focus(
 
 /// Breadth over `library` for activity `h` (raw action ids): the top `k`
 /// candidates by Eq. 6, best first with ties broken by ascending id, and
-/// `|AS(H)|` with performed actions included — every action of an
-/// implementation in `IS(H)`, which is what Algorithm 2's scoreboard
-/// holds before the performed ones are filtered out.
+/// the number of candidates, `|AS(IS(H)) − H|`: every action of an
+/// implementation in `IS(H)` that was not performed — what Breadth can
+/// recommend.
 pub fn breadth(library: &GoalLibrary, h: &[u32], k: usize) -> (Vec<Scored>, usize) {
     let impls = implementations(library);
     let h: BTreeSet<u32> = h.iter().copied().collect();
@@ -120,6 +120,7 @@ pub fn breadth(library: &GoalLibrary, h: &[u32], k: usize) -> (Vec<Scored>, usiz
             .expect("scores are never NaN")
             .then(x.action.cmp(&y.action))
     });
+    let num_candidates = scored.len();
     scored.truncate(k);
-    (scored, actions.len())
+    (scored, num_candidates)
 }

@@ -1,9 +1,12 @@
-//! Dataset persistence: JSON for whole datasets, JSON-lines for libraries.
+//! Library persistence: JSON-lines libraries, and the one loader that
+//! tells them from compiled GRLB v2 models.
 //!
-//! Generating the paper-scale worlds takes a few seconds; persisting them
-//! lets examples and the `repro` harness share identical inputs across
-//! runs, and gives downstream users a concrete interchange format for real
-//! goal-implementation data.
+//! A JSONL library holds one `{"goal": id, "actions": [id, …]}` record
+//! per line. [`write_library_jsonl`] writes it and [`read_library_file`]
+//! streams it back, both through [`crate::record`]'s byte-level record
+//! codec — the same one the append WAL and the server's append route
+//! use, so every ingest path accepts and rejects the same lines with the
+//! same messages.
 //!
 //! Two robustness properties hold for everything in this module:
 //!
@@ -16,10 +19,8 @@
 //!   stalls and torn writes against these exact code paths. With no plan
 //!   armed the wrappers are passthrough.
 
+use crate::record::{self, RecordReader};
 use goalrec_core::{ActionId, GoalId, GoalLibrary, GoalModel};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
-use serde_json::Value;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -112,43 +113,24 @@ pub fn atomic_write(
     Ok(())
 }
 
-/// Opens `path` for reading through the fault-injection layer.
-fn open_read(path: &Path) -> io::Result<BufReader<goalrec_faults::FaultyRead<File>>> {
-    Ok(BufReader::new(goalrec_faults::read_wrap(
-        path,
-        File::open(path)?,
-    )))
-}
-
-/// Writes any serialisable dataset as JSON, crash-safely.
-pub fn write_json<T: Serialize>(value: &T, path: &Path) -> std::io::Result<()> {
-    atomic_write(path, |w| {
-        serde_json::to_writer(&mut *w, value)?;
-        Ok(())
-    })
-}
-
-/// Reads a JSON dataset written by [`write_json`].
-pub fn read_json<T: DeserializeOwned>(path: &Path) -> std::io::Result<T> {
-    let f = open_read(path)?;
-    Ok(serde_json::from_reader(f)?)
-}
-
 /// Writes a library as JSON-lines, crash-safely: one implementation per
-/// line, so large libraries stream without a giant in-memory document.
+/// line ([`crate::record::encode_record`]), so large libraries stream
+/// without a giant in-memory document.
 pub fn write_library_jsonl(library: &GoalLibrary, path: &Path) -> std::io::Result<()> {
     atomic_write(path, |w| {
-        for imp in library.implementations() {
-            serde_json::to_writer(&mut *w, imp)?;
-            writeln!(w)?;
-        }
-        Ok(())
+        record::write_records(
+            w,
+            library
+                .implementations()
+                .iter()
+                .map(|imp| (imp.goal.raw(), imp.actions.iter().map(|a| a.raw()))),
+        )
     })
 }
 
 /// An `InvalidData` error pinned to a 1-based line of a JSONL file, with
 /// the expected shape of a line — what a file of another schema (say, a
-/// `goalrec generate` dataset) needs to be told.
+/// dataset JSON document) needs to be told.
 fn invalid_line(path: &Path, line: usize, detail: impl fmt::Display) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
@@ -158,61 +140,6 @@ fn invalid_line(path: &Path, line: usize, detail: impl fmt::Display) -> io::Erro
             path.display()
         ),
     )
-}
-
-/// Validates one implementation object — `{"goal": g, "actions": [a, ...]}`
-/// — returning the raw ids, or an error that names the offending **field**
-/// (not just a position), so a rejected JSONL line or append body pinpoints
-/// exactly which part of the record is wrong. Unknown extra fields are
-/// ignored, matching the serde-derived reader this replaces.
-///
-/// Shared by [`read_library_file`], [`read_library_jsonl`], the append WAL
-/// ([`crate::wal`]), and the server's live-append admission check, so a
-/// record rejected at the HTTP boundary and one rejected at replay produce
-/// the same message.
-pub fn implementation_from_value(value: &Value) -> Result<(u32, Vec<u32>), String> {
-    let fields = match value {
-        Value::Object(fields) => fields,
-        other => {
-            return Err(format!(
-                "expected an object with `goal` and `actions` fields, got {other}"
-            ))
-        }
-    };
-    let id_of = |v: &Value| v.as_u64().and_then(|n| u32::try_from(n).ok());
-    let goal = match fields.iter().find(|(k, _)| k == "goal") {
-        None => return Err("field `goal`: missing".to_owned()),
-        Some((_, v)) => id_of(v)
-            .ok_or_else(|| format!("field `goal`: expected a non-negative integer id, got {v}"))?,
-    };
-    let actions = match fields.iter().find(|(k, _)| k == "actions") {
-        None => return Err("field `actions`: missing".to_owned()),
-        Some((_, Value::Array(items))) => {
-            if items.is_empty() {
-                return Err("field `actions`: must list at least one action".to_owned());
-            }
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                out.push(id_of(item).ok_or_else(|| {
-                    format!("field `actions`[{i}]: expected a non-negative integer id, got {item}")
-                })?);
-            }
-            out
-        }
-        Some((_, v)) => {
-            return Err(format!(
-                "field `actions`: expected an array of action ids, got {v}"
-            ))
-        }
-    };
-    Ok((goal, actions))
-}
-
-/// Parses one JSONL line as an implementation record with field-named
-/// errors — the string form of [`implementation_from_value`].
-pub fn parse_implementation_line(line: &str) -> Result<(u32, Vec<u32>), String> {
-    let value: Value = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
-    implementation_from_value(&value)
 }
 
 /// What a library file holds, told apart by its first bytes.
@@ -245,8 +172,9 @@ impl LibraryFile {
 /// [`crate::grlb2::UnsupportedVersion`] error, which names the version
 /// and `goalrec compile`. A file with zero implementations is the typed
 /// [`EmptyLibraryError`] (see [`is_empty_library`]). JSONL failures
-/// report the offending line and, for schema errors, the field (see
-/// [`implementation_from_value`]).
+/// report the offending line and either the byte column (not JSON) or
+/// the field (not a record). The file is streamed line by line, never
+/// held whole in memory.
 pub fn read_library_file(path: &Path) -> io::Result<LibraryFile> {
     let mut file = goalrec_faults::read_wrap(path, File::open(path)?);
     let mut head = Vec::with_capacity(8);
@@ -255,7 +183,7 @@ pub fn read_library_file(path: &Path) -> io::Result<LibraryFile> {
         drop(file);
         return crate::grlb2::read_model_v2(path).map(LibraryFile::Model);
     }
-    let records = read_records(path, BufReader::new(head.chain(file)))?;
+    let records = read_records(path, BufReader::with_capacity(64 * 1024, head.chain(file)))?;
     GoalLibrary::from_id_implementations(
         records.max_action + 1,
         records.max_goal + 1,
@@ -291,46 +219,28 @@ struct Records {
     max_goal: u32,
 }
 
-/// The record loop both JSONL readers share: blank lines are skipped,
-/// and the first bad line is an error naming its number (and, for schema
-/// errors, the field).
-fn read_records(path: &Path, lines: impl BufRead) -> io::Result<Records> {
+/// Streams every record of a JSONL library through one
+/// [`RecordReader`]: blank lines are skipped, and the first bad line is
+/// an error naming its number and either the byte column (not JSON) or
+/// the field (not a record).
+fn read_records(path: &Path, source: impl BufRead) -> io::Result<Records> {
     let mut records = Records {
         impls: Vec::new(),
         max_action: 0,
         max_goal: 0,
     };
-    for (idx, line) in lines.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (goal, actions) = parse_implementation_line(&line)
-            .map_err(|detail| invalid_line(path, idx + 1, detail))?;
+    let mut reader = RecordReader::new(source);
+    while let Some((line, goal)) = reader.next_record()? {
+        let goal = goal.map_err(|detail| invalid_line(path, line, detail))?;
+        let actions = reader.actions();
         records.max_goal = records.max_goal.max(goal);
-        for &a in &actions {
-            records.max_action = records.max_action.max(a);
-        }
+        records.max_action = actions.iter().fold(records.max_action, |m, &a| m.max(a));
         records.impls.push((
             GoalId::new(goal),
-            actions.into_iter().map(ActionId::new).collect(),
+            actions.iter().map(|&a| ActionId::new(a)).collect(),
         ));
     }
     Ok(records)
-}
-
-/// Reads implementations from a JSON-lines file and rebuilds a library.
-/// `num_actions`/`num_goals` bound the id spaces (as in
-/// [`GoalLibrary::from_id_implementations`]). Parse failures report the
-/// offending line number, and schema failures name the offending field.
-pub fn read_library_jsonl(
-    path: &Path,
-    num_actions: u32,
-    num_goals: u32,
-) -> std::io::Result<GoalLibrary> {
-    let records = read_records(path, open_read(path)?)?;
-    GoalLibrary::from_id_implementations(num_actions, num_goals, records.impls)
-        .map_err(|e| crate::grlb2::core_to_io(path, e))
 }
 
 #[cfg(test)]
@@ -345,43 +255,30 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_of_full_dataset() {
-        let fm = FoodMart::generate(&FoodMartConfig::test_scale());
-        let path = tmp("foodmart.json");
-        write_json(&fm, &path).unwrap();
-        let mut back: FoodMart = read_json(&path).unwrap();
-        back.library.rebuild_lookups();
-        assert_eq!(back.carts, fm.carts);
-        assert_eq!(back.library.implementations(), fm.library.implementations());
-        assert_eq!(back.cart_user, fm.cart_user);
-    }
-
-    #[test]
     fn jsonl_roundtrip_of_library() {
         let fm = FoodMart::generate(&FoodMartConfig::test_scale());
         let path = tmp("library.jsonl");
         write_library_jsonl(&fm.library, &path).unwrap();
-        let back = read_library_jsonl(
-            &path,
-            fm.library.num_actions() as u32,
-            fm.library.num_goals() as u32,
-        )
-        .unwrap();
+        let back = read_library_auto(&path).unwrap();
         assert_eq!(back.implementations(), fm.library.implementations());
     }
 
     #[test]
-    fn jsonl_read_rejects_out_of_range_ids() {
-        let fm = FoodMart::generate(&FoodMartConfig::test_scale());
-        let path = tmp("library-bad.jsonl");
-        write_library_jsonl(&fm.library, &path).unwrap();
-        let err = read_library_jsonl(&path, 1, 1).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    fn jsonl_lines_are_the_canonical_record_encoding() {
+        let mut b = goalrec_core::LibraryBuilder::new();
+        b.add_impl("salad", ["potatoes", "carrots"]).unwrap();
+        b.add_impl("mash", ["potatoes"]).unwrap();
+        let path = tmp("golden.jsonl");
+        write_library_jsonl(&b.build().unwrap(), &path).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"goal\":0,\"actions\":[0,1]}\n{\"goal\":1,\"actions\":[0]}\n"
+        );
     }
 
     #[test]
     fn read_missing_file_errors() {
-        let err = read_json::<FoodMart>(&tmp("does-not-exist.json")).unwrap_err();
+        let err = read_library_auto(&tmp("does-not-exist.jsonl")).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
     }
 
@@ -414,8 +311,25 @@ mod tests {
         let err = read_library_auto(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains(":3:"), "no line number in: {err}");
-        let err = read_library_jsonl(&path, 1000, 1000).unwrap_err();
-        assert!(err.to_string().contains(":3:"), "no line number in: {err}");
+        assert!(
+            err.to_string().contains("byte column 2"),
+            "no column in: {err}"
+        );
+    }
+
+    #[test]
+    fn a_deeply_nested_line_is_a_line_error_not_a_crash() {
+        let path = tmp("deep-line.jsonl");
+        std::fs::write(
+            &path,
+            format!("{{\"goal\":1,\"actions\":[2]}}\n{}\n", "[".repeat(200_000)),
+        )
+        .unwrap();
+        let err = read_library_auto(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains(":2: invalid JSON at byte column 129"), "{msg}");
+        assert!(msg.contains("nesting deeper than 128 levels"), "{msg}");
     }
 
     #[test]
@@ -446,9 +360,9 @@ mod tests {
         let err = read_library_auto(&path).unwrap_err();
         assert!(err.to_string().contains("at least one action"), "{err}");
         // Non-object lines are named as such.
-        assert!(parse_implementation_line("[1,2]")
-            .unwrap_err()
-            .contains("expected an object"));
+        std::fs::write(&path, "[1,2]\n").unwrap();
+        let err = read_library_auto(&path).unwrap_err();
+        assert!(err.to_string().contains(":1: expected an object"), "{err}");
     }
 
     #[test]
@@ -500,9 +414,14 @@ mod tests {
 
     #[test]
     fn a_dataset_json_file_fails_on_line_one_naming_goal_and_the_library_format() {
-        // What `goalrec generate` writes: one JSON document on one line.
+        // A whole dataset as one JSON document on one line.
         let path = tmp("dataset-not-library.json");
-        write_json(&FoodMart::generate(&FoodMartConfig::test_scale()), &path).unwrap();
+        std::fs::write(
+            &path,
+            "{\"library\":{\"implementations\":[{\"goal\":0,\"actions\":[1]}]},\
+             \"carts\":[[1,2],[3]],\"cart_user\":[0,0]}\n",
+        )
+        .unwrap();
         let err = read_library_auto(&path).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains(":1: field `goal`: missing"), "{msg}");

@@ -9,8 +9,8 @@
 //!   family-local library plus user goal activities.
 //! * [`split`] — the 30 %-visible / 70 %-hidden evaluation protocol.
 //! * [`zipf`] — the skewed samplers both generators share.
-//! * [`io`] — JSON / JSON-lines persistence and the one library-file
-//!   loader; [`grlb2`] — the aligned, sectioned `GRLB` v2 model format
+//! * [`io`] — JSON-lines library persistence and the one library-file
+//!   loader, over [`record`]'s streaming record parser; [`grlb2`] — the aligned, sectioned `GRLB` v2 model format
 //!   that serves in place via [`mmap`].
 //! * [`wal`] — the append-ahead log that makes live library appends
 //!   durable between admission and background compaction.
@@ -27,6 +27,7 @@ pub mod fortythree;
 pub mod grlb2;
 pub mod io;
 pub mod mmap;
+pub mod record;
 pub mod split;
 pub mod wal;
 pub mod zipf;

@@ -12,9 +12,12 @@
 //!
 //! The log is plain JSONL — one `{"goal": g, "actions": [a, ...]}` record
 //! per accepted implementation, the same schema as the library file — so it
-//! is inspectable with standard tools and parsed by the same field-naming
-//! validator ([`crate::io::parse_implementation_line`]) as every other
-//! ingest path.
+//! is inspectable with standard tools. It is written and read by the same
+//! record codec as the library file and the append route
+//! ([`crate::record`]): [`AppendWal::append_batch`] encodes with
+//! [`crate::record::encode_record`] and [`AppendWal::replay`] streams the
+//! log line by line through a [`RecordReader`], so a replay never holds
+//! the whole log in memory.
 //!
 //! Crash-model notes:
 //!
@@ -27,10 +30,10 @@
 //!   line and offending field.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use crate::io::parse_implementation_line;
+use crate::record::{self, RecordReader};
 
 /// One replayed WAL record: a goal id and the actions of the accepted
 /// implementation.
@@ -86,16 +89,12 @@ impl AppendWal {
             .append(true)
             .open(&self.path)?;
         let mut w = BufWriter::new(goalrec_faults::write_wrap(&self.path, file));
-        for (goal, actions) in entries {
-            write!(w, "{{\"goal\":{goal},\"actions\":[")?;
-            for (i, a) in actions.iter().enumerate() {
-                if i > 0 {
-                    w.write_all(b",")?;
-                }
-                write!(w, "{a}")?;
-            }
-            w.write_all(b"]}\n")?;
-        }
+        record::write_records(
+            &mut w,
+            entries
+                .iter()
+                .map(|(goal, actions)| (*goal, actions.iter().copied())),
+        )?;
         w.flush()?;
         // Durability point: the acknowledgement to the client is only
         // honest once the records are on disk.
@@ -113,25 +112,21 @@ impl AppendWal {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e),
         };
-        let reader = BufReader::new(goalrec_faults::read_wrap(&self.path, file));
-        let lines: Vec<String> = reader.lines().collect::<io::Result<_>>()?;
+        let mut reader =
+            RecordReader::new(BufReader::new(goalrec_faults::read_wrap(&self.path, file)));
         let mut entries = Vec::new();
-        for (idx, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_implementation_line(line) {
-                Ok(entry) => entries.push(entry),
+        while let Some((line, goal)) = reader.next_record()? {
+            match goal {
+                Ok(goal) => entries.push((goal, reader.actions().to_vec())),
                 Err(detail) => {
-                    let tail = lines[idx + 1..].iter().all(|l| l.trim().is_empty());
-                    if tail {
+                    if reader.next_record()?.is_none() {
                         // Torn final record from a crash mid-append: the
                         // batch it belonged to was never acknowledged.
                         break;
                     }
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
-                        format!("{}:{}: {detail}", self.path.display(), idx + 1),
+                        format!("{}:{line}: {detail}", self.path.display()),
                     ));
                 }
             }
@@ -208,6 +203,18 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains(":2:"), "{err}");
         assert!(err.to_string().contains("field `goal`"), "{err}");
+    }
+
+    #[test]
+    fn records_are_written_in_the_library_line_encoding() {
+        let wal = AppendWal::at(tmp("golden.wal"));
+        wal.clear().unwrap();
+        wal.append_batch(&[(3, vec![1, 20]), (0, vec![7])]).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(wal.path()).unwrap(),
+            "{\"goal\":3,\"actions\":[1,20]}\n{\"goal\":0,\"actions\":[7]}\n"
+        );
+        wal.clear().unwrap();
     }
 
     #[test]

@@ -202,6 +202,37 @@ fn a_library_edited_in_place_is_not_served_from_its_stale_shard_family() {
     let _ = std::fs::remove_dir_all(fresh.parent().unwrap());
 }
 
+/// The served `strategy.Breadth.candidates` counts what core Breadth
+/// counts: the actions it can recommend, `AS(IS(H)) − H`.
+#[test]
+fn served_breadth_candidates_count_what_core_breadth_counts() {
+    use goalrec_core::{Activity, Breadth, Strategy};
+    let d = dir("candidates");
+    let jsonl = d.join("lib.jsonl");
+    goalrec_datasets::io::write_library_jsonl(&library(), &jsonl).unwrap();
+    let served = Served::start(&jsonl);
+    let model = GoalModel::build(&library()).unwrap();
+    let mut want = 0;
+    for activity in [&[0u32][..], &[0, 1], &[1, 4], &[5]] {
+        let body = format!(r#"{{"activity": {activity:?}, "strategy": "breadth", "k": 1}}"#);
+        served.fetch("POST", "/v1/recommend", &body);
+        let h = Activity::from_raw(activity.iter().copied());
+        want += Breadth.rank_observed(&model, &h, 1).1 as u64;
+    }
+    let metrics = served.fetch("GET", "/metrics?format=prometheus", "");
+    let sum: u64 = metrics
+        .lines()
+        .find_map(|l| {
+            let (name, value) = l.split_once(' ')?;
+            let name = name.to_ascii_lowercase();
+            (name.contains("strategy_breadth_candidates") && name.ends_with("_sum"))
+                .then(|| value.trim().parse().ok())?
+        })
+        .unwrap_or_else(|| panic!("no Breadth candidates sum in:\n{metrics}"));
+    assert!(want > 0);
+    assert_eq!(sum, want);
+}
+
 #[test]
 fn a_version_one_file_fails_boot_naming_the_version_and_compile() {
     let d = dir("retired");

@@ -420,6 +420,44 @@ fn append_cap_and_schema_errors_have_typed_statuses() {
     handle.shutdown();
 }
 
+/// Bodies nested far past the JSON parsers' depth limit are a typed
+/// `400` on both routes that parse JSON records, not a worker stack
+/// overflow, and the server goes on serving.
+#[test]
+fn deeply_nested_bodies_are_a_400_not_a_crash() {
+    let handle = start(tiny_library(), config(1, 8, 2_000)).unwrap();
+    let addr = handle.local_addr();
+    let deep = "[".repeat(100_000);
+    for (path, body) in [
+        ("/v1/recommend", format!("{{\"activity\": {deep}")),
+        ("/v1/recommend", deep.clone()),
+        (
+            "/v1/admin/library/append",
+            format!("{{\"goal\": 0, \"x\": {deep}"),
+        ),
+        (
+            "/v1/admin/library/append",
+            format!("{{\"implementations\": {deep}"),
+        ),
+    ] {
+        let reply = post_json(addr, path, &body);
+        assert_eq!(reply.status, 400, "{path}: {}", reply.body);
+        assert!(
+            reply.body.contains("nesting deeper than 128"),
+            "{path}: {}",
+            reply.body
+        );
+    }
+    let rec = post_json(addr, "/v1/recommend", r#"{"activity": [0], "k": 2}"#);
+    assert_eq!(
+        rec.status, 200,
+        "the next request must be served: {}",
+        rec.body
+    );
+    assert_eq!(get(addr, "/healthz").status, 200);
+    handle.shutdown();
+}
+
 /// Admin routes run on their own deadline: a body that dribbles in past
 /// the data-plane deadline 408s on `/v1/recommend` but is answered on
 /// `/v1/admin/reload`, which is budgeted by `admin_deadline`.

@@ -128,9 +128,8 @@ impl ShardStrategy {
 
     /// Merges the per-shard scatter results in the arena into the global
     /// top-`k`, leaving the ranking in [`ShardScratch::out`] and returning
-    /// the candidate count (same meaning as the unsharded
-    /// `rank_into` for Focus and Best Match; for Breadth it counts the
-    /// merged candidate pool, which excludes already-performed actions).
+    /// the candidate count (same meaning as the unsharded `rank_into`;
+    /// for Breadth, the merged candidate pool `AS(IS(H)) − H`).
     pub fn gather<V: ShardView>(
         &self,
         shards: &[V],
@@ -412,14 +411,12 @@ mod tests {
                                 "{} {mode:?} n={n} h={h:?} k={k}",
                                 strategy.name()
                             );
-                            if !matches!(strategy, ShardStrategy::Breadth) {
-                                assert_eq!(
-                                    cand,
-                                    expect_cand,
-                                    "{} {mode:?} n={n} h={h:?} k={k}",
-                                    strategy.name()
-                                );
-                            }
+                            assert_eq!(
+                                cand,
+                                expect_cand,
+                                "{} {mode:?} n={n} h={h:?} k={k}",
+                                strategy.name()
+                            );
                         }
                     }
                 }

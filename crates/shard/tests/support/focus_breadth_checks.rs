@@ -9,9 +9,7 @@ use goalrec_shard::{ShardScratch, ShardStrategy, ShardView};
 /// Ranks `h` through `shards` with both Focus variants and Breadth, at
 /// `k` and at a `k` past every candidate action of `library`, and asserts
 /// each ranking equals the oracle's over `library`, the library the
-/// shards serve. Sharded Breadth counts its merged candidate pool, which
-/// leaves out performed actions, so its count is the oracle's `|AS(H)|`
-/// less the actions of `H` found in some implementation.
+/// shards serve.
 pub fn assert_focus_and_breadth_match<V: ShardView>(
     shards: &[V],
     library: &GoalLibrary,
@@ -21,16 +19,6 @@ pub fn assert_focus_and_breadth_match<V: ShardView>(
     ctx: &str,
 ) {
     let past_every_candidate = library.num_actions() + 1;
-    let performed_in_library = h
-        .raw()
-        .iter()
-        .filter(|a| {
-            library
-                .implementations()
-                .iter()
-                .any(|imp| imp.action_raw().contains(a))
-        })
-        .count();
     for k in [k, past_every_candidate] {
         for variant in [FocusVariant::Completeness, FocusVariant::Closeness] {
             let expect = crate::focus_breadth_oracle::focus(library, h.raw(), variant, k);
@@ -42,12 +30,12 @@ pub fn assert_focus_and_breadth_match<V: ShardView>(
                 &format!("{variant:?} {ctx} H={h:?} k={k}"),
             );
         }
-        let (list, touched) = crate::focus_breadth_oracle::breadth(library, h.raw(), k);
+        let expect = crate::focus_breadth_oracle::breadth(library, h.raw(), k);
         let cand = ShardStrategy::Breadth.rank_into(shards, h, k, sc);
         crate::best_match_oracle::assert_matches(
             sc.out(),
             cand,
-            &(list, touched - performed_in_library),
+            &expect,
             &format!("Breadth {ctx} H={h:?} k={k}"),
         );
     }

@@ -100,12 +100,7 @@ fn model_rebuild_roundtrip_through_disk() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("ft-library.jsonl");
     goalrec::datasets::io::write_library_jsonl(&ft.library, &path).unwrap();
-    let reloaded = goalrec::datasets::io::read_library_jsonl(
-        &path,
-        ft.library.num_actions() as u32,
-        ft.library.num_goals() as u32,
-    )
-    .unwrap();
+    let reloaded = goalrec::datasets::io::read_library_auto(&path).unwrap();
 
     let rec_a =
         GoalRecommender::from_library(&ft.library, Box::new(goalrec::core::Breadth)).unwrap();
