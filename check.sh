@@ -7,8 +7,8 @@
 #
 # End-to-end performance is measured by perfbench/ (see BENCHMARK.json);
 # the guard rails here are in-process timing gates (BestMatch p95,
-# Breadth/Focus p95, N=1 scatter-gather overhead, GRLB v2 cold start,
-# keep-alive floor, idle live plane) in crates/bench/src/loadgen.rs's
+# Breadth/Focus p95, GRLB v2 cold start, keep-alive floor, idle live
+# plane) in crates/bench/src/loadgen.rs's
 # `guard_rails` module.
 # Reports go under target/, so a run leaves every tracked file as it was.
 set -euo pipefail
@@ -41,11 +41,8 @@ echo "== repro smoke (test scale) =="
 cargo run -q --release -p goalrec-bench --bin repro -- stats table6 --scale test --json target \
     > /dev/null
 
-echo "== server smoke (1 shard: healthz + recommend + SIGTERM drain) =="
+echo "== server smoke (healthz + recommend + SIGTERM drain) =="
 cargo run -q --release -p goalrec-bench --bin loadgen -- --smoke
-
-echo "== sharded server smoke (2 shards) =="
-cargo run -q --release -p goalrec-bench --bin loadgen -- --smoke --shards 2
 
 echo "== chaos-reload smoke (faulted reloads roll back under live traffic) =="
 cargo run -q --release -p goalrec-bench --bin loadgen -- --chaos-smoke

@@ -68,22 +68,5 @@ fn bench_difference(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_union_many(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(44);
-    // |H| = 10 posting lists of 1 000 ids each — the IS(H) union of a
-    // FoodMart-like query.
-    let lists: Vec<Vec<u32>> = (0..10)
-        .map(|_| sorted_set(&mut rng, 1_000, 100_000))
-        .collect();
-    c.bench_function("setops/union_many/10x1000", |bench| {
-        bench.iter(|| black_box(setops::union_many(lists.iter().map(Vec::as_slice)).len()))
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_intersection,
-    bench_difference,
-    bench_union_many
-);
+criterion_group!(benches, bench_intersection, bench_difference);
 criterion_main!(benches);

@@ -3,12 +3,11 @@
 //! races). One mode flag is required.
 //!
 //! ```text
-//! loadgen --smoke [--shards N] | --chaos-smoke
+//! loadgen --smoke | --chaos-smoke
 //!
 //! --smoke         probe /healthz and /v1/recommend against an in-process
 //!                 server, raise a real SIGTERM, assert a clean drain,
-//!                 exit 0 — no load, no report; `--shards N` boots the
-//!                 server with N shards (default 1)
+//!                 exit 0 — no load, no report
 //! --chaos-smoke   drive recommend traffic while hot reloads go through
 //!                 injected fault plans (IO error, torn write, slow read);
 //!                 assert every faulted reload rolls back, no request is
@@ -19,11 +18,7 @@
 //!                 DEBUG_traces.json for CI artifacts) holds ≥1 trace per
 //!                 strategy, each with a `span.rank` span and top-level
 //!                 spans summing to within 10% of the trace total. A
-//!                 second, sharded server then takes the same treatment: a
-//!                 faulted *targeted* reload (`{"shard": i}`) must roll
-//!                 back that shard alone while the other shards keep
-//!                 answering 200 on their old generation, with zero
-//!                 requests dropped. A third section drives the live
+//!                 second section drives the live
 //!                 mutation plane: rows are appended into the delta and
 //!                 three consecutive background compactions are faulted
 //!                 (read error at the read-back verify, torn write at the
@@ -220,15 +215,13 @@ fn stop_clients(
     merged
 }
 
-/// CI smoke: boot with `shards` shards, probe every route once,
-/// then exercise the *real* SIGTERM path and require a clean drain.
-fn smoke(shards: usize) {
+/// CI smoke: probe every route once, then exercise the *real* SIGTERM
+/// path and require a clean drain.
+fn smoke() {
     shutdown::install_signal_handlers();
     let token = Shutdown::watching_signals();
-    let mut cfg = config(2, 16);
-    cfg.shards = shards;
-    let handle =
-        goalrec_server::start_with_shutdown(synthetic_library(), cfg, token).expect("start server");
+    let handle = goalrec_server::start_with_shutdown(synthetic_library(), config(2, 16), token)
+        .expect("start server");
     let addr = handle.local_addr();
     let mut buf = Vec::new();
 
@@ -307,28 +300,6 @@ fn generation(addr: SocketAddr) -> u64 {
 /// process-global, so chaos sections diff against a baseline read).
 fn metric_counter(addr: SocketAddr, prom: &str) -> u64 {
     metric_value(addr, prom).unwrap_or_else(|| panic!("no {prom} counter in /metrics")) as u64
-}
-
-/// The per-shard generation vector from a sharded server's `/healthz`.
-fn shard_generations(addr: SocketAddr) -> Vec<u64> {
-    use serde_json::Value;
-    let (status, body) = fetch(
-        addr,
-        "GET /healthz HTTP/1.1\r\nhost: chaos\r\nconnection: close\r\n\r\n",
-    );
-    assert_eq!(status, 200, "/healthz must stay green, body: {body}");
-    let doc: Value = serde_json::from_str(&body).expect("chaos: parse /healthz");
-    match doc.get("shards") {
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|s| {
-                s.get("generation")
-                    .and_then(Value::as_u64)
-                    .unwrap_or_else(|| panic!("shard row without a generation: {s}"))
-            })
-            .collect(),
-        other => panic!("sharded /healthz must carry a shards array, got {other:?}"),
-    }
 }
 
 /// `POST /v1/admin/reload` with `body`; returns the status code.
@@ -594,117 +565,6 @@ fn chaos_smoke() {
     );
 }
 
-/// Sharded chaos: the same faulted-reload treatment against a 3-shard
-/// server, but *targeted* — a reload of one shard goes through injected
-/// faults and must roll back that shard alone. The other shards keep
-/// answering 200 on their old generation the whole time (the traffic
-/// tally proves zero dropped or non-200 requests), a clean targeted
-/// reload then bumps only its shard, and a full reload bumps every shard
-/// in lockstep.
-fn sharded_chaos() {
-    use goalrec_faults::{with_plan, FaultPlan};
-
-    let dir = std::env::temp_dir().join("goalrec-chaos-sharded");
-    std::fs::create_dir_all(&dir).expect("chaos: temp dir");
-    let serving = dir.join("sharded-serving.jsonl");
-    goalrec_datasets::io::write_library_jsonl(&synthetic_library(), &serving)
-        .expect("chaos: seed library");
-
-    let mut cfg = config(8, 64);
-    cfg.library_path = Some(serving.clone());
-    cfg.shards = 3;
-    let handle = start(synthetic_library(), cfg).expect("chaos: start sharded server");
-    let addr = handle.local_addr();
-
-    // Continuous recommend traffic across every shard for the whole window.
-    let stop = Arc::new(AtomicBool::new(false));
-    let clients = spawn_clients(addr, 4, &stop);
-
-    assert_eq!(shard_generations(addr), vec![1, 1, 1]);
-
-    // Faulted targeted reload: shard 1's library read dies mid-file. Only
-    // shard 1's swap is in flight, and it must roll back alone.
-    with_plan(
-        FaultPlan::parse("path=sharded-serving;read-error@byte=8").expect("chaos: plan"),
-        || {
-            assert_eq!(
-                admin_reload(addr, r#"{"shard": 1}"#),
-                500,
-                "faulted targeted reload must 500"
-            );
-        },
-    );
-    assert_eq!(
-        shard_generations(addr),
-        vec![1, 1, 1],
-        "a faulted shard reload must roll back that shard and touch no other"
-    );
-    eprintln!("chaos: targeted reload of shard 1 under injected read error rolled back alone");
-
-    // A torn model file aimed at one shard must be rejected whole.
-    let torn = torn_model(&dir.join("sharded-torn.grlb2"));
-    assert_eq!(
-        admin_reload(
-            addr,
-            &format!(r#"{{"path": "{}", "shard": 0}}"#, torn.display())
-        ),
-        500,
-        "a torn library file must never be swapped into a shard"
-    );
-    assert_eq!(shard_generations(addr), vec![1, 1, 1]);
-    eprintln!("chaos: torn-file targeted reload of shard 0 rejected, all shards on generation 1");
-
-    // Out-of-range shard ids are a client error, not a crash or a swap.
-    assert_eq!(
-        admin_reload(addr, r#"{"shard": 9}"#),
-        400,
-        "an out-of-range shard id must be a 400"
-    );
-
-    // Chaos over: a clean targeted reload bumps only its shard, and the
-    // top-level generation reports the minimum across the vector.
-    assert_eq!(admin_reload(addr, r#"{"shard": 1}"#), 200);
-    assert_eq!(shard_generations(addr), vec![1, 2, 1]);
-    assert_eq!(
-        generation(addr),
-        1,
-        "the top-level generation is the minimum across shards"
-    );
-    eprintln!("chaos: clean targeted reload bumped shard 1 to generation 2, others untouched");
-
-    // And a full reload swaps every shard in lockstep.
-    assert_eq!(
-        admin_reload(addr, ""),
-        200,
-        "clean full reload must succeed"
-    );
-    assert_eq!(shard_generations(addr), vec![2, 3, 2]);
-    assert_eq!(generation(addr), 2);
-    eprintln!("chaos: full reload bumped every shard in lockstep");
-
-    let merged = stop_clients(&stop, clients);
-    handle.shutdown();
-
-    assert!(
-        merged.ok > 0,
-        "sharded chaos traffic produced no successful requests"
-    );
-    assert_eq!(
-        (merged.other, merged.errors, merged.rejected),
-        (0, 0, 0),
-        "shard faults must not fail, drop, or shed recommend traffic \
-         (ok {}, non-200 {}, transport errors {}, 503s {})",
-        merged.ok,
-        merged.other,
-        merged.errors,
-        merged.rejected
-    );
-    eprintln!(
-        "chaos: {} sharded recommend requests answered 200, zero dropped, zero 5xx, zero 503",
-        merged.ok
-    );
-}
-
 /// `POST /v1/admin/library/append` with `body`; returns status and body.
 fn admin_append(addr: SocketAddr, body: &str) -> (u16, String) {
     let raw = format!(
@@ -931,17 +791,9 @@ fn compaction_chaos() {
 fn main() {
     let mut is_smoke = false;
     let mut is_chaos = false;
-    let mut shards = 1usize;
 
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--shards expects a number"))
-            }
             "--smoke" => is_smoke = true,
             "--chaos-smoke" => is_chaos = true,
             "--help" | "-h" => usage(""),
@@ -951,22 +803,17 @@ fn main() {
 
     if is_chaos {
         chaos_smoke();
-        sharded_chaos();
         compaction_chaos();
         println!(
-            "loadgen --chaos-smoke: faulted reloads and compactions rolled back (whole-model, \
-             per-shard, and live-delta), traffic unharmed, clean retries bumped the generations"
+            "loadgen --chaos-smoke: faulted reloads and compactions rolled back (model and \
+             live delta), traffic unharmed, clean retries bumped the generations"
         );
         return;
     }
 
     if is_smoke {
-        smoke(shards);
-        if shards > 1 {
-            println!("loadgen --smoke ({shards} shards): all probes ok, graceful drain ok");
-        } else {
-            println!("loadgen --smoke: all probes ok, graceful drain ok");
-        }
+        smoke();
+        println!("loadgen --smoke: all probes ok, graceful drain ok");
         return;
     }
 
@@ -977,7 +824,7 @@ fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}\n");
     }
-    eprintln!("usage: loadgen --smoke [--shards N] | --chaos-smoke");
+    eprintln!("usage: loadgen --smoke | --chaos-smoke");
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
@@ -989,11 +836,8 @@ fn usage(err: &str) -> ! {
 mod guard_rails {
     use super::*;
     use goalrec_core::strategies::Strategy;
-    use goalrec_core::{
-        Activity, BestMatch, Breadth, DistanceMetric, Focus, FocusVariant, GoalModel, Scratch,
-    };
+    use goalrec_core::{Activity, BestMatch, Breadth, Focus, FocusVariant, GoalModel, Scratch};
     use goalrec_datasets::foodmart::{FoodMart, FoodMartConfig};
-    use goalrec_shard::{PartitionMode, ShardScratch, ShardStrategy, ShardedModel};
     use std::hint::black_box;
 
     /// BestMatch's p95 budget over the FoodMart test-scale carts.
@@ -1001,16 +845,6 @@ mod guard_rails {
 
     /// The same budget for each of Breadth, Focus_cmp and Focus_cl.
     const FOCUS_AND_BREADTH_P95_LIMIT_US: f64 = 1_000.0;
-
-    /// Single-shard scatter-gather may cost at most this factor over the
-    /// unsharded BestMatch p95 — the gather must stay ~free when there is
-    /// nothing to merge across.
-    const SHARD_OVERHEAD_LIMIT: f64 = 1.1;
-
-    /// Timed repetitions of each side of the single-shard overhead gate.
-    /// The sides alternate, and the gate compares their median p95s, so
-    /// one noisy repetition on a shared host cannot decide it.
-    const SHARD_OVERHEAD_REPS: usize = 5;
 
     /// Opening a compiled GRLB v2 model (validate checksums + mmap) must
     /// beat parsing the JSONL source and building the model by at least
@@ -1049,12 +883,6 @@ mod guard_rails {
         }
         lat_ns.sort_unstable();
         lat_ns
-    }
-
-    /// The median of a non-empty sample.
-    fn median(mut xs: Vec<f64>) -> f64 {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
     }
 
     /// The FoodMart test-scale carts (the `repro table6 --scale test`
@@ -1116,50 +944,6 @@ mod guard_rails {
                  bound < {FOCUS_AND_BREADTH_P95_LIMIT_US:.0} µs"
             );
         }
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "timing gate: check.sh runs it in release")]
-    fn one_shard_scatter_gather_costs_at_most_1_1x() {
-        let fm = foodmart();
-        let model = GoalModel::build(&fm.library).expect("foodmart model");
-        let one_shard =
-            ShardedModel::build(&fm.library, 1, PartitionMode::HashGoal).expect("one-shard model");
-        let best_match = BestMatch::default();
-        let sharded_best_match = ShardStrategy::BestMatch(DistanceMetric::Cosine);
-        let mut scratch = Scratch::new();
-        let mut shard_scratch = ShardScratch::new();
-        let mut rank_unsharded = |cart: &Activity| {
-            black_box(best_match.rank_into(&model, cart, 10, &mut scratch));
-        };
-        let mut rank_one_shard = |cart: &Activity| {
-            black_box(sharded_best_match.rank_into(
-                one_shard.shards(),
-                cart,
-                10,
-                &mut shard_scratch,
-            ));
-        };
-        fm.carts.iter().for_each(&mut rank_unsharded);
-        fm.carts.iter().for_each(&mut rank_one_shard);
-        let (mut unsharded_p95s, mut one_shard_p95s) = (Vec::new(), Vec::new());
-        for _ in 0..SHARD_OVERHEAD_REPS {
-            unsharded_p95s.push(p95_us(&time_over_carts(&fm.carts, &mut rank_unsharded)));
-            one_shard_p95s.push(p95_us(&time_over_carts(&fm.carts, &mut rank_one_shard)));
-        }
-        let unsharded = median(unsharded_p95s);
-        let sharded = median(one_shard_p95s);
-        let ratio = sharded / unsharded;
-        eprintln!(
-            "BestMatch p95, median of {SHARD_OVERHEAD_REPS} interleaved repetitions: \
-             unsharded {unsharded:.0} µs, 1 shard {sharded:.0} µs ({ratio:.3}x)"
-        );
-        assert!(
-            sharded <= unsharded * SHARD_OVERHEAD_LIMIT,
-            "N=1 scatter-gather overhead gate: 1-shard BestMatch p95 {sharded:.0} µs is \
-             {ratio:.3}x the unsharded {unsharded:.0} µs (medians of {SHARD_OVERHEAD_REPS} \
-             interleaved repetitions), bound ≤ {SHARD_OVERHEAD_LIMIT}x"
-        );
     }
 
     /// Best-of-3 cold start, milliseconds (one untimed warm-up first so
@@ -1270,7 +1054,7 @@ mod guard_rails {
         eprintln!("keep-alive: {req_per_s:.0} req/s (floor {KEEPALIVE_FLOOR_RPS:.0})");
         assert!(
             req_per_s >= KEEPALIVE_FLOOR_RPS,
-            "keep-alive floor gate: {req_per_s:.0} req/s with {CLIENTS} clients on 1 shard, \
+            "keep-alive floor gate: {req_per_s:.0} req/s with {CLIENTS} clients, \
              bound ≥ {KEEPALIVE_FLOOR_RPS:.0} req/s (0.7 × {KEEPALIVE_BASELINE_RPS:.0})"
         );
         let ratio = idle_req_per_s / req_per_s;

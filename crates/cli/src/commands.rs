@@ -35,7 +35,7 @@ const USAGE: &str = "usage:\n  \
     goalrec synth     --out FILE.json [--stories N] [--seed N]\n  \
     goalrec extract   --stories FILE.json --out FILE.jsonl\n  \
     goalrec convert   --library FILE --out FILE.jsonl\n  \
-    goalrec compile   --library FILE --out MODEL.grlb2 [--shards N] [--shard-mode hash|balanced]\n  \
+    goalrec compile   --library FILE --out MODEL.grlb2\n  \
     goalrec stats     --library FILE [--json] [--metrics]\n  \
     goalrec recommend --library FILE --activity a1,a2,... \
 [--strategy breadth|best-match|focus-cmp|focus-cl] [--k N] [--explain]\n  \
@@ -169,9 +169,7 @@ fn convert(args: &Args) -> CmdResult {
 
 /// Compiles a library into the GRLB v2 model format: the aligned,
 /// sectioned, checksummed file `goalrec serve` maps into place (no JSON
-/// parse, no CSR rebuild at startup). With `--shards N` the matching
-/// per-shard snapshot family (`MODEL.shard<i>.grlb2`) is written next to
-/// it, so `goalrec serve --shards N` boots every shard mapped as well.
+/// parse, no CSR rebuild at startup).
 fn compile(args: &Args) -> CmdResult {
     let lib = load_library(args)?;
     let out = args.required("out")?;
@@ -198,28 +196,6 @@ fn compile(args: &Args) -> CmdResult {
         lib.num_actions(),
         std::fs::metadata(out).map(|m| m.len()).unwrap_or(0)
     );
-    let shards = args.num("shards", 0)?;
-    if shards > 0 {
-        let mode = match args.flag("shard-mode") {
-            Some(m) => goalrec_server::PartitionMode::parse(m)
-                .ok_or_else(|| format!("--shard-mode expects 'hash' or 'balanced', got '{m}'"))?,
-            None => goalrec_server::PartitionMode::HashGoal,
-        };
-        let family =
-            goalrec_server::shards::persist_shard_family(&lib, shards, mode, Path::new(out))
-                .map_err(|e| e.to_string())?;
-        for path in &family {
-            println!("  shard snapshot → {}", path.display());
-        }
-        println!(
-            "serve with: goalrec serve --library {out} --shards {} --shard-mode {}",
-            family.len(),
-            match mode {
-                goalrec_server::PartitionMode::HashGoal => "hash",
-                goalrec_server::PartitionMode::BalancedMass => "balanced",
-            }
-        );
-    }
     Ok(())
 }
 
@@ -554,10 +530,6 @@ mod tests {
             "0",
             "--workers",
             "1",
-            "--shards",
-            "2",
-            "--shard-mode",
-            "balanced",
             "--watch",
         ])
         .unwrap_err();
@@ -568,7 +540,7 @@ mod tests {
     }
 
     #[test]
-    fn compile_writes_a_servable_v2_model_and_shard_family() {
+    fn compile_writes_a_servable_v2_model() {
         let dir = tmpdir();
         let ft = FortyThings::generate(&FortyThingsConfig::test_scale());
         let jsonl = dir.join("compile-src.jsonl");
@@ -580,13 +552,9 @@ mod tests {
             jsonl.to_str().unwrap(),
             "--out",
             model.to_str().unwrap(),
-            "--shards",
-            "2",
         ])
         .unwrap();
         assert!(model.exists());
-        assert!(dir.join("compiled.shard0.grlb2").exists());
-        assert!(dir.join("compiled.shard1.grlb2").exists());
         // The model file round-trips through every read-side command.
         run(&["stats", "--library", model.to_str().unwrap()]).unwrap();
         run(&[

@@ -5,7 +5,7 @@
 //! goalrec synth     --out FILE.json [--stories N] [--seed N]
 //! goalrec extract   --stories FILE.json --out FILE.jsonl
 //! goalrec convert   --library FILE --out FILE.jsonl
-//! goalrec compile   --library FILE --out MODEL.grlb2 [--shards N]
+//! goalrec compile   --library FILE --out MODEL.grlb2
 //! goalrec stats     --library FILE [--json] [--metrics]
 //! goalrec recommend --library FILE --activity a1,a2,…
 //!                   [--strategy breadth|best-match|focus-cmp|focus-cl]

@@ -76,7 +76,7 @@ pub use ids::{ActionId, GoalId, ImplId, Interner};
 pub use library::{GoalLibrary, Implementation, LibraryBuilder, LibraryStats, StatsReport};
 pub use live::{AssocView, DeltaSegment, LiveRef};
 pub use model::GoalModel;
-pub use recommend::{GoalRecommender, Recommender};
+pub use recommend::{GoalRecommender, ObservedStrategy, Recommender};
 pub use rerank::mmr_rerank;
 pub use scratch::Scratch;
 pub use strategies::{BestMatch, Breadth, Focus, FocusVariant, Strategy};

@@ -293,7 +293,7 @@ impl DeltaSegment {
 ///
 /// `Copy`, two pointers wide — built per request from whatever snapshot
 /// the caller holds. Either side may be absent: a solid model has no
-/// delta, and an empty shard that only holds staged appends has no base.
+/// delta, and a delta-only view (no base) reads the staged rows alone.
 #[derive(Clone, Copy)]
 pub struct LiveRef<'a> {
     base: Option<&'a GoalModel>,
@@ -318,8 +318,8 @@ impl<'a> LiveRef<'a> {
         }
     }
 
-    /// A view over optional parts — the shard plane's entry point,
-    /// where a shard may be empty (no base) yet hold staged appends.
+    /// A view over optional parts; an empty delta is dropped as in
+    /// [`LiveRef::overlay`].
     pub fn from_parts(base: Option<&'a GoalModel>, delta: Option<&'a DeltaSegment>) -> Self {
         Self {
             base,

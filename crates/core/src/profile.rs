@@ -33,8 +33,7 @@
 //! `tests/support/best_match_oracle.rs`) therefore computes the very same
 //! integers, in any order, and the final formula sees identical inputs.
 //! The sums are also order-free in `u64`, which is what lets a base row
-//! split from its staged suffix, or goals partitioned whole across
-//! shards, add up to the unsplit answer ([`TermBoard::merge`]).
+//! split from its staged suffix add up to the unsplit answer.
 
 use crate::ids::{ActionId, GoalId, ImplId};
 use crate::live::AssocView;
@@ -186,45 +185,6 @@ impl TermBoard {
                 }
             }
         }
-    }
-
-    /// Empties the board without touching its allocations.
-    pub(crate) fn clear(&mut self) {
-        self.begin(0, 0);
-    }
-
-    /// Starts an empty board for merging per-shard boards over an action
-    /// extent of `num_actions`.
-    pub fn begin_merge(&mut self, num_actions: usize) {
-        self.begin(num_actions, 0);
-    }
-
-    /// Adds `other`'s sums into this board. Exact when the two boards
-    /// were filled over disjoint goal sets — shards own whole goals — as
-    /// every sum is an integer sum over goals and candidacy is an OR.
-    /// The merged board keeps the norms but no profile.
-    pub fn merge(&mut self, other: &TermBoard) {
-        let epoch = self.epoch;
-        for &a in &other.touched {
-            let theirs = &other.slots[ActionId::new(a).index()].terms;
-            let slot = &mut self.slots[ActionId::new(a).index()];
-            if slot.epoch == epoch {
-                let t = &mut slot.terms;
-                t.dot += theirs.dot;
-                t.c2 += theirs.c2;
-                t.l1 += theirs.l1;
-                t.candidate |= theirs.candidate;
-            } else {
-                *slot = Slot {
-                    terms: *theirs,
-                    epoch,
-                    ..Slot::default()
-                };
-                self.touched.push(a);
-            }
-        }
-        self.norms.p1 += other.norms.p1;
-        self.norms.p2 += other.norms.p2;
     }
 
     /// Algorithm 4's ranking step: scores every candidate `a ∈ AS(H) − H`

@@ -43,20 +43,94 @@ pub trait Recommender: Send + Sync {
     }
 }
 
-/// A goal-based recommender: a compiled model plus one strategy.
+/// One strategy behind the observation wrapper every goal-based ranking
+/// goes through, offline or served.
 ///
-/// Every request is observed under the strategy's metric namespace:
+/// Every ranking is observed under the strategy's metric namespace:
 /// `strategy.<name>.requests` (counter), `strategy.<name>.latency`
 /// (nanosecond histogram) and `strategy.<name>.candidates` (pre-truncation
 /// candidate-set size). The handles are resolved once at construction so
-/// the per-request cost is a clock read and a few atomic adds.
+/// the per-request cost is two clock reads and a few atomic adds.
 #[derive(Clone)]
-pub struct GoalRecommender {
-    model: Arc<GoalModel>,
+pub struct ObservedStrategy {
     strategy: Arc<dyn Strategy>,
     requests: Arc<obs::Counter>,
     latency: Arc<obs::Histogram>,
     candidates: Arc<obs::Histogram>,
+}
+
+impl ObservedStrategy {
+    /// Wraps `strategy`, resolving its metric handles.
+    pub fn new(strategy: Box<dyn Strategy>) -> Self {
+        let name = strategy.name();
+        Self {
+            strategy: strategy.into(),
+            requests: obs::counter(&names::strategy_requests(name)),
+            latency: obs::histogram_ns(&names::strategy_latency(name)),
+            candidates: obs::histogram(&names::strategy_candidates(name)),
+        }
+    }
+
+    /// The wrapped strategy's display name.
+    pub fn name(&self) -> &'static str {
+        self.strategy.name()
+    }
+
+    /// Ranks `activity` over a live base ⊕ delta view into `scratch`
+    /// ([`Strategy::rank_live_into`]) and returns a borrow of the result.
+    /// With an empty delta this ranks exactly like the model path and
+    /// stays allocation-free.
+    ///
+    /// Counts the request, records the ranking's latency and candidate
+    /// count, and (when `trace` is enabled) records `span.rank` with its
+    /// `span.rank.candidates` and `span.rank.topk` children. One clock
+    /// read starts the window and one ends it; all three spans are cut
+    /// from those two reads, so the children tile the parent exactly.
+    pub fn rank_live_into_traced<'s>(
+        &self,
+        live: LiveRef<'_>,
+        activity: &Activity,
+        k: usize,
+        scratch: &'s mut Scratch,
+        trace: &mut obs::TraceContext,
+    ) -> &'s [Scored] {
+        self.requests.inc();
+        let traced = trace.is_enabled();
+        if traced {
+            trace.set_strategy(self.strategy.name());
+        }
+        scratch.phase.begin(traced);
+        let start_ns = trace.elapsed_ns();
+        let num_candidates = self.strategy.rank_live_into(live, activity, k, scratch);
+        let rank_ns = trace.elapsed_ns().saturating_sub(start_ns);
+        self.latency.record(rank_ns);
+        if traced {
+            // Child spans: the server nests the ranking inside its own
+            // top-level `span.handle`, which alone accounts for this window.
+            trace.add_span(names::SPAN_RANK, start_ns, rank_ns, true);
+            let cand_ns = scratch.phase.candidates_ns().min(rank_ns);
+            if cand_ns > 0 {
+                trace.add_span(names::SPAN_RANK_CANDIDATES, start_ns, cand_ns, true);
+                trace.add_span(
+                    names::SPAN_RANK_TOPK,
+                    start_ns + cand_ns,
+                    rank_ns - cand_ns,
+                    true,
+                );
+            }
+        }
+        self.candidates.record(num_candidates as u64);
+        scratch.out()
+    }
+}
+
+/// A goal-based recommender: a compiled model plus one
+/// [`ObservedStrategy`], so every request is observed under the
+/// strategy's `strategy.<name>.*` metrics.
+#[derive(Clone)]
+pub struct GoalRecommender {
+    model: Arc<GoalModel>,
+    strategy: ObservedStrategy,
 }
 
 impl GoalRecommender {
@@ -67,13 +141,9 @@ impl GoalRecommender {
 
     /// Wraps an existing (shared) model.
     pub fn new(model: Arc<GoalModel>, strategy: Box<dyn Strategy>) -> Self {
-        let name = strategy.name();
         Self {
             model,
-            strategy: strategy.into(),
-            requests: obs::counter(&names::strategy_requests(name)),
-            latency: obs::histogram_ns(&names::strategy_latency(name)),
-            candidates: obs::histogram(&names::strategy_candidates(name)),
+            strategy: ObservedStrategy::new(strategy),
         }
     }
 
@@ -84,10 +154,8 @@ impl GoalRecommender {
 
     /// Like [`Recommender::recommend`], but ranks into a caller-owned
     /// [`Scratch`] and returns a borrow of its result buffer — the
-    /// allocation-free entry point for workers that serve many requests
-    /// (each `goalrec-serve` worker owns one arena across its
-    /// connections). Records the same per-strategy metrics as
-    /// `recommend`.
+    /// allocation-free entry point for callers that rank many requests.
+    /// Records the same per-strategy metrics as `recommend`.
     pub fn recommend_into<'s>(
         &self,
         activity: &Activity,
@@ -100,11 +168,12 @@ impl GoalRecommender {
     /// [`GoalRecommender::recommend_into`], additionally recording the
     /// ranking into `trace` as a `span.rank` span with
     /// `span.rank.candidates`/`span.rank.topk` child spans (the phase
-    /// boundary every built-in strategy marks in its [`Scratch`]).
+    /// boundary every built-in strategy marks in its [`Scratch`]) that
+    /// tile it exactly.
     ///
     /// With a disabled trace this is exactly `recommend_into`; with an
-    /// enabled one it adds a few clock reads and fixed-slot span writes —
-    /// the steady state stays allocation-free either way (proven by
+    /// enabled one it adds a clock read and fixed-slot span writes — the
+    /// steady state stays allocation-free either way (proven by
     /// `tests/alloc_counting.rs`).
     pub fn recommend_into_traced<'s>(
         &self,
@@ -113,17 +182,18 @@ impl GoalRecommender {
         scratch: &'s mut Scratch,
         trace: &mut obs::TraceContext,
     ) -> &'s [Scored] {
-        self.ranked_traced(scratch, trace, |strategy, scratch| {
-            strategy.rank_into(&self.model, activity, k, scratch)
-        })
+        self.strategy.rank_live_into_traced(
+            LiveRef::solid(&self.model),
+            activity,
+            k,
+            scratch,
+            trace,
+        )
     }
 
     /// [`GoalRecommender::recommend_into_traced`] over a live base ⊕
-    /// delta overlay instead of the bound model: the serving path for a
-    /// state whose staging segment holds appends not yet compacted into
-    /// the CSR base. With an empty delta this ranks exactly like the
-    /// model path (and stays allocation-free); records the same metrics
-    /// and spans.
+    /// delta overlay instead of the bound model (see
+    /// [`ObservedStrategy::rank_live_into_traced`]).
     pub fn recommend_live_into_traced<'s>(
         &self,
         live: LiveRef<'_>,
@@ -132,49 +202,8 @@ impl GoalRecommender {
         scratch: &'s mut Scratch,
         trace: &mut obs::TraceContext,
     ) -> &'s [Scored] {
-        self.ranked_traced(scratch, trace, |strategy, scratch| {
-            strategy.rank_live_into(live, activity, k, scratch)
-        })
-    }
-
-    /// The shared observation wrapper: counts the request, times the
-    /// ranking closure into the strategy's latency histogram, and (when
-    /// tracing) records the `span.rank` family around it.
-    fn ranked_traced<'s>(
-        &self,
-        scratch: &'s mut Scratch,
-        trace: &mut obs::TraceContext,
-        rank: impl FnOnce(&dyn Strategy, &mut Scratch) -> usize,
-    ) -> &'s [Scored] {
-        self.requests.inc();
-        let traced = trace.is_enabled();
-        if traced {
-            trace.set_strategy(self.strategy.name());
-        }
-        scratch.phase.begin(traced);
-        let rank_start_ns = if traced { trace.elapsed_ns() } else { 0 };
-        // A child span: the server nests the ranking inside its own
-        // top-level `span.handle`, which alone accounts for this window.
-        let rank_token = trace.start_child_span(names::SPAN_RANK);
-        let span = obs::Timer::into_histogram(Arc::clone(&self.latency));
-        let num_candidates = rank(&*self.strategy, scratch);
-        drop(span);
-        trace.end_span(rank_token);
-        if traced {
-            let rank_ns = trace.elapsed_ns().saturating_sub(rank_start_ns);
-            let cand_ns = scratch.phase.candidates_ns().min(rank_ns);
-            if cand_ns > 0 {
-                trace.add_span(names::SPAN_RANK_CANDIDATES, rank_start_ns, cand_ns, true);
-                trace.add_span(
-                    names::SPAN_RANK_TOPK,
-                    rank_start_ns + cand_ns,
-                    rank_ns - cand_ns,
-                    true,
-                );
-            }
-        }
-        self.candidates.record(num_candidates as u64);
-        scratch.out()
+        self.strategy
+            .rank_live_into_traced(live, activity, k, scratch, trace)
     }
 
     /// One recommender per paper mechanism, sharing a single model:
@@ -307,7 +336,7 @@ mod tests {
                 .map(|s| s.dur_ns)
                 .sum();
             assert!(
-                child_sum <= rank.dur_ns + 1_000,
+                child_sum <= rank.dur_ns,
                 "{}: children {child_sum} ns exceed rank {} ns",
                 rec.name(),
                 rank.dur_ns

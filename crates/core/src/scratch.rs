@@ -41,7 +41,7 @@ use std::time::Instant;
 /// candidate set, then select the top k — and the tracing layer wants
 /// those phases as separate child spans. Strategies cannot talk to a
 /// `TraceContext` directly (the trait must stay obs-agnostic), so they
-/// mark the boundary here and `GoalRecommender::recommend_into_traced`
+/// mark the boundary here and `ObservedStrategy::rank_live_into_traced`
 /// converts the mark into `span.rank.candidates`/`span.rank.topk`.
 /// Disabled (the default, and whenever tracing is off) the mark is a
 /// single branch; enabled it adds one monotonic clock read per request —
@@ -164,44 +164,12 @@ impl Scratch {
         &self.out
     }
 
-    /// Every `(score, impl_id)` pair the last
-    /// [`crate::strategies::Focus::rank_impls_into`] call on this arena
-    /// scored; its length is Focus's candidate count. Only the ranks
-    /// [`Scratch::ranked_impl`] has reached are in rank order (score
-    /// descending, ascending-id tie-break); the rest follow in no order.
+    /// Every `(score, impl_id)` pair the last Focus ranking on this arena
+    /// scored; its length is Focus's candidate count. Only the prefix the
+    /// fill loop read is in rank order (score descending, ascending-id
+    /// tie-break); the rest follow in no order.
     pub fn scored_impls(&self) -> &[(f64, u32)] {
         self.scored_impls.as_slice()
-    }
-
-    /// The implementation at rank `i` (0 = best) of that ranking, sorting
-    /// further into it when needed; `None` past the end. Afterwards
-    /// `scored_impls()[..=i]` is in rank order. The scatter-gather layer
-    /// extends each shard's ranking through this before it k-way-merges
-    /// them without copying.
-    pub fn ranked_impl(&mut self, i: usize) -> Option<(f64, u32)> {
-        self.scored_impls.get(i)
-    }
-
-    /// Best Match's sums from the last goal-major pass on this arena.
-    pub fn terms(&self) -> &TermBoard {
-        &self.terms
-    }
-
-    /// The term board, for a caller that runs the goal-major pass itself:
-    /// the scatter-gather layer fills it per shard and adds the boards.
-    pub fn terms_mut(&mut self) -> &mut TermBoard {
-        &mut self.terms
-    }
-
-    /// Clears the per-request result buffers (`out`, `scored_impls`, the
-    /// term board) without touching the backing allocations. The
-    /// scatter-gather layer calls this before each shard's scatter phase
-    /// so a shard that has no model this generation can never leak the
-    /// previous request's results into the merge.
-    pub fn clear_results(&mut self) {
-        self.out.clear();
-        self.scored_impls.clear();
-        self.terms.clear();
     }
 }
 

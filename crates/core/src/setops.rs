@@ -52,44 +52,6 @@ pub fn intersection_len(a: &[u32], b: &[u32]) -> usize {
     n
 }
 
-/// Materialises `a ∩ b` as a strictly increasing sequence.
-pub fn intersection(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    intersection_into(a, b, &mut out);
-    out
-}
-
-/// Appends `a ∩ b` to `out` (which is cleared first). Allows callers to
-/// reuse a workhorse buffer across a loop.
-pub fn intersection_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-    out.clear();
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() {
-        return;
-    }
-    if large.len() / small.len().max(1) >= GALLOP_RATIO {
-        gallop_intersection_into(small, large, out);
-        return;
-    }
-    let (mut i, mut j) = (0, 0);
-    while i < small.len() && j < large.len() {
-        match small[i].cmp(&large[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(small[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-}
-
-/// `|a − b|` (elements of `a` not in `b`) without materialising the result.
-pub fn difference_len(a: &[u32], b: &[u32]) -> usize {
-    a.len() - intersection_len(a, b)
-}
-
 /// Materialises `a − b` as a strictly increasing sequence.
 pub fn difference(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len());
@@ -146,68 +108,10 @@ pub fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Unions many sorted sequences at once, by concatenating them and
-/// normalising the result: simple, and fine for a handful of lists. No
-/// ranking path calls it; Focus takes its candidates from the goals of
-/// `GS(H)`, whose implementation lists are disjoint and need no union.
-pub fn union_many<'a, I>(sets: I) -> Vec<u32>
-where
-    I: IntoIterator<Item = &'a [u32]>,
-{
-    let mut all: Vec<u32> = Vec::new();
-    for s in sets {
-        all.extend_from_slice(s);
-    }
-    normalize(&mut all);
-    all
-}
-
 /// Binary-search membership test.
 #[inline]
 pub fn contains(sorted: &[u32], x: u32) -> bool {
     sorted.binary_search(&x).is_ok()
-}
-
-/// `true` iff `a ∩ b ≠ ∅`; short-circuits on the first common element.
-pub fn intersects(a: &[u32], b: &[u32]) -> bool {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() || large.is_empty() {
-        return false;
-    }
-    if large.len() / small.len().max(1) >= GALLOP_RATIO {
-        let mut lo = 0;
-        for &x in small {
-            match large[lo..].binary_search(&x) {
-                Ok(_) => return true,
-                Err(pos) => lo += pos,
-            }
-            if lo >= large.len() {
-                return false;
-            }
-        }
-        return false;
-    }
-    let (mut i, mut j) = (0, 0);
-    while i < small.len() && j < large.len() {
-        match small[i].cmp(&large[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
-}
-
-/// Jaccard (Tanimoto) coefficient `|a∩b| / |a∪b|` of two sorted sets.
-/// Used by the CF-kNN baseline's neighbourhood formation (§6) but kept here
-/// with the other set primitives.
-pub fn jaccard(a: &[u32], b: &[u32]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 0.0;
-    }
-    let inter = intersection_len(a, b);
-    let uni = a.len() + b.len() - inter;
-    inter as f64 / uni as f64
 }
 
 fn gallop_intersection_len(small: &[u32], large: &[u32]) -> usize {
@@ -226,22 +130,6 @@ fn gallop_intersection_len(small: &[u32], large: &[u32]) -> usize {
         }
     }
     n
-}
-
-fn gallop_intersection_into(small: &[u32], large: &[u32], out: &mut Vec<u32>) {
-    let mut lo = 0;
-    for &x in small {
-        match gallop_search(&large[lo..], x) {
-            Ok(pos) => {
-                out.push(x);
-                lo += pos + 1;
-            }
-            Err(pos) => lo += pos,
-        }
-        if lo >= large.len() {
-            break;
-        }
-    }
 }
 
 /// Exponential probe followed by binary search, like `slice::binary_search`
@@ -287,15 +175,14 @@ mod tests {
 
     #[test]
     fn intersection_basic() {
-        assert_eq!(intersection(&[1, 3, 5, 7], &[3, 4, 5, 8]), vec![3, 5]);
         assert_eq!(intersection_len(&[1, 3, 5, 7], &[3, 4, 5, 8]), 2);
     }
 
     #[test]
     fn intersection_disjoint_and_empty() {
-        assert!(intersection(&[1, 2], &[3, 4]).is_empty());
-        assert!(intersection(&[], &[1]).is_empty());
-        assert!(intersection(&[1], &[]).is_empty());
+        assert_eq!(intersection_len(&[1, 2], &[3, 4]), 0);
+        assert_eq!(intersection_len(&[], &[1]), 0);
+        assert_eq!(intersection_len(&[1], &[]), 0);
         assert_eq!(intersection_len(&[], &[]), 0);
     }
 
@@ -304,16 +191,14 @@ mod tests {
         // large/small ratio >= 16 forces the galloping branch.
         let small = vec![0, 500, 999];
         let large: Vec<u32> = (0..1000).collect();
-        assert_eq!(intersection(&small, &large), small);
         assert_eq!(intersection_len(&small, &large), 3);
         let misses = vec![1001, 2002];
-        assert!(intersection(&misses, &large).is_empty());
+        assert_eq!(intersection_len(&misses, &large), 0);
     }
 
     #[test]
     fn difference_basic() {
         assert_eq!(difference(&[1, 2, 3, 4], &[2, 4]), vec![1, 3]);
-        assert_eq!(difference_len(&[1, 2, 3, 4], &[2, 4]), 2);
         assert_eq!(difference(&[1, 2], &[]), vec![1, 2]);
         assert!(difference(&[], &[1, 2]).is_empty());
     }
@@ -331,38 +216,14 @@ mod tests {
     }
 
     #[test]
-    fn union_many_merges_all() {
-        let sets: Vec<&[u32]> = vec![&[1, 4], &[2, 4], &[0, 9]];
-        assert_eq!(union_many(sets), vec![0, 1, 2, 4, 9]);
-        assert!(union_many(std::iter::empty::<&[u32]>()).is_empty());
-    }
-
-    #[test]
-    fn contains_and_intersects() {
+    fn contains_is_membership() {
         assert!(contains(&[1, 3, 5], 3));
         assert!(!contains(&[1, 3, 5], 4));
-        assert!(intersects(&[1, 9], &[9, 10]));
-        assert!(!intersects(&[1, 2], &[3, 4]));
-        assert!(!intersects(&[], &[1]));
-        // gallop branch of intersects
-        let large: Vec<u32> = (0..1000).map(|x| x * 2).collect();
-        assert!(intersects(&[998], &large));
-        assert!(!intersects(&[999], &large));
-    }
-
-    #[test]
-    fn jaccard_values() {
-        assert_eq!(jaccard(&[1, 2], &[1, 2]), 1.0);
-        assert_eq!(jaccard(&[1, 2], &[3, 4]), 0.0);
-        assert!((jaccard(&[1, 2, 3], &[2, 3, 4]) - 0.5).abs() < 1e-12);
-        assert_eq!(jaccard(&[], &[]), 0.0);
     }
 
     #[test]
     fn reusable_buffers() {
         let mut buf = vec![99, 98]; // stale content must be cleared
-        intersection_into(&[1, 2, 3], &[2, 3, 4], &mut buf);
-        assert_eq!(buf, vec![2, 3]);
         difference_into(&[1, 2, 3], &[2], &mut buf);
         assert_eq!(buf, vec![1, 3]);
     }
@@ -378,9 +239,7 @@ mod tests {
             let sa: BTreeSet<u32> = a.iter().copied().collect();
             let sb: BTreeSet<u32> = b.iter().copied().collect();
             let expect: Vec<u32> = sa.intersection(&sb).copied().collect();
-            prop_assert_eq!(intersection(&a, &b), expect.clone());
             prop_assert_eq!(intersection_len(&a, &b), expect.len());
-            prop_assert_eq!(intersects(&a, &b), !expect.is_empty());
         }
 
         #[test]
@@ -388,8 +247,7 @@ mod tests {
             let sa: BTreeSet<u32> = a.iter().copied().collect();
             let sb: BTreeSet<u32> = b.iter().copied().collect();
             let expect: Vec<u32> = sa.difference(&sb).copied().collect();
-            prop_assert_eq!(difference(&a, &b), expect.clone());
-            prop_assert_eq!(difference_len(&a, &b), expect.len());
+            prop_assert_eq!(difference(&a, &b), expect);
         }
 
         #[test]
@@ -402,7 +260,6 @@ mod tests {
 
         #[test]
         fn prop_outputs_strictly_sorted(a in sorted_set(), b in sorted_set()) {
-            prop_assert!(is_strictly_sorted(&intersection(&a, &b)));
             prop_assert!(is_strictly_sorted(&difference(&a, &b)));
             prop_assert!(is_strictly_sorted(&union(&a, &b)));
         }
@@ -415,7 +272,7 @@ mod tests {
                 a.len() + b.len() - intersection_len(&a, &b)
             );
             // |a − b| + |a ∩ b| = |a|
-            prop_assert_eq!(difference_len(&a, &b) + intersection_len(&a, &b), a.len());
+            prop_assert_eq!(difference(&a, &b).len() + intersection_len(&a, &b), a.len());
         }
 
         #[test]

@@ -13,8 +13,7 @@
 //! touched action's exact integer sums (`Σ p·c`, `Σ c²`, `Σ |p − c| − p`);
 //! each metric is then one formula over those sums per candidate. The
 //! [`crate::profile`] module docs explain why that is bit-identical to
-//! the dense definition. The scatter-gather layer (`goalrec-shard`) runs
-//! the same pass per shard and adds the sums up.
+//! the dense definition.
 
 use crate::activity::Activity;
 use crate::distance::DistanceMetric;

@@ -106,36 +106,6 @@ impl Breadth {
         num_candidates
     }
 
-    /// Algorithm 2's scores without the top-k cut: every candidate action
-    /// (performed ones excluded) with its Eq. 6 score, in first-touch
-    /// order, left in [`Scratch::out`]. The scores are exact integers, so
-    /// the scatter-gather layer can sum them across shards in any order
-    /// before ranking once.
-    pub fn scores_live_into(live: LiveRef<'_>, activity: &Activity, scratch: &mut Scratch) {
-        scratch.out.clear();
-        if activity.is_empty() {
-            return;
-        }
-        match live.unstaged() {
-            Some(base) => Self::scores_view_into(base, activity.raw(), scratch),
-            None => Self::scores_view_into(&live, activity.raw(), scratch),
-        }
-    }
-
-    fn scores_view_into<V: AssocView + ?Sized>(view: &V, h: &[u32], scratch: &mut Scratch) {
-        Self::accumulate(view, h, scratch);
-        let mut out = std::mem::take(&mut scratch.out);
-        out.clear();
-        out.extend(
-            scratch
-                .touched
-                .iter()
-                .filter(|&&a| !setops::contains(h, a))
-                .map(|&a| Scored::new(ActionId::new(a), scratch.board_get(a) as f64)),
-        );
-        scratch.out = out;
-    }
-
     /// Computes the full candidate→score map (Algorithm 2 lines 2–11)
     /// without the final top-k cut, as a thin wrapper over the same dense
     /// scoreboard the ranking path uses — the `HashMap` is materialised
@@ -144,11 +114,12 @@ impl Breadth {
     pub fn scores(model: &GoalModel, activity: &Activity) -> HashMap<u32, u64> {
         let h = activity.raw();
         with_thread_scratch(|scratch| {
-            Self::scores_view_into(model, h, scratch);
+            Self::accumulate(model, h, scratch);
             scratch
-                .out()
+                .touched
                 .iter()
-                .map(|s| (s.action.raw(), s.score as u64))
+                .filter(|&&a| !setops::contains(h, a))
+                .map(|&a| (a, scratch.board_get(a)))
                 .collect()
         })
     }
@@ -256,28 +227,6 @@ mod tests {
         assert_eq!(s.get(&2), Some(&1));
         assert_eq!(s.get(&3), Some(&1));
         assert_eq!(s.get(&4), Some(&1));
-    }
-
-    #[test]
-    fn unranked_scores_match_the_score_map() {
-        let m = example_model();
-        let mut scratch = Scratch::new();
-        for h in [
-            Activity::from_raw([0]),
-            Activity::from_raw([0, 1]),
-            Activity::from_raw([1, 2, 5]),
-        ] {
-            Breadth::scores_live_into(LiveRef::solid(&m), &h, &mut scratch);
-            let got: HashMap<u32, u64> = scratch
-                .out()
-                .iter()
-                .map(|s| (s.action.raw(), s.score as u64))
-                .collect();
-            assert_eq!(got.len(), scratch.out().len(), "one entry per action");
-            assert_eq!(got, Breadth::scores(&m, &h), "H={h:?}");
-        }
-        Breadth::scores_live_into(LiveRef::solid(&m), &Activity::new(), &mut scratch);
-        assert!(scratch.out().is_empty());
     }
 
     #[test]

@@ -73,14 +73,9 @@ impl Focus {
     /// few more \[implementations\] to complete the recommendation list").
     /// Implementations already complete (`A ⊆ H`) have no action left to
     /// recommend and are skipped. The scores land in
-    /// [`Scratch::scored_impls`], ranked on demand through
-    /// [`Scratch::ranked_impl`] (score descending, ascending
-    /// implementation id on ties).
-    ///
-    /// The scatter-gather layer calls this per shard and replays the fill
-    /// loop over a k-way merge of the per-shard rankings, which is what
-    /// keeps sharded Focus bit-identical to the unsharded path.
-    pub fn rank_impls_into<V: AssocView + ?Sized>(
+    /// [`Scratch::scored_impls`], ranked on demand (score descending,
+    /// ascending implementation id on ties).
+    fn rank_impls_into<V: AssocView + ?Sized>(
         &self,
         view: &V,
         activity: &Activity,

@@ -35,11 +35,7 @@ impl Scored {
 /// Total order used for ranking: score descending, then id ascending.
 /// NaN scores sort last (treated as −∞), so a pathological distance
 /// computation can never crowd out real candidates.
-///
-/// Public because the scatter-gather layer (`goalrec-shard`) must merge
-/// per-shard rankings under the *same* total order to stay bit-identical
-/// with the unsharded path.
-pub fn rank_cmp(a: &Scored, b: &Scored) -> Ordering {
+pub(crate) fn rank_cmp(a: &Scored, b: &Scored) -> Ordering {
     let sa = if a.score.is_nan() {
         f64::NEG_INFINITY
     } else {
@@ -171,45 +167,10 @@ pub fn top_k<I: IntoIterator<Item = Scored>>(items: I, k: usize) -> Vec<Scored> 
     acc.into_sorted()
 }
 
-/// Allocation-free k-way merge step over `n` already-sorted streams.
-///
-/// `heads[i]` is the cursor into stream `i`; `peek(i, heads[i])` returns
-/// the element the cursor points at, or `None` when stream `i` is
-/// exhausted. One call finds the stream whose head is smallest under
-/// `cmp`, advances that cursor, and returns the stream index — `None`
-/// once every stream is dry.
-///
-/// The closure-based shape avoids materialising a `Vec<&[T]>` per merge:
-/// the scatter-gather layer calls this with cursors into per-shard
-/// scratch buffers, so the steady state touches no allocator. A linear
-/// scan over `n` streams is deliberate — shard counts are small (≤ 16)
-/// and a loser tree would cost more in bookkeeping than it saves.
-pub fn kway_next<T, P, C>(n: usize, heads: &mut [usize], peek: P, mut cmp: C) -> Option<usize>
-where
-    P: Fn(usize, usize) -> Option<T>,
-    C: FnMut(&T, &T) -> Ordering,
-{
-    let mut best: Option<(usize, T)> = None;
-    for (stream, &head) in heads.iter().enumerate().take(n) {
-        let Some(item) = peek(stream, head) else {
-            continue;
-        };
-        match &best {
-            Some((_, incumbent)) if cmp(&item, incumbent) != Ordering::Less => {}
-            _ => best = Some((stream, item)),
-        }
-    }
-    let (stream, _) = best?;
-    heads[stream] += 1;
-    Some(stream)
-}
-
 /// Orders `(score, id)` pairs best-first: score descending, then id
-/// ascending. Focus ranks its implementations under it, and the
-/// scatter-gather layer merges per-shard rankings under the same order.
-/// Focus scores are never NaN, so the order is total; ids are unique, so
-/// it is strict.
-pub fn score_id_cmp(a: &(f64, u32), b: &(f64, u32)) -> Ordering {
+/// ascending. Focus ranks its implementations under it. Focus scores are
+/// never NaN, so the order is total; ids are unique, so it is strict.
+pub(crate) fn score_id_cmp(a: &(f64, u32), b: &(f64, u32)) -> Ordering {
     b.0.partial_cmp(&a.0)
         .unwrap_or(Ordering::Equal)
         .then_with(|| a.1.cmp(&b.1))
@@ -374,47 +335,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn kway_next_merges_sorted_streams_in_order() {
-        let streams: Vec<Vec<u32>> = vec![vec![1, 4, 7], vec![2, 3, 9], vec![], vec![5]];
-        let mut heads = vec![0usize; streams.len()];
-        let mut merged = Vec::new();
-        while let Some(s) = kway_next(
-            streams.len(),
-            &mut heads,
-            |i, h| streams[i].get(h).copied(),
-            |a, b| a.cmp(b),
-        ) {
-            merged.push(streams[s][heads[s] - 1]);
-        }
-        assert_eq!(merged, vec![1, 2, 3, 4, 5, 7, 9]);
-    }
-
-    #[test]
-    fn kway_next_breaks_ties_by_lowest_stream() {
-        let streams = [vec![1u32, 1], vec![1u32]];
-        let mut heads = [0usize; 2];
-        let order: Vec<usize> = std::iter::from_fn(|| {
-            kway_next(
-                2,
-                &mut heads,
-                |i, h| streams[i].get(h).copied(),
-                |a, b| a.cmp(b),
-            )
-        })
-        .collect();
-        assert_eq!(order, vec![0, 0, 1]);
-    }
-
-    #[test]
-    fn kway_next_on_empty_streams_is_none() {
-        let mut heads = [0usize; 3];
-        assert_eq!(
-            kway_next(3, &mut heads, |_, _| None::<u32>, |a: &u32, b| a.cmp(b)),
-            None
-        );
-    }
-
     /// `n` entries with few distinct scores (so ties are common) and
     /// unique, shuffled ids.
     fn scored_ids(n: u32) -> Vec<(f64, u32)> {
@@ -464,33 +384,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_kway_merge_equals_global_sort(
-            chunks in proptest::collection::vec(
-                proptest::collection::vec(0u32..100, 0..20), 1..6)
-        ) {
-            let streams: Vec<Vec<u32>> = chunks
-                .into_iter()
-                .map(|mut c| {
-                    c.sort_unstable();
-                    c
-                })
-                .collect();
-            let mut heads = vec![0usize; streams.len()];
-            let mut merged = Vec::new();
-            while let Some(s) = kway_next(
-                streams.len(),
-                &mut heads,
-                |i, h| streams[i].get(h).copied(),
-                |a, b| a.cmp(b),
-            ) {
-                merged.push(streams[s][heads[s] - 1]);
-            }
-            let mut expect: Vec<u32> = streams.iter().flatten().copied().collect();
-            expect.sort_unstable();
-            prop_assert_eq!(merged, expect);
-        }
-
         /// Any sequence of reads, across any chunk bounds, sees exactly
         /// the full sort.
         #[test]

@@ -4,7 +4,8 @@
 //! the inverted indexes before it serves. v2 instead writes the compiled
 //! [`GoalModel`]'s flat arrays exactly as they sit in memory, so loading
 //! is `mmap` + validate — no parse, no allocation, no index inversion —
-//! and N shard workers share one physical copy through the page cache.
+//! and every process serving the file shares one physical copy through
+//! the page cache.
 //! Version 2 is the only version read: a GRLB file stamped with any other
 //! version is the typed [`UnsupportedVersion`] error. Layout (all
 //! integers little-endian):
@@ -28,12 +29,11 @@
 //!             4 goal-impls data    inverse GI-G-idx postings
 //!             5 action-impls off   A-GI-idx offsets          (actions+1)
 //!             6 action-impls data  A-GI-idx postings
-//!             7 impl-global        shard-local → global map  (0 or impls)
+//!             7 impl-global        retired; always empty     (0 words)
 //! ```
 //!
-//! Section 7 is empty for whole models; shard snapshots use it to carry
-//! the shard's local→global implementation id map, so a `--shards N`
-//! server boots a whole family off mapped files with no sidecar.
+//! Section 7 is retired: the writer leaves it empty, and the reader
+//! refuses a file that fills it (see [`read_model_v2`]).
 //!
 //! **Validate-before-trust:** a mapped file is untrusted memory. The
 //! reader verifies, in order: header checksum, exact section layout
@@ -484,33 +484,14 @@ fn write_v2(
     })
 }
 
-/// Writes a compiled model as a whole-model v2 file (empty `impl-global`
-/// section), crash-safely via [`crate::io::atomic_write`].
+/// Writes a compiled model as a v2 file (empty `impl-global` section),
+/// crash-safely via [`crate::io::atomic_write`].
 pub fn write_model_v2(model: &GoalModel, path: &Path) -> io::Result<()> {
     let s = model.flat_sections();
     write_v2(
         model.num_actions() as u64,
         model.num_goals() as u64,
         [s[0], s[1], s[2], s[3], s[4], s[5], s[6], &[]],
-        path,
-    )
-}
-
-/// Writes one shard's model plus its local→global implementation id map
-/// as a shard-snapshot v2 file (`impl-global` section populated).
-pub fn write_shard_v2(model: &GoalModel, impl_global: &[u32], path: &Path) -> io::Result<()> {
-    if impl_global.len() != model.num_impls() {
-        return Err(invalid(&format!(
-            "impl-global map has {} entries for a {}-implementation shard",
-            impl_global.len(),
-            model.num_impls()
-        )));
-    }
-    let s = model.flat_sections();
-    write_v2(
-        model.num_actions() as u64,
-        model.num_goals() as u64,
-        [s[0], s[1], s[2], s[3], s[4], s[5], s[6], impl_global],
         path,
     )
 }
@@ -570,8 +551,13 @@ fn model_from(h: &Header, bytes: &ModelBytes, path: &Path) -> io::Result<GoalMod
     .map_err(|e| core_to_io(path, e))
 }
 
-/// Reads a whole-model v2 file, mapped in place when the platform allows
-/// (see [`crate::mmap::mmap_supported`]), heap-resident otherwise.
+/// Reads a v2 model file, mapped in place when the platform allows (see
+/// [`crate::mmap::mmap_supported`]), heap-resident otherwise.
+///
+/// A file whose `impl-global` section is filled is a per-shard snapshot
+/// written by an older `goalrec compile --shards`; it holds only part of
+/// a library, so it is refused with a typed `InvalidData` error that
+/// names the way to a servable file.
 pub fn read_model_v2(path: &Path) -> io::Result<GoalModel> {
     read_model_v2_with(path, mmap_supported())
 }
@@ -586,28 +572,12 @@ fn read_model_v2_with(path: &Path, use_mmap: bool) -> io::Result<GoalModel> {
     let (h, bytes) = open_v2(path, use_mmap)?;
     if h.sections[SEC_IMPL_GLOBAL].words != 0 {
         return Err(invalid(
-            "this is a shard snapshot (impl-global section present); load it with read_shard_v2",
+            "this is a retired shard snapshot (impl-global section present), which holds \
+             only part of a library; re-run `goalrec compile` on the library to write a \
+             servable model",
         ));
     }
     model_from(&h, &bytes, path)
-}
-
-/// Reads a shard-snapshot v2 file: the shard's model plus its
-/// local→global implementation id map (copied out — it is tiny next to
-/// the indexes, and the map is consulted per-result, not per-posting).
-pub fn read_shard_v2(path: &Path) -> io::Result<(GoalModel, Vec<u32>)> {
-    let (h, bytes) = open_v2(path, mmap_supported())?;
-    let ig = h.sections[SEC_IMPL_GLOBAL];
-    if ig.words == 0 {
-        return Err(invalid(
-            "not a shard snapshot (impl-global section empty); load it with read_model_v2",
-        ));
-    }
-    let model = model_from(&h, &bytes, path)?;
-    let map = bytes
-        .section(ig.offset as usize, ig.words as usize)
-        .to_vec();
-    Ok((model, map))
 }
 
 #[cfg(test)]
@@ -680,23 +650,33 @@ mod tests {
     }
 
     #[test]
-    fn shard_roundtrip_carries_the_global_map() {
-        let model = test_model();
+    fn a_retired_shard_snapshot_is_refused_with_a_typed_error() {
+        // What an older `goalrec compile --shards` wrote: a model whose
+        // impl-global section maps its rows into a larger library.
+        let model = tiny_model();
         let map: Vec<u32> = (0..model.num_impls() as u32).map(|i| i * 2 + 1).collect();
-        let path = tmp("shard.grlb2");
-        write_shard_v2(&model, &map, &path).unwrap();
-        let (back, back_map) = read_shard_v2(&path).unwrap();
-        assert_eq!(back_map, map);
-        assert_eq!(back.num_impls(), model.num_impls());
-        // The two readers refuse each other's files with typed errors.
-        let err = read_model_v2(&path).unwrap_err();
-        assert!(err.to_string().contains("shard snapshot"), "{err}");
-        let whole = tmp("whole.grlb2");
-        write_model_v2(&model, &whole).unwrap();
-        let err = read_shard_v2(&whole).unwrap_err();
-        assert!(err.to_string().contains("not a shard snapshot"), "{err}");
-        // A mis-sized map is rejected at write time.
-        assert!(write_shard_v2(&model, &map[1..], &path).is_err());
+        let s = model.flat_sections();
+        let path = tmp("retired-shard.grlb2");
+        write_v2(
+            model.num_actions() as u64,
+            model.num_goals() as u64,
+            [s[0], s[1], s[2], s[3], s[4], s[5], s[6], &map],
+            &path,
+        )
+        .unwrap();
+        let errors = [
+            read_model_v2(&path).unwrap_err(),
+            read_model_v2_heap(&path).unwrap_err(),
+            crate::io::read_library_file(&path).err().unwrap(),
+        ];
+        for err in errors {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("retired shard snapshot") && msg.contains("goalrec compile"),
+                "{msg}"
+            );
+        }
     }
 
     #[test]
@@ -895,7 +875,6 @@ mod tests {
             sniff(&path, &v1[..8]).unwrap_err(),
             read_model_v2(&path).unwrap_err(),
             read_model_v2_heap(&path).unwrap_err(),
-            read_shard_v2(&path).unwrap_err(),
         ];
         for err in errors {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);

@@ -288,7 +288,7 @@ fn apply_suppressions(file: &str, lexed: &Lexed, raw: Vec<Finding>) -> Vec<Findi
 /// The README half of `metric-name-registry`: every registered name must
 /// appear in the README's Observability table and vice versa. A registry
 /// name also counts as documented when it matches a documented *pattern*
-/// row — `span.shard.3` is covered by `span.shard.<i>` — so pre-expanded
+/// row — `span.phase.3` is covered by `span.phase.<i>` — so pre-expanded
 /// per-instance names (arrays of `&'static str` for hot-path use) need one
 /// pattern row, not one row per expansion.
 fn registry_readme_drift(
@@ -332,8 +332,8 @@ fn registry_readme_drift(
     }
 }
 
-/// Does the documented pattern (`span.shard.<i>`) cover the concrete
-/// registry name (`span.shard.3`)? Segment-wise: a `<placeholder>`
+/// Does the documented pattern (`span.phase.<i>`) cover the concrete
+/// registry name (`span.phase.3`)? Segment-wise: a `<placeholder>`
 /// segment matches exactly one non-empty concrete segment, every other
 /// segment must match verbatim. Patterns without a placeholder never
 /// "cover" anything — exact names are handled by the set lookup.
@@ -427,28 +427,28 @@ y.unwrap(); // goalrec-lint:allow(no-such-rule): justified
     #[test]
     fn documented_pattern_rows_cover_expanded_registry_names() {
         let registry = vec![
-            ("span.shard.<i>".to_owned(), 10),
-            ("span.shard.0".to_owned(), 11),
-            ("span.shard.15".to_owned(), 12),
-            ("span.shard.0.extra".to_owned(), 13),
+            ("span.phase.<i>".to_owned(), 10),
+            ("span.phase.0".to_owned(), 11),
+            ("span.phase.15".to_owned(), 12),
+            ("span.phase.0.extra".to_owned(), 13),
         ];
-        let documented = vec![("span.shard.<i>".to_owned(), 5)];
+        let documented = vec![("span.phase.<i>".to_owned(), 5)];
         let mut findings = Vec::new();
         registry_readme_drift(&registry, &documented, &mut findings);
         // The pattern row covers its expansions but not a deeper name.
         assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("span.shard.0.extra"));
+        assert!(findings[0].message.contains("span.phase.0.extra"));
     }
 
     #[test]
     fn pattern_covers_is_segment_exact() {
-        assert!(pattern_covers("span.shard.<i>", "span.shard.3"));
+        assert!(pattern_covers("span.phase.<i>", "span.phase.3"));
         assert!(pattern_covers(
             "strategy.<name>.requests",
             "strategy.Breadth.requests"
         ));
-        assert!(!pattern_covers("span.shard.<i>", "span.shard"));
-        assert!(!pattern_covers("span.shard.<i>", "span.reload.load"));
-        assert!(!pattern_covers("span.shard.3", "span.shard.3"));
+        assert!(!pattern_covers("span.phase.<i>", "span.phase"));
+        assert!(!pattern_covers("span.phase.<i>", "span.reload.load"));
+        assert!(!pattern_covers("span.phase.3", "span.phase.3"));
     }
 }

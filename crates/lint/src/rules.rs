@@ -61,7 +61,6 @@ pub const LIBRARY_CRATES: &[&str] = &[
     "faults",
     "obs",
     "server",
-    "shard",
     "textmine",
 ];
 

@@ -134,7 +134,7 @@ pub fn server_route_requests(route: &str) -> String {
 /// Counter: implementations accepted into the staging delta segment.
 pub const LIBRARY_APPENDS: &str = "library.appends";
 /// Gauge: live implementations currently staged in the delta segment
-/// (sums over shards on the sharded plane; drops to 0 on compaction).
+/// (drops to 0 on compaction).
 pub const LIBRARY_DELTA_SIZE: &str = "library.delta_size";
 /// Counter: compactions that merged the delta into a fresh CSR base and
 /// swapped it in generation-atomically.
@@ -145,26 +145,6 @@ pub const LIBRARY_COMPACTION_FAILURES: &str = "library.compaction_failures";
 /// Histogram (ns): wall time of one compaction attempt
 /// (merge + persist + swap).
 pub const LIBRARY_COMPACTION_LATENCY: &str = "library.compaction_latency";
-
-// ---------------------------------------------------------------------
-// Sharded scatter-gather serving (`goalrec-serve --shards N`).
-// ---------------------------------------------------------------------
-
-/// Pattern — counter: recommend requests scattered to one shard.
-pub const SHARD_REQUESTS: &str = "shard.<i>.requests";
-/// Pattern — histogram (ns): one shard's scatter-phase latency (its part
-/// of the per-request fan-out, before the global merge).
-pub const SHARD_LATENCY: &str = "shard.<i>.latency";
-
-/// `shard.<i>.requests` for a concrete shard index.
-pub fn shard_requests(i: usize) -> String {
-    expand(SHARD_REQUESTS, &i.to_string())
-}
-
-/// `shard.<i>.latency` for a concrete shard index.
-pub fn shard_latency(i: usize) -> String {
-    expand(SHARD_LATENCY, &i.to_string())
-}
 
 // ---------------------------------------------------------------------
 // Trace span names (`TraceContext` spans; same registry discipline as
@@ -178,7 +158,8 @@ pub const SPAN_QUEUE_WAIT: &str = "span.queue_wait";
 pub const SPAN_PARSE: &str = "span.parse";
 /// Span: `router::handle` — routing plus the handler body.
 pub const SPAN_HANDLE: &str = "span.handle";
-/// Span: one `Strategy::rank_into` call inside the recommend handler.
+/// Span: one ranking (`Strategy::rank_live_into`) inside the recommend
+/// handler.
 pub const SPAN_RANK: &str = "span.rank";
 /// Child span of `span.rank`: candidate generation.
 pub const SPAN_RANK_CANDIDATES: &str = "span.rank.candidates";
@@ -193,9 +174,6 @@ pub const SPAN_RELOAD_VALIDATE: &str = "span.reload.validate";
 /// Span: `GoalModel::build` plus recommender construction (reloads and
 /// first boot).
 pub const SPAN_MODEL_BUILD: &str = "span.model_build";
-/// Pattern — child span of `span.rank`: one shard's scatter phase inside
-/// a sharded recommend.
-pub const SPAN_SHARD: &str = "span.shard.<i>";
 /// Span: compaction merge phase — base ⊕ delta into a fresh CSR model.
 pub const SPAN_COMPACT_MERGE: &str = "span.compact.merge";
 /// Span: compaction persist phase — crash-safe `atomic_write` of the
@@ -204,38 +182,6 @@ pub const SPAN_COMPACT_PERSIST: &str = "span.compact.persist";
 /// Span: compaction swap phase — generation-atomic publication of the
 /// merged base with an empty delta.
 pub const SPAN_COMPACT_SWAP: &str = "span.compact.swap";
-
-/// How many shards get individually named `span.shard.<i>` spans and
-/// pre-expanded static names; the server clamps `--shards` to this.
-pub const MAX_NAMED_SHARDS: usize = 16;
-
-/// Pre-expanded `span.shard.<i>` names: span names must be `&'static
-/// str` (the trace recorder is allocation-free), so the pattern is
-/// expanded at compile time for every shard index the server can run.
-const SPAN_SHARD_NAMES: [&str; MAX_NAMED_SHARDS] = [
-    "span.shard.0",
-    "span.shard.1",
-    "span.shard.2",
-    "span.shard.3",
-    "span.shard.4",
-    "span.shard.5",
-    "span.shard.6",
-    "span.shard.7",
-    "span.shard.8",
-    "span.shard.9",
-    "span.shard.10",
-    "span.shard.11",
-    "span.shard.12",
-    "span.shard.13",
-    "span.shard.14",
-    "span.shard.15",
-];
-
-/// The static `span.shard.<i>` name for shard `i`; indexes past
-/// [`MAX_NAMED_SHARDS`] share the last slot rather than panicking.
-pub fn span_shard(i: usize) -> &'static str {
-    SPAN_SHARD_NAMES[i.min(MAX_NAMED_SHARDS - 1)]
-}
 
 // ---------------------------------------------------------------------
 // Evaluation harness (eval context + `repro`).
@@ -294,8 +240,6 @@ pub const ALL: &[&str] = &[
     LIBRARY_COMPACTIONS,
     LIBRARY_COMPACTION_FAILURES,
     LIBRARY_COMPACTION_LATENCY,
-    SHARD_REQUESTS,
-    SHARD_LATENCY,
     SPAN_QUEUE_WAIT,
     SPAN_PARSE,
     SPAN_HANDLE,
@@ -306,7 +250,6 @@ pub const ALL: &[&str] = &[
     SPAN_RELOAD_LOAD,
     SPAN_RELOAD_VALIDATE,
     SPAN_MODEL_BUILD,
-    SPAN_SHARD,
     SPAN_COMPACT_MERGE,
     SPAN_COMPACT_PERSIST,
     SPAN_COMPACT_SWAP,
@@ -343,7 +286,7 @@ mod tests {
         for name in ALL {
             assert!(seen.insert(*name), "duplicate registry entry {name}");
         }
-        assert_eq!(ALL.len(), 57);
+        assert_eq!(ALL.len(), 54);
     }
 
     #[test]
@@ -379,17 +322,6 @@ mod tests {
             "server.route.healthz.requests"
         );
         assert_eq!(eval_experiment_wall("table6"), "eval.table6.wall");
-        assert_eq!(shard_requests(3), "shard.3.requests");
-        assert_eq!(shard_latency(11), "shard.11.latency");
-    }
-
-    #[test]
-    fn span_shard_table_matches_the_pattern() {
-        for i in 0..MAX_NAMED_SHARDS {
-            assert_eq!(span_shard(i), expand(SPAN_SHARD, &i.to_string()));
-        }
-        // Out-of-range indexes saturate instead of panicking.
-        assert_eq!(span_shard(MAX_NAMED_SHARDS + 5), span_shard(15));
     }
 
     #[test]

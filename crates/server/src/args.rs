@@ -2,7 +2,7 @@
 //! `goalrec-serve` binary and the `goalrec serve` subcommand so the two
 //! cannot drift apart.
 
-use crate::{PartitionMode, ServerConfig};
+use crate::ServerConfig;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -13,8 +13,7 @@ pub const USAGE: &str = "usage: goalrec-serve --library FILE[.jsonl|.grlb2] \
     [--admin-deadline-ms N] [--append-max-entries N] \
     [--watch] [--compact-threshold N] [--compact-max-age-ms N] \
     [--no-trace] [--trace-sample-every N] \
-    [--access-log] [--access-log-every N] \
-    [--shards N] [--shard-mode hash|balanced]";
+    [--access-log] [--access-log-every N]";
 
 /// Parses the serve flags into a [`ServerConfig`] whose `library_path` is
 /// the required `--library` file. Errors (and `--help`) carry [`USAGE`].
@@ -75,13 +74,6 @@ pub fn parse_args(argv: &[String]) -> Result<ServerConfig, String> {
                 config.access_log_every =
                     parse_num(value("--access-log-every")?, "--access-log-every")?
             }
-            "--shards" => config.shards = parse_num(value("--shards")?, "--shards")?,
-            "--shard-mode" => {
-                let raw = value("--shard-mode")?;
-                config.shard_mode = PartitionMode::parse(raw).ok_or_else(|| {
-                    format!("--shard-mode expects 'hash' or 'balanced', got '{raw}'")
-                })?
-            }
             "--help" | "-h" => return Err(USAGE.to_owned()),
             other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
         }
@@ -126,10 +118,6 @@ mod tests {
             "16",
             "--access-log-every",
             "32",
-            "--shards",
-            "4",
-            "--shard-mode",
-            "balanced",
         ]))
         .unwrap();
         assert_eq!(cfg.library_path, Some(PathBuf::from("x.jsonl")));
@@ -142,17 +130,6 @@ mod tests {
         assert!(!cfg.trace_enabled);
         assert_eq!(cfg.trace_sample_every, 16);
         assert_eq!(cfg.access_log_every, 32);
-        assert_eq!(cfg.shards, 4);
-        assert!(matches!(cfg.shard_mode, PartitionMode::BalancedMass));
-    }
-
-    #[test]
-    fn defaults_to_one_shard_and_rejects_bad_shard_modes() {
-        let cfg = parse_args(&args(&["--library", "x.jsonl"])).unwrap();
-        assert_eq!(cfg.shards, 1);
-        assert!(matches!(cfg.shard_mode, PartitionMode::HashGoal));
-        assert!(parse_args(&args(&["--library", "x", "--shards", "two"])).is_err());
-        assert!(parse_args(&args(&["--library", "x", "--shard-mode", "zig"])).is_err());
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //!              └──▶ 503 + Retry-After (admission control)      └──▶ Arc<AppState>
 //! ```
 //!
-//! * **One serving plane** — every server runs through a [`ShardSet`]:
-//!   `N` goal-partitioned shard models (`N = 1` by default, where shard 0
-//!   is the whole model) behind one swappable [`AppState`] snapshot.
-//!   Recommends scatter across the shards and merge exactly; reloads,
-//!   appends and compactions publish successor snapshots (see
-//!   [`shards`] and [`reload`]).
+//! * **One serving state** — one swappable [`AppState`] snapshot (one
+//!   model plus its staged append overlay) behind a [`StateCell`].
+//!   Recommends rank through core's strategies on the worker's own
+//!   arena; reloads, appends and compactions publish successor snapshots
+//!   (see [`state`] and [`reload`]).
 //! * **Admission control** — the queue capacity bounds accepted-but-unserved
 //!   connections; beyond it the accept loop answers `503` immediately
 //!   instead of letting latency collapse.
@@ -42,17 +41,16 @@ mod pool;
 pub mod queue;
 pub mod reload;
 pub mod router;
-pub mod shards;
 pub mod shutdown;
+pub mod state;
 
 pub use args::{parse_args, USAGE};
 pub use error::ServerError;
-pub use goalrec_shard::PartitionMode;
 pub use http::{Limits, Request, Response};
 pub use reload::ReloadHandle;
 pub use router::{ServeCtx, WorkerArena, STRATEGY_NAMES};
-pub use shards::{AppState, ShardSet, ShardState};
 pub use shutdown::Shutdown;
+pub use state::{AppState, StateCell};
 
 use goalrec_obs as obs;
 use pool::{Conn, ConnPolicy, ServerMetrics};
@@ -98,14 +96,6 @@ pub struct ServerConfig {
     /// Emit a single-line JSON access-log record for every Nth traced
     /// request per worker; `0` disables the access log entirely.
     pub access_log_every: u64,
-    /// Number of shards to partition the goal library into, clamped to
-    /// `1..=16` (`goalrec-obs`'s named-shard budget). One shard (the
-    /// default) is the whole model; more split it by goal. Every
-    /// recommend runs the same scatter-gather merge either way —
-    /// bit-identical results, per-shard metrics/spans/reload.
-    pub shards: usize,
-    /// How goals are placed onto shards when there is more than one.
-    pub shard_mode: PartitionMode,
     /// Deadline for `/v1/admin/*` requests. Admin work (reload, append,
     /// compaction) legitimately takes longer than a recommend, so it gets
     /// its own, longer budget instead of inheriting `deadline`.
@@ -141,8 +131,6 @@ impl Default for ServerConfig {
             trace_enabled: true,
             trace_sample_every: 64,
             access_log_every: 0,
-            shards: 1,
-            shard_mode: PartitionMode::HashGoal,
             admin_deadline: Duration::from_secs(10),
             append_max_entries: router::DEFAULT_APPEND_CAP,
             watch: false,
@@ -231,13 +219,7 @@ pub fn start_with_shutdown(
     config: ServerConfig,
     shutdown: Shutdown,
 ) -> Result<ServerHandle, ServerError> {
-    let state = AppState::build(
-        library,
-        config.shards,
-        config.shard_mode,
-        &mut obs::TraceContext::disabled(),
-    )?;
-    serve(state, config, shutdown)
+    serve(AppState::new(library)?, config, shutdown)
 }
 
 /// Starts serving `state`.
@@ -246,7 +228,7 @@ fn serve(
     config: ServerConfig,
     shutdown: Shutdown,
 ) -> Result<ServerHandle, ServerError> {
-    let set = Arc::new(ShardSet::new(state));
+    let cell = Arc::new(StateCell::new(state));
     // Boot the live mutation plane: bind the append WAL next to the
     // library file and re-stage anything a previous process acknowledged
     // but had not compacted — before the first request is admitted.
@@ -256,7 +238,7 @@ fn serve(
         config.compact_max_age,
     )?;
     if !live.entries().is_empty() {
-        reload::publish_staged(&set, live.entries())?;
+        reload::publish_staged(&cell, live.entries())?;
     }
     let bind_addr = format!("{}:{}", config.addr, config.port);
     let listener = TcpListener::bind(&bind_addr).map_err(|e| ServerError::Bind {
@@ -279,14 +261,14 @@ fn serve(
         ..obs::TailConfig::default()
     }));
     let (reload, reloader) = reload::spawn_reloader(
-        Arc::clone(&set),
+        Arc::clone(&cell),
         shutdown.clone(),
         config.library_path.clone(),
         Arc::clone(&tail),
         live,
     )?;
     let ctx = Arc::new(
-        ServeCtx::new(set, Some(reload.clone()))
+        ServeCtx::new(cell, Some(reload.clone()))
             .with_tail(tail)
             .with_append_cap(config.append_max_entries),
     );
@@ -471,9 +453,9 @@ fn reject(mut stream: TcpStream, metrics: &ServerMetrics) {
 
 /// The body of both the `goalrec-serve` binary and the `goalrec serve`
 /// subcommand: loads `config.library_path` through the same loader every
-/// full reload uses (`reload::load` — a one-shard `.grlb2` is mapped
-/// and served in place, anything else compiled once), binds, prints the
-/// endpoints, serves until `SIGTERM`/`SIGINT`, then drains.
+/// full reload uses (`reload::load` — a `.grlb2` is mapped and served in
+/// place, anything else compiled once), binds, prints the endpoints,
+/// serves until `SIGTERM`/`SIGINT`, then drains.
 pub fn run_blocking(config: ServerConfig) -> Result<(), ServerError> {
     let loading = |detail: String| ServerError::Io {
         context: "loading the library",
@@ -483,17 +465,11 @@ pub fn run_blocking(config: ServerConfig) -> Result<(), ServerError> {
         .library_path
         .clone()
         .ok_or_else(|| loading("no library file given".to_owned()))?;
-    let state = reload::load(
-        &path,
-        None,
-        config.shards,
-        config.shard_mode,
-        &mut obs::TraceContext::disabled(),
-    )
-    .map_err(|e| match e {
-        ServerError::ReloadFailed(detail) => loading(detail),
-        other => other,
-    })?;
+    let state =
+        reload::load(&path, None, &mut obs::TraceContext::disabled()).map_err(|e| match e {
+            ServerError::ReloadFailed(detail) => loading(detail),
+            other => other,
+        })?;
     let stats = state.stats();
     eprintln!(
         "loaded {}: {} implementations, {} goals, {} actions",
@@ -504,17 +480,9 @@ pub fn run_blocking(config: ServerConfig) -> Result<(), ServerError> {
     );
     shutdown::install_signal_handlers();
     let token = Shutdown::watching_signals();
-    let shards = state.shards().len();
-    let shard_mode = config.shard_mode;
     let watching = config.watch;
     let handle = serve(state, config, token)?;
     println!("goalrec-serve listening on http://{}", handle.local_addr());
-    if shards > 1 {
-        println!(
-            "serving {shards} shards ({shard_mode:?} placement), exact k-way merge; \
-             per-shard reload via {{\"shard\": i}}"
-        );
-    }
     if watching {
         println!("watching the library file for changes (debounced mtime polling)");
     }

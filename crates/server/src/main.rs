@@ -8,13 +8,11 @@
 //!               [--watch] [--compact-threshold N] [--compact-max-age-ms N]
 //!               [--no-trace] [--trace-sample-every N]
 //!               [--access-log] [--access-log-every N]
-//!               [--shards N] [--shard-mode hash|balanced]
 //! ```
 //!
 //! Loads the library file through the same loader every full reload
-//! uses — a compiled `.grlb2` on one shard is mapped and served in place,
-//! a JSONL library is compiled once into `--shards` shard models — and
-//! serves until `SIGTERM`/ctrl-c, draining in-flight requests before
+//! uses — a compiled `.grlb2` is mapped and served in place, a JSONL
+//! library is compiled once — and serves until `SIGTERM`/ctrl-c, draining in-flight requests before
 //! exit. The `goalrec serve` CLI subcommand parses the same flags
 //! ([`goalrec_server::parse_args`]) into the same
 //! [`goalrec_server::run_blocking`] entry point.

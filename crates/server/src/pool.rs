@@ -1,8 +1,7 @@
 //! The worker pool: N threads draining the admission queue, each owning a
 //! handle to the shared [`ServeCtx`] and serving whole keep-alive
-//! connections. Each request loads one `AppState` snapshot of the shard
-//! set through the context, so hot reloads never swap a shard model under
-//! a request.
+//! connections. Each request loads one `AppState` snapshot through the
+//! context, so hot reloads never swap the model under a request.
 //!
 //! Time discipline per connection:
 //!
@@ -156,7 +155,7 @@ impl Write for ConnStream {
 /// *and* empty — exactly the graceful-drain contract. Each worker owns one
 /// [`WorkerArena`] and one reusable [`obs::TraceContext`] for the whole
 /// loop, so recommend requests rank (and trace) into warm buffers instead
-/// of allocating per request, whatever the shard count.
+/// of allocating per request.
 pub(crate) fn worker_loop(
     worker: usize,
     ctx: Arc<ServeCtx>,

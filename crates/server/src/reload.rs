@@ -1,7 +1,7 @@
 //! Hot model reload with rollback.
 //!
-//! The serving plane is a [`ShardSet`]: one `RwLock` around an
-//! `Arc<AppState>` snapshot of every shard. Workers `load()` one `Arc`
+//! The serving state is a [`StateCell`]: one `RwLock` around an
+//! `Arc<AppState>` snapshot. Workers `load()` one `Arc`
 //! clone per request, so a request that started on generation *n*
 //! finishes on generation *n* even if a swap lands mid-flight; the old
 //! snapshot is freed when the last in-flight request drops its clone.
@@ -17,24 +17,20 @@
 //! A full reload goes through `load`, the same loader the server boots
 //! through: it reads the library file (through the fault-injectable
 //! `goalrec-datasets` reader, which decides the format from the file's
-//! first bytes), compiles every shard model and runs
-//! [`goalrec_core::GoalModel::validate`] on each — all **off** the request
+//! first bytes), compiles the model and runs
+//! [`goalrec_core::GoalModel::validate`] on it — all **off** the request
 //! path — and swaps only a fully validated snapshot; any failure (missing
 //! file, torn write, injected fault, corrupt model, a GRLB version other
-//! than 2) leaves the previous generation serving. On a one-shard server
-//! a GRLB v2 file skips the compilation: the reader's validated (mapped)
-//! model becomes shard 0 as is. A targeted `{"shard": i}` reload compiles
-//! and swaps shard `i` alone; a failure there rolls back that one shard
-//! while every other shard keeps serving untouched. On a one-shard server
-//! `{"shard": 0}` is a full reload: shard 0 is the whole library, so the
-//! stats, names and compaction base move with it. The `server.reload.*`
-//! metrics and the `server.model_generation` gauge record every attempt.
+//! than 2) leaves the previous generation serving. A GRLB v2 file skips
+//! the compilation: the reader's validated (mapped) model is served as
+//! is. The `server.reload.*` metrics and the `server.model_generation`
+//! gauge record every attempt.
 //!
 //! The same supervisor thread owns the **live mutation plane**
 //! (`LivePlane`): `POST /v1/admin/library/append` jobs are WAL-logged
-//! (crash-safe, fsync-per-batch) before being staged as per-shard
-//! [`goalrec_core::DeltaSegment`] overlays on the compiled bases — no
-//! rebuild; the published snapshot shares the old compiled shards. When
+//! (crash-safe, fsync-per-batch) before being staged as a
+//! [`goalrec_core::DeltaSegment`] overlay on the base model — no
+//! rebuild; the published snapshot shares the old base. When
 //! the staged log crosses the configured count or age threshold the
 //! supervisor compacts in the background: merge the generation's library
 //! with the log in global-id order, compile and validate off to the side,
@@ -47,14 +43,13 @@
 
 use crate::error::ServerError;
 use crate::queue::{Bounded, Pop, TryPush};
-use crate::shards::{self, AppState, ShardSet};
 use crate::shutdown::{self, Shutdown};
+use crate::state::{AppState, StateCell};
 use goalrec_core::ids::{ActionId, GoalId};
-use goalrec_core::{GoalLibrary, GoalModel};
+use goalrec_core::GoalLibrary;
 use goalrec_datasets::io::{read_library_file, LibraryFile};
 use goalrec_datasets::wal::{AppendWal, WalEntry};
 use goalrec_obs::{self as obs, names};
-use goalrec_shard::{PartitionMode, ShardView};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -91,9 +86,8 @@ type DoneSlot = Arc<(Mutex<Option<ReloadResult>>, Condvar)>;
 
 /// What a queued supervisor job asks for.
 enum JobKind {
-    /// Reload the model from `path`; `shard` targets a single shard cell,
-    /// `None` reloads everything.
-    Reload { path: PathBuf, shard: Option<usize> },
+    /// Reload the model from `path`.
+    Reload { path: PathBuf },
     /// Stage validated implementations into the live delta (WAL-logged
     /// before acknowledgement).
     Append { entries: Vec<WalEntry> },
@@ -126,20 +120,9 @@ impl ReloadHandle {
 
     /// Submits a reload of `path` and blocks until the supervisor reports
     /// the outcome: the new generation on success, the error (with the
-    /// old generation still serving) on failure. Every shard moves one
-    /// generation on in lockstep.
+    /// old generation still serving) on failure.
     pub fn reload_blocking(&self, path: PathBuf) -> ReloadResult {
-        self.submit(JobKind::Reload { path, shard: None })
-    }
-
-    /// Submits a reload of **only** `shard` from `path` and blocks for
-    /// the outcome: that shard's new generation on success. Every other
-    /// shard and the generation's library are untouched either way.
-    pub fn reload_one_shard_blocking(&self, path: PathBuf, shard: usize) -> ReloadResult {
-        self.submit(JobKind::Reload {
-            path,
-            shard: Some(shard),
-        })
+        self.submit(JobKind::Reload { path })
     }
 
     /// Submits a fire-and-forget reload of `path` — what the file watcher
@@ -148,7 +131,7 @@ impl ReloadHandle {
     /// mtime again.
     pub(crate) fn reload_async(&self, path: PathBuf) {
         let _ = self.queue.try_push(ReloadJob {
-            kind: JobKind::Reload { path, shard: None },
+            kind: JobKind::Reload { path },
             done: None,
         });
     }
@@ -227,8 +210,8 @@ pub(crate) struct LivePlane {
     /// only (still generation-consistent, just not crash-durable).
     wal: Option<AppendWal>,
     /// Acknowledged append entries, in acceptance order — the WAL's
-    /// in-memory mirror. Every published per-shard overlay is rebuilt
-    /// from this log, so publishing is stateless.
+    /// in-memory mirror. Every published overlay is rebuilt from this
+    /// log, so publishing is stateless.
     entries: Vec<WalEntry>,
     /// Where compaction persists the merged library (the startup library
     /// file). `None` compacts in memory only.
@@ -338,27 +321,27 @@ impl LivePlane {
     }
 }
 
-/// Publishes the acknowledged entry log as per-shard overlays over the
-/// current snapshot's compiled bases (see [`AppState::with_staged`]).
-/// Returns the staged total.
-pub(crate) fn publish_staged(set: &ShardSet, entries: &[WalEntry]) -> Result<u64, ServerError> {
-    let next = set.load().with_staged(entries)?;
+/// Publishes the acknowledged entry log as the overlay over the current
+/// snapshot's base model (see [`AppState::with_staged`]). Returns the
+/// staged total.
+pub(crate) fn publish_staged(cell: &StateCell, entries: &[WalEntry]) -> Result<u64, ServerError> {
+    let next = cell.load().with_staged(entries)?;
     let staged = u64::try_from(next.delta_len()).unwrap_or(u64::MAX);
-    set.swap(next);
+    cell.swap(next);
     obs::gauge(names::LIBRARY_DELTA_SIZE).set(staged as f64);
     Ok(staged)
 }
 
-/// Starts the reload supervisor for `set`. `default_path` is what
+/// Starts the reload supervisor for `cell`. `default_path` is what
 /// `SIGHUP` (and path-less admin requests) reload. Every attempt is
 /// traced (load / model-build / validate spans, generation-tagged) and
 /// offered to `tail` under the `reload` route, so `/debug/traces` can
 /// answer "what did the last reload spend its time on". `live` is the
 /// booted live mutation plane ([`LivePlane::disabled`] when the server
 /// does not take appends); its replayed entries must already be staged
-/// into `set` by the caller.
+/// into `cell` by the caller.
 pub(crate) fn spawn_reloader(
-    set: Arc<ShardSet>,
+    cell: Arc<StateCell>,
     shutdown: Shutdown,
     default_path: Option<PathBuf>,
     tail: Arc<obs::TailSampler>,
@@ -371,10 +354,10 @@ pub(crate) fn spawn_reloader(
     };
     // Publish the serving generation before the supervisor thread is
     // even scheduled, so a freshly started server's gauge is never blank.
-    obs::gauge(names::SERVER_MODEL_GENERATION).set(set.load().generation() as f64);
+    obs::gauge(names::SERVER_MODEL_GENERATION).set(cell.load().generation() as f64);
     let thread = std::thread::Builder::new()
         .name("goalrec-reload".to_owned())
-        .spawn(move || reloader_loop(set, queue, shutdown, default_path, tail, live))
+        .spawn(move || reloader_loop(cell, queue, shutdown, default_path, tail, live))
         .map_err(|e| ServerError::Io {
             context: "spawning reload thread",
             detail: e.to_string(),
@@ -410,7 +393,7 @@ impl ReloadMetrics {
 }
 
 fn reloader_loop(
-    set: Arc<ShardSet>,
+    cell: Arc<StateCell>,
     queue: Arc<Bounded<ReloadJob>>,
     shutdown: Shutdown,
     default_path: Option<PathBuf>,
@@ -418,19 +401,19 @@ fn reloader_loop(
     mut live: LivePlane,
 ) {
     let metrics = ReloadMetrics::new();
-    metrics.generation.set(set.load().generation() as f64);
+    metrics.generation.set(cell.load().generation() as f64);
     let mut seen_hups = shutdown::reload_signal_count();
     loop {
         match queue.pop(RELOAD_POLL) {
             Pop::Item(job) => {
                 let result = match job.kind {
-                    JobKind::Reload { path, shard } => {
-                        attempt_reload(&set, &path, shard, &live, &metrics, &tail)
+                    JobKind::Reload { path } => {
+                        attempt_reload(&cell, &path, &live, &metrics, &tail)
                     }
                     JobKind::Append { entries } => {
-                        attempt_append(&set, entries, &mut live, &metrics)
+                        attempt_append(&cell, entries, &mut live, &metrics)
                     }
-                    JobKind::Compact => attempt_compact(&set, &mut live, &metrics, &tail),
+                    JobKind::Compact => attempt_compact(&cell, &mut live, &metrics, &tail),
                 };
                 if let Some(done) = job.done {
                     let (slot, ready) = &*done;
@@ -444,7 +427,7 @@ fn reloader_loop(
                     seen_hups = hups;
                     match &default_path {
                         Some(path) => {
-                            let _ = attempt_reload(&set, path, None, &live, &metrics, &tail);
+                            let _ = attempt_reload(&cell, path, &live, &metrics, &tail);
                         }
                         None => eprintln!(
                             "goalrec-serve: SIGHUP received but no library file is \
@@ -456,7 +439,7 @@ fn reloader_loop(
                 // delta crossed a threshold (or a failed attempt's backoff
                 // expired) and no admin job is waiting.
                 if live.should_compact(Instant::now()) {
-                    let _ = attempt_compact(&set, &mut live, &metrics, &tail);
+                    let _ = attempt_compact(&cell, &mut live, &metrics, &tail);
                 }
                 if shutdown.is_set() {
                     // Stop taking new jobs; the next iterations drain
@@ -470,10 +453,10 @@ fn reloader_loop(
 }
 
 /// One append attempt: WAL-log the batch (fsync) so a `200` survives a
-/// crash, extend the acknowledged log, and republish the overlays. The
-/// compiled bases are shared, so this is O(delta), never a rebuild.
+/// crash, extend the acknowledged log, and republish the overlay. The
+/// base model is shared, so this is O(delta), never a rebuild.
 fn attempt_append(
-    set: &ShardSet,
+    cell: &StateCell,
     entries: Vec<WalEntry>,
     live: &mut LivePlane,
     metrics: &ReloadMetrics,
@@ -492,7 +475,7 @@ fn attempt_append(
     let accepted = entries.len();
     let before = live.entries.len();
     live.entries.extend(entries);
-    match publish_staged(set, &live.entries) {
+    match publish_staged(cell, &live.entries) {
         Ok(staged) => {
             if live.staged_since.is_none() {
                 live.staged_since = Some(Instant::now());
@@ -521,12 +504,12 @@ fn attempt_append(
 /// rollback is literally "do nothing": the old generation keeps serving
 /// and the delta + WAL stay intact for the backoff retry.
 fn attempt_compact(
-    set: &ShardSet,
+    cell: &StateCell,
     live: &mut LivePlane,
     metrics: &ReloadMetrics,
     tail: &obs::TailSampler,
 ) -> ReloadResult {
-    let state = set.load();
+    let state = cell.load();
     if live.entries.is_empty() {
         return Ok(state.generation());
     }
@@ -534,7 +517,7 @@ fn attempt_compact(
     let mut trace = obs::TraceContext::new(true);
     trace.begin(obs::fresh_trace_id(), t0);
     trace.set_route("compact");
-    let result = compact_once(set, live, &state, &mut trace);
+    let result = compact_once(cell, live, &state, &mut trace);
     metrics
         .compaction_latency
         .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -571,8 +554,8 @@ fn attempt_compact(
 }
 
 /// The generation's library followed by the staged `entries`, in global
-/// id order — exactly the implementations the overlays serve, so the
-/// compacted generation answers every request as the overlays did.
+/// id order — exactly the implementations the overlay serves, so the
+/// compacted generation answers every request as the overlay did.
 fn merged_library(base: &GoalLibrary, entries: &[WalEntry]) -> Result<GoalLibrary, ServerError> {
     let mut num_actions = u32::try_from(base.num_actions()).unwrap_or(u32::MAX);
     let mut num_goals = u32::try_from(base.num_goals()).unwrap_or(u32::MAX);
@@ -598,7 +581,7 @@ fn merged_library(base: &GoalLibrary, entries: &[WalEntry]) -> Result<GoalLibrar
 /// merge → build/validate → persist → swap order. Returns the new
 /// generation; *no* observable state mutates unless every step succeeded.
 fn compact_once(
-    set: &ShardSet,
+    cell: &StateCell,
     live: &mut LivePlane,
     state: &AppState,
     trace: &mut obs::TraceContext,
@@ -622,11 +605,11 @@ fn compact_once(
     persisted?;
 
     // The point of no return — and it cannot fail. Workers loading after
-    // this line see the compacted bases with no overlay; workers
+    // this line see the compacted base with no overlay; workers
     // mid-request keep the base ⊕ delta snapshot they already hold.
     let swap = trace.start_span(names::SPAN_COMPACT_SWAP);
     let generation = next.generation();
-    set.swap(next);
+    cell.swap(next);
     live.entries.clear();
     trace.end_span(swap);
     Ok(generation)
@@ -650,23 +633,7 @@ fn persist_compacted(live: &LivePlane, next: &AppState) -> Result<(), ServerErro
     if path.extension().is_some_and(|e| e == "grlb2") {
         // GRLB v2 target: persist the compacted model sections directly,
         // then re-read through the full validate-before-trust pipeline.
-        // One shard already is the model; more shards compile a
-        // throwaway one just for the file.
-        let single = match next.shards() {
-            [only] => ShardView::model(&**only),
-            _ => None,
-        };
-        let built;
-        let model = match single {
-            Some(model) => model,
-            None => {
-                built = GoalModel::build(library).map_err(|e| {
-                    ServerError::ReloadFailed(format!("compacted model rebuild failed: {e}"))
-                })?;
-                &built
-            }
-        };
-        goalrec_datasets::grlb2::write_model_v2(model, path).map_err(|e| {
+        goalrec_datasets::grlb2::write_model_v2(next.model(), path).map_err(|e| {
             ServerError::ReloadFailed(format!(
                 "cannot persist the compacted model to {}: {e}",
                 path.display()
@@ -719,20 +686,17 @@ fn persist_compacted(live: &LivePlane, next: &AppState) -> Result<(), ServerErro
     Ok(())
 }
 
-/// One reload attempt, full (`shard: None`) or targeted: build and
-/// validate off to the side, swap only on success, roll back (i.e. do
-/// nothing) on any failure. The surviving staged entries are re-staged
-/// onto the new bases before the swap (append entries are raw
-/// `(goal, actions)` ids, so they re-stage onto *any* base), keeping
-/// uncompacted appends visible across reloads; that re-stage cannot fail
-/// in practice, and if it does the reload itself still stands. The whole
-/// attempt is traced under the `reload` route and retained by the tail
-/// sampler. Returns the new generation — the targeted shard's for a
-/// targeted reload.
+/// One reload attempt: build and validate off to the side, swap only on
+/// success, roll back (i.e. do nothing) on any failure. The surviving
+/// staged entries are re-staged onto the new base before the swap (append
+/// entries are raw `(goal, actions)` ids, so they re-stage onto *any*
+/// base), keeping uncompacted appends visible across reloads; that
+/// re-stage cannot fail in practice, and if it does the reload itself
+/// still stands. The whole attempt is traced under the `reload` route and
+/// retained by the tail sampler. Returns the new generation.
 fn attempt_reload(
-    set: &ShardSet,
+    cell: &StateCell,
     path: &Path,
-    shard: Option<usize>,
     live: &LivePlane,
     metrics: &ReloadMetrics,
     tail: &obs::TailSampler,
@@ -742,8 +706,8 @@ fn attempt_reload(
     let mut trace = obs::TraceContext::new(true);
     trace.begin(obs::fresh_trace_id(), t0);
     trace.set_route("reload");
-    let current = set.load();
-    let loaded = reload_from(&current, path, shard, &mut trace);
+    let current = cell.load();
+    let loaded = load(path, Some(&current), &mut trace);
     metrics
         .latency
         .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -758,20 +722,13 @@ fn attempt_reload(
                     next
                 }
             };
-            let generation = match shard {
-                Some(i) => next.generation_of(i),
-                None => next.generation(),
-            };
-            metrics.generation.set(next.generation() as f64);
-            set.swap(next);
+            let generation = next.generation();
+            metrics.generation.set(generation as f64);
+            cell.swap(next);
             trace.set_generation(generation);
             trace.finish(200);
-            let what = match shard {
-                Some(i) => format!("shard {i} from "),
-                None => String::new(),
-            };
             eprintln!(
-                "goalrec-serve: reloaded {what}{} (generation {generation}, trace {})",
+                "goalrec-serve: reloaded {} (generation {generation}, trace {})",
                 path.display(),
                 trace.id()
             );
@@ -793,70 +750,34 @@ fn attempt_reload(
     result
 }
 
-/// Builds the successor of `current` (unstaged) from `path`: a full
-/// reload through [`load`], or — on a plane of more than one shard — a
-/// targeted rebuild of `shard` alone. On one shard, shard 0 is the whole
-/// library, so `{"shard": 0}` is a full reload: the stats, names and
-/// compaction base move with it.
-fn reload_from(
-    current: &AppState,
-    path: &Path,
-    shard: Option<usize>,
-    trace: &mut obs::TraceContext,
-) -> Result<AppState, ServerError> {
-    if let Some(shard) = shard {
-        current.check_shard(shard)?;
-    }
-    match shard.filter(|_| current.shards().len() > 1) {
-        None => load(
-            path,
-            Some(current),
-            current.shards().len(),
-            current.mode(),
-            trace,
-        ),
-        Some(shard) => {
-            let library = timed_load(path, trace).and_then(|file| library_of(path, file))?;
-            let part = shards::rebuild_shard(current, &library, shard, trace)?;
-            Ok(current.with_shard(shard, part))
-        }
-    }
-}
-
 /// The one loader boot and every full reload go through. Reads `path` —
 /// its format decided from the file's first bytes by
-/// [`goalrec_datasets::io::read_library_file`] — and builds the plane that
-/// serves it: the successor of `prior` (every shard one generation on),
-/// or at boot (`prior` is `None`) generation 1. `shards` and `mode` are
-/// the plane's shard count and placement (the prior's on reload).
+/// [`goalrec_datasets::io::read_library_file`] — and builds the snapshot
+/// that serves it: the successor of `prior` (one generation on), or at
+/// boot (`prior` is `None`) generation 1.
 ///
-/// A GRLB v2 model on a one-shard plane becomes shard 0 as is: the reader
-/// has already validated it (header → layout → checksums → structural
-/// pass, mapped in place where the platform allows), so there is no
-/// compile, no `model.build.*` span and no separate validate span.
-/// Anything else is compiled — a model file is turned back into its
-/// library first when it must be split across shards. At boot a matching
-/// persisted shard family is opened instead of compiling (see
-/// [`AppState::boot`]); on reload the compiled successor is validated
-/// before it may be swapped in. Spans close on the error paths too, so a
-/// failed attempt's trace still accounts for its time.
+/// A GRLB v2 model is served as is: the reader has already validated it
+/// (header → layout → checksums → structural pass, mapped in place where
+/// the platform allows), so there is no compile, no `model.build.*` span
+/// and no separate validate span. A library is compiled once; on reload
+/// the compiled successor is validated before it may be swapped in. Spans
+/// close on the error paths too, so a failed attempt's trace still
+/// accounts for its time.
 pub(crate) fn load(
     path: &Path,
     prior: Option<&AppState>,
-    shards: usize,
-    mode: PartitionMode,
     trace: &mut obs::TraceContext,
 ) -> Result<AppState, ServerError> {
     let file = timed_load(path, trace)?;
-    let generation = prior.map_or(1, |p| p.generation_of(0) + 1);
     let library = match file {
-        LibraryFile::Model(model) if shards <= 1 => {
-            return AppState::installed(model, mode, generation)
+        LibraryFile::Model(model) => {
+            let generation = prior.map_or(1, |p| p.generation() + 1);
+            return Ok(AppState::installed(model, generation));
         }
         file => library_of(path, file)?,
     };
     let Some(prior) = prior else {
-        return AppState::boot(library, shards, mode, path, trace);
+        return AppState::build(library, trace);
     };
     let next = prior.rebuilt(library, trace)?;
     let validate = trace.start_span(names::SPAN_RELOAD_VALIDATE);
@@ -883,7 +804,8 @@ fn library_of(path: &Path, file: LibraryFile) -> Result<GoalLibrary, ServerError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use goalrec_core::LibraryBuilder;
+    use crate::router::{oracle, ServeCtx};
+    use goalrec_core::{GoalModel, LibraryBuilder};
 
     fn library(tag: &str) -> goalrec_core::GoalLibrary {
         let mut b = LibraryBuilder::new();
@@ -903,27 +825,19 @@ mod tests {
         Arc::new(obs::TailSampler::new(obs::TailConfig::default()))
     }
 
-    /// A plane of `shards` shards over `lib`.
-    fn plane(lib: GoalLibrary, shards: usize) -> Arc<ShardSet> {
-        Arc::new(ShardSet::new(
-            AppState::build(
-                lib,
-                shards,
-                PartitionMode::HashGoal,
-                &mut obs::TraceContext::disabled(),
-            )
-            .unwrap(),
-        ))
+    /// A serving state over `lib` at generation 1.
+    fn cell(lib: GoalLibrary) -> Arc<StateCell> {
+        Arc::new(StateCell::new(AppState::new(lib).unwrap()))
     }
 
-    /// A running supervisor over `set` without a live plane.
+    /// A running supervisor over `cell` without a live plane.
     fn supervise(
-        set: &Arc<ShardSet>,
+        cell: &Arc<StateCell>,
         sampler: &Arc<obs::TailSampler>,
     ) -> (Shutdown, ReloadHandle, JoinHandle<()>) {
         let shutdown = Shutdown::new();
         let (handle, thread) = spawn_reloader(
-            Arc::clone(set),
+            Arc::clone(cell),
             shutdown.clone(),
             None,
             Arc::clone(sampler),
@@ -951,13 +865,13 @@ mod tests {
     fn successful_reload_bumps_generation_and_failure_rolls_back() {
         let good = tmp("reload-good.jsonl");
         goalrec_datasets::io::write_library_jsonl(&library("fresh"), &good).unwrap();
-        let set = plane(library("old"), 1);
+        let cell = cell(library("old"));
         let sampler = tail();
-        let (shutdown, handle, thread) = supervise(&set, &sampler);
+        let (shutdown, handle, thread) = supervise(&cell, &sampler);
 
         let generation = handle.reload_blocking(good).unwrap();
         assert_eq!(generation, 2);
-        assert_eq!(set.load().generation(), 2);
+        assert_eq!(cell.load().generation(), 2);
 
         // The attempt was traced and retained: load + model-build +
         // validate spans, generation-tagged, under the `reload` route.
@@ -974,13 +888,13 @@ mod tests {
             .reload_blocking(tmp("reload-no-such-file.jsonl"))
             .unwrap_err();
         assert!(matches!(err, ServerError::ReloadFailed(_)), "{err}");
-        assert_eq!(set.load().generation(), 2);
+        assert_eq!(cell.load().generation(), 2);
 
         // A corrupt file likewise.
         let bad = tmp("reload-corrupt.jsonl");
         std::fs::write(&bad, b"{definitely not a library}\n").unwrap();
         assert!(handle.reload_blocking(bad).is_err());
-        assert_eq!(set.load().generation(), 2);
+        assert_eq!(cell.load().generation(), 2);
 
         // Failed attempts are retained too, tagged with the generation
         // that kept serving and a 500 status.
@@ -997,54 +911,16 @@ mod tests {
 
     #[test]
     fn closed_supervisor_refuses_new_reloads() {
-        let set = plane(library("x"), 1);
-        let (_shutdown, handle, thread) = supervise(&set, &tail());
+        let cell = cell(library("x"));
+        let (_shutdown, handle, thread) = supervise(&cell, &tail());
         handle.close();
         let _ = thread.join();
         assert!(handle.reload_blocking(tmp("never.jsonl")).is_err());
     }
 
-    #[test]
-    fn targeted_reload_swaps_one_shard_and_full_reload_moves_all() {
-        let good = tmp("reload-sharded-good.jsonl");
-        goalrec_datasets::io::write_library_jsonl(&library("fresh"), &good).unwrap();
-        let set = plane(library("old"), 3);
-        let (shutdown, handle, thread) = supervise(&set, &tail());
-        let gens = |set: &ShardSet| -> Vec<u64> {
-            set.load().shards().iter().map(|s| s.generation()).collect()
-        };
-
-        // A targeted reload bumps only shard 1.
-        let generation = handle.reload_one_shard_blocking(good.clone(), 1).unwrap();
-        assert_eq!(generation, 2);
-        assert_eq!(gens(&set), vec![1, 2, 1]);
-        assert_eq!(set.load().generation(), 1);
-
-        // An out-of-range shard is a typed error and nothing moves.
-        assert!(matches!(
-            handle.reload_one_shard_blocking(good.clone(), 9),
-            Err(ServerError::BadRequest(_))
-        ));
-        assert_eq!(gens(&set), vec![1, 2, 1]);
-
-        // A failed targeted reload rolls back that shard alone.
-        assert!(handle
-            .reload_one_shard_blocking(tmp("reload-sharded-missing.jsonl"), 0)
-            .is_err());
-        assert_eq!(gens(&set), vec![1, 2, 1]);
-
-        // A full reload moves every shard together, each bumping from
-        // wherever it was; the scalar generation is the floor.
-        let generation = handle.reload_blocking(good).unwrap();
-        assert_eq!(generation, 2);
-        assert_eq!(gens(&set), vec![2, 3, 2]);
-
-        stop(shutdown, handle, thread);
-    }
-
-    /// The `/v1/stats` body served from `set`'s current snapshot.
-    fn stats_body(set: &Arc<ShardSet>) -> String {
-        let ctx = crate::router::ServeCtx::new(Arc::clone(set), None);
+    /// The `/v1/stats` body served from `cell`'s current snapshot.
+    fn stats_body(cell: &Arc<StateCell>) -> String {
+        let ctx = ServeCtx::new(Arc::clone(cell), None);
         let request = crate::http::Request {
             method: "GET".to_owned(),
             path: "/v1/stats".to_owned(),
@@ -1064,29 +940,24 @@ mod tests {
     }
 
     #[test]
-    fn targeted_reload_of_shard_zero_is_a_full_reload_on_one_shard_and_shard_one_is_a_typed_400() {
-        let (path, set, shutdown, handle, thread) =
-            live_fixture("live-shard-zero-reload.jsonl", 1, &tail());
+    fn a_reload_moves_the_catalog_and_compaction_keeps_the_reloaded_rows() {
+        let (path, cell, shutdown, handle, thread) =
+            live_fixture("live-catalog-reload.jsonl", &tail());
         // A different library from the fixture's: one more goal.
         let mut b = LibraryBuilder::new();
         b.add_impl("goal-fresh", ["potatoes", "carrots"]).unwrap();
         b.add_impl("mash", ["potatoes", "butter"]).unwrap();
         b.add_impl("soup", ["carrots", "leeks"]).unwrap();
         let fresh = b.build().unwrap();
-        let fresh_path = tmp("reload-one-shard-target.jsonl");
+        let fresh_path = tmp("reload-catalog-target.jsonl");
         goalrec_datasets::io::write_library_jsonl(&fresh, &fresh_path).unwrap();
 
-        assert_eq!(
-            handle
-                .reload_one_shard_blocking(fresh_path.clone(), 0)
-                .unwrap(),
-            2
-        );
-        let st = set.load();
+        assert_eq!(handle.reload_blocking(fresh_path).unwrap(), 2);
+        let st = cell.load();
         assert_eq!(st.generation(), 2);
-        // The catalog moved with the shard: stats, names and library.
+        // The catalog moved with the model: stats, names and library.
         assert_eq!(st.stats(), &fresh.stats());
-        let body = stats_body(&set);
+        let body = stats_body(&cell);
         assert!(body.contains("\"num_implementations\": 3"), "{body}");
         assert_eq!(
             st.library().unwrap().implementations(),
@@ -1101,33 +972,28 @@ mod tests {
         assert_eq!(reloaded, fresh.implementations());
         assert_eq!(appended.len(), 1);
         assert_eq!(
-            set.load().library().unwrap().implementations(),
+            cell.load().library().unwrap().implementations(),
             merged.implementations()
         );
-
-        let err = handle.reload_one_shard_blocking(fresh_path, 1).unwrap_err();
-        assert!(matches!(err, ServerError::BadRequest(_)), "{err}");
-        assert_eq!(err.status(), Some(400));
-        assert_eq!(set.load().generation(), 3);
         stop(shutdown, handle, thread);
     }
 
     #[test]
-    fn v2_reload_installs_the_mapped_model_as_shard_zero() {
+    fn v2_reload_installs_the_mapped_model() {
         use goalrec_core::strategies::default_strategies;
         let lib = library("fresh");
-        let built = goalrec_core::GoalModel::build(&lib).unwrap();
+        let built = GoalModel::build(&lib).unwrap();
         let model_path = tmp("reload-fast.grlb2");
         goalrec_datasets::grlb2::write_model_v2(&built, &model_path).unwrap();
 
-        let set = plane(library("old"), 1);
+        let cell = cell(library("old"));
         let sampler = tail();
-        let (shutdown, handle, thread) = supervise(&set, &sampler);
+        let (shutdown, handle, thread) = supervise(&cell, &sampler);
 
         let generation = handle.reload_blocking(model_path.clone()).unwrap();
         assert_eq!(generation, 2);
-        let st = set.load();
-        let model = ShardView::model(&*st.shards()[0]).unwrap();
+        let st = cell.load();
+        let model = st.model();
         if goalrec_datasets::mmap::mmap_supported() {
             assert!(model.is_mapped(), "v2 reload must serve the mapped file");
         }
@@ -1162,40 +1028,26 @@ mod tests {
             handle.reload_blocking(bad),
             Err(ServerError::ReloadFailed(_))
         ));
-        assert_eq!(set.load().generation(), 2);
+        assert_eq!(cell.load().generation(), 2);
 
         stop(shutdown, handle, thread);
     }
 
     #[test]
     fn compaction_persists_v2_when_the_library_file_is_grlb2() {
-        // One shard persists its own model; three compile one for the file.
-        for shards in [1usize, 3] {
-            compaction_persists_v2_at(shards);
-        }
-    }
-
-    fn compaction_persists_v2_at(shards: usize) {
-        let path = tmp(&format!("live-compact-{shards}.grlb2"));
+        let path = tmp("live-compact.grlb2");
         let lib = library("base");
-        let built = goalrec_core::GoalModel::build(&lib).unwrap();
+        let built = GoalModel::build(&lib).unwrap();
         goalrec_datasets::grlb2::write_model_v2(&built, &path).unwrap();
         let _ = std::fs::remove_file(AppendWal::for_library(&path).path());
         // Boot the way the server does: through the one loader.
-        let set = Arc::new(ShardSet::new(
-            load(
-                &path,
-                None,
-                shards,
-                PartitionMode::HashGoal,
-                &mut obs::TraceContext::disabled(),
-            )
-            .unwrap(),
+        let cell = Arc::new(StateCell::new(
+            load(&path, None, &mut obs::TraceContext::disabled()).unwrap(),
         ));
         let shutdown = Shutdown::new();
         let live = LivePlane::boot(Some(&path), 0, Duration::ZERO).unwrap();
         let (handle, thread) = spawn_reloader(
-            Arc::clone(&set),
+            Arc::clone(&cell),
             shutdown.clone(),
             Some(path.clone()),
             tail(),
@@ -1221,24 +1073,21 @@ mod tests {
         // And a reload of the file the compaction just wrote works — the
         // post-compaction lifecycle is fully v2.
         assert_eq!(handle.reload_blocking(path).unwrap(), 3);
-        if shards == 1 && goalrec_datasets::mmap::mmap_supported() {
-            let st = set.load();
-            assert!(ShardView::model(&*st.shards()[0]).unwrap().is_mapped());
+        if goalrec_datasets::mmap::mmap_supported() {
+            assert!(cell.load().model().is_mapped());
         }
 
         stop(shutdown, handle, thread);
     }
 
-    /// Boots a WAL-backed plane of `shards` shards over a fresh library
-    /// file and a running supervisor; manual compaction only (both auto
-    /// thresholds off).
+    /// Boots a WAL-backed state over a fresh library file and a running
+    /// supervisor; manual compaction only (both auto thresholds off).
     fn live_fixture(
         name: &str,
-        shards: usize,
         sampler: &Arc<obs::TailSampler>,
     ) -> (
         PathBuf,
-        Arc<ShardSet>,
+        Arc<StateCell>,
         Shutdown,
         ReloadHandle,
         JoinHandle<()>,
@@ -1248,31 +1097,31 @@ mod tests {
         goalrec_datasets::io::write_library_jsonl(&lib, &path).unwrap();
         // A stale WAL from a previous test run must not leak in.
         let _ = std::fs::remove_file(AppendWal::for_library(&path).path());
-        let set = plane(lib, shards);
+        let cell = cell(lib);
         let shutdown = Shutdown::new();
         let live = LivePlane::boot(Some(&path), 0, Duration::ZERO).unwrap();
         let (handle, thread) = spawn_reloader(
-            Arc::clone(&set),
+            Arc::clone(&cell),
             shutdown.clone(),
             Some(path.clone()),
             Arc::clone(sampler),
             live,
         )
         .unwrap();
-        (path, set, shutdown, handle, thread)
+        (path, cell, shutdown, handle, thread)
     }
 
     #[test]
     fn append_stages_without_a_generation_bump_and_compaction_folds_in() {
-        let (path, set, shutdown, handle, thread) = live_fixture("live-append.jsonl", 1, &tail());
-        let base_impls = set.load().library().unwrap().len();
+        let (path, cell, shutdown, handle, thread) = live_fixture("live-append.jsonl", &tail());
+        let base_impls = cell.load().library().unwrap().len();
 
         // Two appends: the second extends both id spaces past the base.
         let staged = handle.append_blocking(vec![(0, vec![0, 1])]).unwrap();
         assert_eq!(staged, 1);
         let staged = handle.append_blocking(vec![(5, vec![2, 9])]).unwrap();
         assert_eq!(staged, 2);
-        let st = set.load();
+        let st = cell.load();
         assert_eq!(st.delta_len(), 2);
         assert_eq!(st.generation(), 1, "appends must not mint a generation");
         // The WAL holds both acknowledged entries, replayable.
@@ -1282,7 +1131,7 @@ mod tests {
         // Compaction folds the delta into a new compiled generation…
         let generation = handle.compact_blocking().unwrap();
         assert_eq!(generation, 2);
-        let st = set.load();
+        let st = cell.load();
         assert_eq!(st.generation(), 2);
         assert_eq!(
             st.delta_len(),
@@ -1303,19 +1152,17 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_compiles_one_model_per_boot_reload_and_compaction() {
-        // Boot: one build span for the whole plane.
+    fn one_model_is_compiled_per_boot_reload_and_compaction() {
+        // Boot: one build span.
         let mut trace = obs::TraceContext::new(true);
         trace.begin(obs::fresh_trace_id(), Instant::now());
-        let state =
-            AppState::build(library("boot"), 1, PartitionMode::HashGoal, &mut trace).unwrap();
+        AppState::build(library("boot"), &mut trace).unwrap();
         trace.finish(200);
-        assert_eq!(state.shards().len(), 1);
         assert_eq!(model_builds(&trace.snapshot()), 1);
 
         let sampler = tail();
-        let (path, set, shutdown, handle, thread) =
-            live_fixture("live-one-build.jsonl", 1, &sampler);
+        let (path, _cell, shutdown, handle, thread) =
+            live_fixture("live-one-build.jsonl", &sampler);
         handle.reload_blocking(path).unwrap();
         handle.append_blocking(vec![(1, vec![0, 3])]).unwrap();
         handle.compact_blocking().unwrap();
@@ -1324,51 +1171,30 @@ mod tests {
             assert_eq!(traces.len(), 1, "{route}");
             assert_eq!(model_builds(&traces[0]), 1, "{route}");
         }
-        assert_eq!(set.load().shards().len(), 1);
         stop(shutdown, handle, thread);
     }
 
-    /// Recommend response bodies for every strategy over a few
-    /// activities, answered from `set`'s current snapshot.
-    fn answers(set: &Arc<ShardSet>) -> Vec<Vec<u8>> {
-        let ctx = crate::router::ServeCtx::new(Arc::clone(set), None);
-        let mut arena = crate::router::WorkerArena::new();
-        let mut out = Vec::new();
-        for activity in ["[0]", "[0, 1]", "[1, 2]", "[2]"] {
-            for name in crate::router::STRATEGY_NAMES {
-                let body =
-                    format!("{{\"activity\": {activity}, \"strategy\": \"{name}\", \"k\": 5}}");
-                let request = crate::http::Request {
-                    method: "POST".to_owned(),
-                    path: "/v1/recommend".to_owned(),
-                    query: None,
-                    headers: Vec::new(),
-                    body: body.into_bytes(),
-                    keep_alive: true,
-                };
-                let resp = crate::router::handle(
-                    &ctx,
-                    &request,
-                    &mut arena,
-                    &mut obs::TraceContext::disabled(),
-                )
-                .unwrap();
-                out.push(resp.body);
-            }
-        }
-        out
+    /// The activities every answer check ranks, over the test libraries'
+    /// action ids (some past the base extent, for staged actions).
+    const ACTIVITIES: [&[u32]; 5] = [&[0], &[0, 1], &[1, 2], &[2], &[3, 4]];
+
+    /// Recommend response bodies for every strategy over the
+    /// [`ACTIVITIES`] `cell` admits, answered from its current snapshot.
+    fn answers(cell: &Arc<StateCell>) -> Vec<Vec<u8>> {
+        let admitted = oracle::admitted(&cell.load(), &ACTIVITIES);
+        oracle::served_bodies(&ServeCtx::new(Arc::clone(cell), None), &admitted, 5)
     }
 
-    /// Boots a one-shard plane from `path` through [`load`], as
-    /// `goalrec-serve --library path` does; returns it with the number of
-    /// model builds the boot recorded.
-    fn boot(path: &Path) -> (Arc<ShardSet>, usize) {
+    /// Boots a state from `path` through [`load`], as `goalrec-serve
+    /// --library path` does; returns it with the number of model builds
+    /// the boot recorded.
+    fn boot(path: &Path) -> (Arc<StateCell>, usize) {
         let mut trace = obs::TraceContext::new(true);
         trace.begin(obs::fresh_trace_id(), Instant::now());
-        let state = load(path, None, 1, PartitionMode::HashGoal, &mut trace).unwrap();
+        let state = load(path, None, &mut trace).unwrap();
         trace.finish(200);
         (
-            Arc::new(ShardSet::new(state)),
+            Arc::new(StateCell::new(state)),
             model_builds(&trace.snapshot()),
         )
     }
@@ -1384,14 +1210,11 @@ mod tests {
         let (from_jsonl, jsonl_builds) = boot(&jsonl);
         let (from_v2, v2_builds) = boot(&v2);
         assert_eq!(jsonl_builds, 1, "a JSONL boot compiles the model once");
-        assert_eq!(
-            v2_builds, 0,
-            "a one-shard .grlb2 boot must not build a model"
-        );
+        assert_eq!(v2_builds, 0, "a .grlb2 boot must not build a model");
         let st = from_v2.load();
         assert_eq!(st.generation(), 1);
         if goalrec_datasets::mmap::mmap_supported() {
-            assert!(ShardView::model(&*st.shards()[0]).unwrap().is_mapped());
+            assert!(st.model().is_mapped());
         }
         assert_eq!(answers(&from_v2), answers(&from_jsonl));
         assert_eq!(
@@ -1416,73 +1239,67 @@ mod tests {
             );
             assert_eq!(err.status(), Some(500));
         };
-        let boot_err = load(
-            &retired,
-            None,
-            1,
-            PartitionMode::HashGoal,
-            &mut obs::TraceContext::disabled(),
-        )
-        .err()
-        .unwrap();
+        let boot_err = load(&retired, None, &mut obs::TraceContext::disabled())
+            .err()
+            .unwrap();
         named(&boot_err);
 
-        for shards in [1usize, 2] {
-            let set = plane(library("old"), shards);
-            let (shutdown, handle, thread) = supervise(&set, &tail());
-            named(&handle.reload_blocking(retired.clone()).unwrap_err());
-            named(
-                &handle
-                    .reload_one_shard_blocking(retired.clone(), 0)
-                    .unwrap_err(),
-            );
-            assert_eq!(set.load().generation(), 1, "shards {shards}");
-            stop(shutdown, handle, thread);
-        }
+        let cell = cell(library("old"));
+        let (shutdown, handle, thread) = supervise(&cell, &tail());
+        named(&handle.reload_blocking(retired).unwrap_err());
+        assert_eq!(cell.load().generation(), 1);
+        stop(shutdown, handle, thread);
     }
 
-    /// One serving lifetime: plain → live overlay → JSONL reload →
-    /// `.grlb2` reload → overlay again → compaction, with the answers
-    /// after every step.
-    fn lifetime_answers(shards: usize) -> Vec<Vec<u8>> {
+    /// Checks the served answers against core on a fresh build of `merged`.
+    fn assert_answers_match(cell: &Arc<StateCell>, merged: &GoalLibrary, step: &str) {
+        let state = cell.load();
+        let admitted = oracle::admitted(&state, &ACTIVITIES);
+        let expected = oracle::expected_bodies(&state, merged, &admitted, 5);
+        assert_eq!(answers(cell), expected, "{step}");
+    }
+
+    #[test]
+    fn answers_match_core_on_a_fresh_build_at_every_step_of_a_serving_lifetime() {
+        let base = library("base");
         let mut b = LibraryBuilder::new();
         b.add_impl("salad", ["a", "b", "c"]).unwrap();
         b.add_impl("mash", ["a", "d"]).unwrap();
         b.add_impl("soup", ["b", "e", "f"]).unwrap();
         b.add_impl("salad", ["c", "f"]).unwrap();
         let next = b.build().unwrap();
-        let next_path = tmp(&format!("lifetime-next-{shards}.jsonl"));
+        let next_path = tmp("lifetime-next.jsonl");
         goalrec_datasets::io::write_library_jsonl(&next, &next_path).unwrap();
-        let v2_path = tmp(&format!("lifetime-{shards}.grlb2"));
+        let v2_path = tmp("lifetime.grlb2");
         goalrec_datasets::grlb2::write_model_v2(&GoalModel::build(&next).unwrap(), &v2_path)
             .unwrap();
 
-        let (_, set, shutdown, handle, thread) =
-            live_fixture(&format!("lifetime-{shards}.jsonl"), shards, &tail());
-        let mut all = answers(&set);
-        handle
-            .append_blocking(vec![(0, vec![1, 4]), (3, vec![0, 2])])
-            .unwrap();
-        all.extend(answers(&set));
-        handle.reload_blocking(next_path).unwrap();
-        all.extend(answers(&set));
-        handle.reload_blocking(v2_path).unwrap();
-        all.extend(answers(&set));
-        handle.append_blocking(vec![(1, vec![3, 6])]).unwrap();
-        all.extend(answers(&set));
-        handle.compact_blocking().unwrap();
-        assert_eq!(set.load().delta_len(), 0);
-        all.extend(answers(&set));
-        stop(shutdown, handle, thread);
-        all
-    }
+        let (_, cell, shutdown, handle, thread) = live_fixture("lifetime.jsonl", &tail());
+        assert_answers_match(&cell, &base, "boot");
 
-    #[test]
-    fn answers_are_byte_identical_across_shard_counts_over_a_serving_lifetime() {
-        let one = lifetime_answers(1);
-        for shards in [2usize, 3] {
-            assert_eq!(lifetime_answers(shards), one, "shards {shards}");
-        }
+        let first = vec![(0, vec![1, 4]), (3, vec![0, 2])];
+        handle.append_blocking(first.clone()).unwrap();
+        let staged = oracle::merged(&base, &first);
+        assert_answers_match(&cell, &staged, "staged appends");
+
+        handle.compact_blocking().unwrap();
+        assert_eq!(cell.load().delta_len(), 0);
+        assert_answers_match(&cell, &staged, "compaction");
+
+        handle.reload_blocking(next_path).unwrap();
+        assert_answers_match(&cell, &next, "full reload");
+
+        handle.reload_blocking(v2_path).unwrap();
+        assert_answers_match(&cell, &next, ".grlb2 reload");
+
+        let second = vec![(1, vec![3, 6])];
+        handle.append_blocking(second.clone()).unwrap();
+        let restaged = oracle::merged(&next, &second);
+        assert_answers_match(&cell, &restaged, "appends over the .grlb2 model");
+
+        handle.compact_blocking().unwrap();
+        assert_answers_match(&cell, &restaged, "compaction over the .grlb2 model");
+        stop(shutdown, handle, thread);
     }
 
     #[test]
@@ -1500,11 +1317,11 @@ mod tests {
         assert_eq!(live.entries().len(), 2);
         // What lib.rs does at startup: stage the replayed entries before
         // the server takes traffic.
-        let set = plane(lib, 1);
-        let staged = publish_staged(&set, live.entries()).unwrap();
+        let cell = cell(lib);
+        let staged = publish_staged(&cell, live.entries()).unwrap();
         assert_eq!(staged, 2);
-        assert_eq!(set.load().delta_len(), 2);
-        assert_eq!(set.load().generation(), 1);
+        assert_eq!(cell.load().delta_len(), 2);
+        assert_eq!(cell.load().generation(), 1);
     }
 
     #[test]
@@ -1526,29 +1343,29 @@ mod tests {
 
     #[test]
     fn reload_restages_the_live_delta_onto_the_new_base() {
-        let (path, set, shutdown, handle, thread) = live_fixture("live-reload.jsonl", 1, &tail());
+        let (path, cell, shutdown, handle, thread) = live_fixture("live-reload.jsonl", &tail());
         handle.append_blocking(vec![(2, vec![0, 1])]).unwrap();
-        assert_eq!(set.load().delta_len(), 1);
+        assert_eq!(cell.load().delta_len(), 1);
 
         // A full reload of the (unchanged) library file swaps a fresh
         // base in; the staged entry must survive on top of it.
         let generation = handle.reload_blocking(path.clone()).unwrap();
         assert_eq!(generation, 2);
-        let st = set.load();
+        let st = cell.load();
         assert_eq!(st.generation(), 2);
         assert_eq!(st.delta_len(), 1, "the delta must survive a reload");
 
         // And it still compacts cleanly afterwards.
         assert_eq!(handle.compact_blocking().unwrap(), 3);
-        assert_eq!(set.load().delta_len(), 0);
+        assert_eq!(cell.load().delta_len(), 0);
 
         stop(shutdown, handle, thread);
     }
 
     #[test]
     fn faulted_compactions_roll_back_and_a_clean_retry_succeeds() {
-        let (path, set, shutdown, handle, thread) = live_fixture("live-faulted.jsonl", 1, &tail());
-        let base_impls = set.load().library().unwrap().len();
+        let (path, cell, shutdown, handle, thread) = live_fixture("live-faulted.jsonl", &tail());
+        let base_impls = cell.load().library().unwrap().len();
         handle.append_blocking(vec![(0, vec![1, 2])]).unwrap();
 
         let compaction_failures = obs::counter(names::LIBRARY_COMPACTION_FAILURES);
@@ -1579,7 +1396,7 @@ mod tests {
         for plan in plans {
             let err = goalrec_faults::with_plan(plan, || handle.compact_blocking()).unwrap_err();
             assert!(matches!(err, ServerError::ReloadFailed(_)), "{err}");
-            let st = set.load();
+            let st = cell.load();
             assert_eq!(st.generation(), 1, "old generation must keep serving");
             assert_eq!(st.delta_len(), 1, "the delta must stay intact");
             // The WAL still carries the staged entry for the retry.
@@ -1605,7 +1422,7 @@ mod tests {
         // generation exactly once.
         let generation = handle.compact_blocking().unwrap();
         assert_eq!(generation, 2);
-        assert_eq!(set.load().delta_len(), 0);
+        assert_eq!(cell.load().delta_len(), 0);
         assert_eq!(
             goalrec_datasets::io::read_library_auto(&path)
                 .unwrap()
@@ -1642,41 +1459,5 @@ mod tests {
         plane.note_success();
         assert!(plane.retry_after.is_none());
         assert_eq!(plane.failures, 0);
-    }
-
-    #[test]
-    fn sharded_appends_route_to_the_owning_shard_and_compact_in_lockstep() {
-        let (_, set, shutdown, handle, thread) = live_fixture("live-sharded.jsonl", 2, &tail());
-
-        // Each staged goal lands in exactly one shard's delta.
-        handle
-            .append_blocking(vec![(0, vec![0, 1]), (1, vec![1, 2]), (7, vec![0, 2])])
-            .unwrap();
-        let st = set.load();
-        let staged_total: usize = st.shards().iter().map(|s| s.staged_len()).sum();
-        assert_eq!(
-            staged_total, 3,
-            "every entry must land in exactly one shard"
-        );
-        for g in [0u32, 1, 7] {
-            let owner = st.owner_of(g);
-            assert!(
-                st.shards()[owner].staged_len() > 0,
-                "goal {g}'s owner shard {owner} must hold staged entries"
-            );
-        }
-
-        // Compaction swaps every shard together and clears the
-        // per-shard deltas.
-        let generation = handle.compact_blocking().unwrap();
-        assert_eq!(generation, 2);
-        let st = set.load();
-        assert_eq!(st.delta_len(), 0);
-        for (i, shard) in st.shards().iter().enumerate() {
-            assert_eq!(shard.staged_len(), 0, "shard {i}");
-            assert_eq!(shard.generation(), 2, "shard {i}");
-        }
-
-        stop(shutdown, handle, thread);
     }
 }

@@ -4,11 +4,11 @@
 //!
 //! | Route | Method | Response |
 //! |---|---|---|
-//! | `/healthz` | GET | `{"status", "generation", "model_age_ms", "shards": […]}` liveness JSON |
+//! | `/healthz` | GET | `{"status", "generation", "model_age_ms", "delta_size", …}` liveness JSON |
 //! | `/metrics` | GET | `goalrec-obs` snapshot, text form |
-//! | `/v1/stats` | GET | [`StatsReport`] JSON (same shape as `goalrec stats --json`) plus the per-shard rows |
+//! | `/v1/stats` | GET | [`StatsReport`] JSON (same shape as `goalrec stats --json`) plus serving fields |
 //! | `/v1/recommend` | POST | ranked actions for an activity |
-//! | `/v1/admin/reload` | POST | hot-swap the model from `{"path": …, "shard": …}` (or the startup file) |
+//! | `/v1/admin/reload` | POST | hot-swap the model from `{"path": …}` (or the startup file) |
 //! | `/v1/admin/library/append` | POST | stage implementations into the live delta (`{"goal", "actions"}` or `{"implementations": […]}`) |
 //!
 //! The recommend body is `{"activity": [u32, …], "strategy": "breadth" |
@@ -23,24 +23,23 @@
 //! envelopes, so nothing in here can abort a worker.
 //!
 //! Workers hand requests to [`handle`] with a [`ServeCtx`] and their own
-//! [`WorkerArena`]; the handler loads one [`AppState`] snapshot of the
-//! [`ShardSet`] up front, so a hot reload landing mid-request never
-//! changes the shards a request is being answered from. The recommend
-//! route scatters the activity across every shard (one `span.shard.<i>`
-//! span each) and merges into the worker's arena, so steady-state
-//! recommends never touch the allocator. The merge is the same at any
-//! shard count: Breadth sums the shards' partial scores and ranks once,
-//! Focus runs its fill loop over the shards' ranked implementations, and
-//! Best Match scores its candidates against the merged goal profile.
+//! [`WorkerArena`]; the handler loads one [`AppState`] snapshot up front,
+//! so a hot reload landing mid-request never changes the model a request
+//! is being answered from. The recommend route ranks through core's
+//! [`Strategy::rank_live_into`] — the same ranking repro, eval and batch
+//! run — into the worker's arena, so steady-state recommends never touch
+//! the allocator.
 
 use crate::debug::InflightRegistry;
 use crate::error::ServerError;
 use crate::http::{Request, Response};
 use crate::reload::ReloadHandle;
-use crate::shards::{AppState, ShardSet};
-use goalrec_core::{Activity, Scored, StatsReport};
+use crate::state::{AppState, StateCell};
+use goalrec_core::{
+    Activity, BestMatch, Breadth, Focus, FocusVariant, ObservedStrategy, Scored, Scratch,
+    StatsReport, Strategy,
+};
 use goalrec_obs::{self as obs, names};
-use goalrec_shard::{ShardScratch, ShardStrategy};
 use serde_json::Value;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -49,30 +48,32 @@ use std::time::Instant;
 /// The strategy names the API accepts, in documentation order.
 pub const STRATEGY_NAMES: &[&str] = &["breadth", "best-match", "focus-cmp", "focus-cl"];
 
-/// One served strategy with its pre-resolved `strategy.<name>.*`
-/// metric handles, so the recommend route never pays the registry's name
-/// formatting and lock per request.
+/// One served strategy under its API name, behind core's observation
+/// wrapper (its `strategy.<name>.*` metric handles are resolved once, so
+/// the recommend route never pays the registry's name formatting and lock
+/// per request).
 struct ServedStrategy {
     api_name: &'static str,
-    strategy: ShardStrategy,
-    requests: Arc<obs::Counter>,
-    latency: Arc<obs::Histogram>,
-    candidates: Arc<obs::Histogram>,
+    strategy: ObservedStrategy,
 }
 
 impl ServedStrategy {
+    /// One per [`STRATEGY_NAMES`] entry; `best-match` uses the cosine
+    /// metric of `BestMatch::default()`.
     fn all() -> Vec<ServedStrategy> {
         STRATEGY_NAMES
             .iter()
             .filter_map(|&api_name| {
-                let strategy = ShardStrategy::for_api_name(api_name)?;
-                let name = strategy.name();
+                let strategy: Box<dyn Strategy> = match api_name {
+                    "breadth" => Box::new(Breadth),
+                    "best-match" => Box::new(BestMatch::default()),
+                    "focus-cmp" => Box::new(Focus::new(FocusVariant::Completeness)),
+                    "focus-cl" => Box::new(Focus::new(FocusVariant::Closeness)),
+                    _ => return None,
+                };
                 Some(ServedStrategy {
                     api_name,
-                    strategy,
-                    requests: obs::counter(&names::strategy_requests(name)),
-                    latency: obs::histogram_ns(&names::strategy_latency(name)),
-                    candidates: obs::histogram(&names::strategy_candidates(name)),
+                    strategy: ObservedStrategy::new(strategy),
                 })
             })
             .collect()
@@ -98,11 +99,11 @@ const ROUTES: [&str; 9] = [
 /// client cannot balloon the delta in one request.
 pub const DEFAULT_APPEND_CAP: usize = 1024;
 
-/// Everything the routing layer needs: the serving plane, the reload
+/// Everything the routing layer needs: the serving state, the reload
 /// supervisor (absent in contexts that never reload, e.g. unit tests),
 /// the trace tail sampler and the in-flight request registry.
 pub struct ServeCtx {
-    set: Arc<ShardSet>,
+    cell: Arc<StateCell>,
     reload: Option<ReloadHandle>,
     tail: Arc<obs::TailSampler>,
     inflight: Arc<InflightRegistry>,
@@ -119,11 +120,11 @@ pub struct ServeCtx {
 }
 
 impl ServeCtx {
-    /// Wires the serving plane to an optional reload supervisor, with a
+    /// Wires the serving state to an optional reload supervisor, with a
     /// default-configured tail sampler and a fresh in-flight registry.
-    pub fn new(set: Arc<ShardSet>, reload: Option<ReloadHandle>) -> Self {
+    pub fn new(cell: Arc<StateCell>, reload: Option<ReloadHandle>) -> Self {
         ServeCtx {
-            set,
+            cell,
             reload,
             tail: Arc::new(obs::TailSampler::new(obs::TailConfig::default())),
             inflight: Arc::new(InflightRegistry::new()),
@@ -160,12 +161,12 @@ impl ServeCtx {
     /// A reload-less context over a fixed snapshot — test and embedding
     /// aid.
     pub fn fixed(state: AppState) -> Self {
-        ServeCtx::new(Arc::new(ShardSet::new(state)), None)
+        ServeCtx::new(Arc::new(StateCell::new(state)), None)
     }
 
-    /// One consistent snapshot of the serving plane.
+    /// One consistent snapshot of the serving state.
     pub fn state(&self) -> Arc<AppState> {
-        self.set.load()
+        self.cell.load()
     }
 
     /// The reload supervisor, when hot reload is enabled.
@@ -197,11 +198,11 @@ impl ServeCtx {
     }
 }
 
-/// One worker's reusable per-request memory: the scatter-gather arena.
+/// One worker's reusable per-request memory: core's ranking arena.
 /// Workers own exactly one for their lifetime, so steady-state
 /// recommends never touch the allocator.
 pub struct WorkerArena {
-    scratch: ShardScratch,
+    scratch: Scratch,
 }
 
 impl WorkerArena {
@@ -210,7 +211,7 @@ impl WorkerArena {
     // goalrec-lint:allow(hot-path-alloc): worker startup — arenas are built once per worker thread, not per request
     pub fn new() -> Self {
         WorkerArena {
-            scratch: ShardScratch::new(),
+            scratch: Scratch::new(),
         }
     }
 }
@@ -248,9 +249,7 @@ pub fn handle(
     trace.set_route(route);
 
     // One snapshot per request: a hot reload that lands after this line
-    // does not change what this request is answered from. During a
-    // rolling per-shard reload one snapshot can span generations; the
-    // tag is the floor across its shards.
+    // does not change what this request is answered from.
     let state = ctx.state();
     trace.set_generation(state.generation());
 
@@ -309,30 +308,9 @@ fn metrics(request: &Request) -> Response {
     }
 }
 
-/// One JSON row per shard (`{"shard", "generation", "model_age_ms"}`) of
-/// the snapshot — what `/healthz` and `/v1/stats` publish.
-fn shard_rows(state: &AppState) -> Vec<Value> {
-    state
-        .shards()
-        .iter()
-        .enumerate()
-        .map(|(i, snap)| {
-            let age_ms = u64::try_from(snap.model_age().as_millis()).unwrap_or(u64::MAX);
-            serde_json::json!({
-                "shard": i,
-                "generation": snap.generation(),
-                "model_age_ms": age_ms,
-            })
-        })
-        .collect()
-}
-
 /// `GET /healthz`: liveness JSON. Also refreshes the `server.model_age_ms`
 /// and `server.trace.tail_occupancy` gauges, so scrapes that only read
-/// `/metrics` see the same numbers the health probe reports. The
-/// top-level `generation` is the floor across shards (and `model_age_ms`
-/// the oldest shard's age), so probes keep a single monotone number to
-/// watch; `shards` carries the per-shard vector.
+/// `/metrics` see the same numbers the health probe reports.
 // goalrec-lint:allow(hot-path-alloc): control-plane route — probes assemble their JSON per request
 fn healthz(ctx: &ServeCtx, state: &AppState) -> Response {
     let model_age_ms = u64::try_from(state.model_age().as_millis()).unwrap_or(u64::MAX);
@@ -346,14 +324,12 @@ fn healthz(ctx: &ServeCtx, state: &AppState) -> Response {
         "delta_size": state.delta_len(),
         "uptime_ms": ctx.uptime_ms(),
         "trace_tail_occupancy": occupancy,
-        "shards": shard_rows(state),
     });
     Response::json(200, doc.to_string())
 }
 
 /// `GET /v1/stats`: the [`StatsReport`] JSON prefixed with serving-side
-/// fields (`uptime_ms`, tail-sampler occupancy, staged delta size, the
-/// per-shard rows).
+/// fields (`uptime_ms`, tail-sampler occupancy, staged delta size).
 // goalrec-lint:allow(hot-path-alloc): control-plane route — the stats report is rebuilt per request
 fn stats(ctx: &ServeCtx, state: &AppState) -> Response {
     let report = StatsReport::new(state.stats().clone(), Some(obs::snapshot()));
@@ -364,7 +340,6 @@ fn stats(ctx: &ServeCtx, state: &AppState) -> Response {
         _ => Vec::new(),
     };
     let occupancy = u64::try_from(ctx.tail().occupancy()).unwrap_or(u64::MAX);
-    fields.insert(0, ("shards".to_owned(), Value::Array(shard_rows(state))));
     fields.insert(
         0,
         (
@@ -417,37 +392,23 @@ fn debug_requests(ctx: &ServeCtx) -> Response {
     Response::json(200, doc.to_string())
 }
 
-/// Parses the optional `{"path": "...", "shard": n}` reload body; an
-/// empty body or a missing/`null` `path` means "reload the startup file",
-/// and a present `shard` asks the supervisor to rebuild and swap only
-/// that shard's cell.
-fn parse_reload_body(body: &[u8]) -> Result<(Option<PathBuf>, Option<usize>), ServerError> {
+/// Parses the optional `{"path": "..."}` reload body; an empty body or a
+/// missing/`null` `path` means "reload the startup file".
+fn parse_reload_body(body: &[u8]) -> Result<Option<PathBuf>, ServerError> {
     let text = std::str::from_utf8(body)
         .map_err(|_| ServerError::BadRequest("body is not valid UTF-8".to_owned()))?;
     if text.trim().is_empty() {
-        return Ok((None, None));
+        return Ok(None);
     }
     let doc: Value = serde_json::from_str(text)
         .map_err(|e| ServerError::BadRequest(format!("invalid JSON body: {e}")))?;
-    let path = match doc.get("path") {
-        None | Some(Value::Null) => None,
-        Some(v) => Some(
-            v.as_str()
-                .map(PathBuf::from)
-                .ok_or_else(|| ServerError::BadRequest("'path' must be a string".to_owned()))?,
-        ),
-    };
-    let shard = match doc.get("shard") {
-        None | Some(Value::Null) => None,
-        Some(v) => Some(
-            v.as_u64()
-                .and_then(|u| usize::try_from(u).ok())
-                .ok_or_else(|| {
-                    ServerError::BadRequest("'shard' must be a non-negative integer".to_owned())
-                })?,
-        ),
-    };
-    Ok((path, shard))
+    match doc.get("path") {
+        None | Some(Value::Null) => Ok(None),
+        Some(v) => v
+            .as_str()
+            .map(|p| Some(PathBuf::from(p)))
+            .ok_or_else(|| ServerError::BadRequest("'path' must be a string".to_owned())),
+    }
 }
 
 // goalrec-lint:allow(hot-path-alloc): control-plane route — reload swaps whole model generations by design
@@ -457,8 +418,7 @@ fn admin_reload(ctx: &ServeCtx, request: &Request) -> Result<Response, ServerErr
             "hot reload is not enabled on this server".to_owned(),
         ));
     };
-    let (path, shard) = parse_reload_body(&request.body)?;
-    let path = match path {
+    let path = match parse_reload_body(&request.body)? {
         Some(path) => path,
         None => handle.default_path().map(PathBuf::from).ok_or_else(|| {
             ServerError::BadRequest(
@@ -467,25 +427,12 @@ fn admin_reload(ctx: &ServeCtx, request: &Request) -> Result<Response, ServerErr
             )
         })?,
     };
-    let doc = match shard {
-        Some(shard) => {
-            let generation = handle.reload_one_shard_blocking(path.clone(), shard)?;
-            serde_json::json!({
-                "status": "reloaded",
-                "path": path.display().to_string(),
-                "shard": shard,
-                "generation": generation,
-            })
-        }
-        None => {
-            let generation = handle.reload_blocking(path.clone())?;
-            serde_json::json!({
-                "status": "reloaded",
-                "path": path.display().to_string(),
-                "generation": generation,
-            })
-        }
-    };
+    let generation = handle.reload_blocking(path.clone())?;
+    let doc = serde_json::json!({
+        "status": "reloaded",
+        "path": path.display().to_string(),
+        "generation": generation,
+    });
     Ok(Response::json(200, doc.to_string()))
 }
 
@@ -650,67 +597,136 @@ fn check_activity(num_actions: usize, activity: &[u32]) -> Result<(), ServerErro
     Ok(())
 }
 
-fn nanos(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// `POST /v1/recommend`: scatter the activity across the snapshot's
-/// shards (one `span.shard.<i>` child span and one `shard.<i>.*`
-/// observation each), then merge into the worker's arena. The
-/// `goalrec-shard` property tests prove the merge bit-identical to
-/// ranking one unpartitioned model. The whole ranking is the
-/// `span.rank` span, split into `span.rank.candidates` (the scatter) and
-/// `span.rank.topk` (the merge), and is observed under the strategy's
-/// `strategy.<name>.{requests,latency,candidates}` metrics.
+/// `POST /v1/recommend`: rank the activity over the snapshot's base ⊕
+/// staged overlay with core's strategy, into the worker's arena. Core's
+/// observation wrapper records the `span.rank` span (tiled by
+/// `span.rank.candidates` and `span.rank.topk`) and one tick of the
+/// strategy's `strategy.<name>.{requests,latency,candidates}` metrics.
 fn recommend(
     ctx: &ServeCtx,
     state: &AppState,
     request: &Request,
-    scratch: &mut ShardScratch,
+    scratch: &mut Scratch,
     trace: &mut obs::TraceContext,
 ) -> Result<Response, ServerError> {
     let params = parse_recommend_body(&request.body)?;
     check_activity(state.num_actions(), &params.activity)?;
     let served = ctx.strategy(&params.strategy)?;
     let activity = Activity::from_raw(params.activity.iter().copied());
-    let strategy = served.strategy;
-    served.requests.inc();
-    trace.set_strategy(strategy.name());
-
-    let traced = trace.is_enabled();
-    let rank_start_ns = if traced { trace.elapsed_ns() } else { 0 };
-    let rank = trace.start_child_span(names::SPAN_RANK);
-    let t0 = Instant::now();
-    for (i, shard) in state.shards().iter().enumerate() {
-        let span = trace.start_child_span(names::span_shard(i));
-        let ts = Instant::now();
-        strategy.scatter(shard, i, &activity, scratch);
-        ctx.set.observe(i, ts.elapsed());
-        trace.end_span(span);
-    }
-    let scatter_ns = nanos(t0.elapsed());
-    let candidates = strategy.gather(state.shards(), &activity, params.k, scratch);
-    let rank_ns = nanos(t0.elapsed());
-    trace.end_span(rank);
-    served.latency.record(rank_ns);
-    served.candidates.record(candidates as u64);
-    if traced {
-        trace.add_span(names::SPAN_RANK_CANDIDATES, rank_start_ns, scatter_ns, true);
-        trace.add_span(
-            names::SPAN_RANK_TOPK,
-            rank_start_ns + scatter_ns,
-            rank_ns.saturating_sub(scatter_ns),
-            true,
-        );
-    }
-
+    let ranked =
+        served
+            .strategy
+            .rank_live_into_traced(state.live(), &activity, params.k, scratch, trace);
     Ok(render_recommendation(
         state,
         &params.strategy,
         params.k,
         &activity,
-        scratch.out(),
+        ranked,
     ))
+}
+
+/// The paper's rankings as core computes them offline, for checking the
+/// served bytes against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use goalrec_core::ids::{ActionId, GoalId};
+    use goalrec_core::{GoalLibrary, GoalModel, GoalRecommender, Recommender};
+
+    /// `base` followed by `appends` (raw `(goal, actions)` ids), in id
+    /// order: the library a full rebuild after those appends compiles.
+    pub(crate) fn merged(base: &GoalLibrary, appends: &[(u32, Vec<u32>)]) -> GoalLibrary {
+        let mut impls: Vec<(GoalId, Vec<ActionId>)> = base
+            .implementations()
+            .iter()
+            .map(|imp| (imp.goal, imp.actions.clone()))
+            .collect();
+        let mut num_actions = u32::try_from(base.num_actions()).unwrap();
+        let mut num_goals = u32::try_from(base.num_goals()).unwrap();
+        for (goal, actions) in appends {
+            num_goals = num_goals.max(goal + 1);
+            num_actions = num_actions.max(actions.iter().max().unwrap() + 1);
+            impls.push((
+                GoalId::new(*goal),
+                actions.iter().copied().map(ActionId::new).collect(),
+            ));
+        }
+        GoalLibrary::from_id_implementations(num_actions, num_goals, impls).unwrap()
+    }
+
+    /// The activities of `activities` whose every action `state` serves
+    /// (staged-only actions count; others are a `400` by design).
+    pub(crate) fn admitted<'a>(state: &AppState, activities: &[&'a [u32]]) -> Vec<&'a [u32]> {
+        let extent = state.num_actions();
+        activities
+            .iter()
+            .copied()
+            .filter(|h| h.iter().all(|&a| ActionId::new(a).index() < extent))
+            .collect()
+    }
+
+    fn request(name: &str, activity: &[u32], k: usize) -> Request {
+        let body = format!("{{\"activity\": {activity:?}, \"strategy\": \"{name}\", \"k\": {k}}}");
+        Request {
+            method: "POST".to_owned(),
+            path: "/v1/recommend".to_owned(),
+            query: None,
+            headers: Vec::new(),
+            body: body.into_bytes(),
+            keep_alive: true,
+        }
+    }
+
+    /// The recommend route's response bodies, every strategy over every
+    /// activity, through one worker arena.
+    pub(crate) fn served_bodies(ctx: &ServeCtx, activities: &[&[u32]], k: usize) -> Vec<Vec<u8>> {
+        let mut arena = WorkerArena::new();
+        let mut out = Vec::new();
+        for activity in activities {
+            for name in STRATEGY_NAMES {
+                let resp = super::handle(
+                    ctx,
+                    &request(name, activity, k),
+                    &mut arena,
+                    &mut obs::TraceContext::disabled(),
+                )
+                .unwrap();
+                assert_eq!(resp.status, 200, "{name} {activity:?}");
+                out.push(resp.body);
+            }
+        }
+        out
+    }
+
+    /// The bodies [`served_bodies`] must equal: core [`GoalRecommender`]
+    /// on a fresh `GoalModel::build` of `merged`, rendered like the route.
+    /// Display names come from `state`'s catalog; the ranking (ids,
+    /// scores, order) comes from the fresh build alone.
+    pub(crate) fn expected_bodies(
+        state: &AppState,
+        merged: &GoalLibrary,
+        activities: &[&[u32]],
+        k: usize,
+    ) -> Vec<Vec<u8>> {
+        let model = Arc::new(GoalModel::build(merged).unwrap());
+        let mut out = Vec::new();
+        for activity in activities {
+            for &name in STRATEGY_NAMES {
+                let strategy: Box<dyn Strategy> = match name {
+                    "breadth" => Box::new(Breadth),
+                    "best-match" => Box::new(BestMatch::default()),
+                    "focus-cmp" => Box::new(Focus::new(FocusVariant::Completeness)),
+                    "focus-cl" => Box::new(Focus::new(FocusVariant::Closeness)),
+                    other => panic!("no oracle for strategy {other}"),
+                };
+                let h = Activity::from_raw(activity.iter().copied());
+                let ranked = GoalRecommender::new(Arc::clone(&model), strategy).recommend(&h, k);
+                out.push(render_recommendation(state, name, k, &h, &ranked).body);
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -740,23 +756,8 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// A one-shard context — the default server's plane.
     fn state() -> ServeCtx {
         ServeCtx::fixed(AppState::new(library()).unwrap())
-    }
-
-    /// A context over the same library `state()` serves, in `shards`
-    /// shards.
-    fn sharded_state(shards: usize) -> ServeCtx {
-        ServeCtx::fixed(
-            AppState::build(
-                library(),
-                shards,
-                goalrec_shard::PartitionMode::HashGoal,
-                &mut obs::TraceContext::disabled(),
-            )
-            .unwrap(),
-        )
     }
 
     fn get(path: &str) -> Request {
@@ -937,12 +938,7 @@ mod tests {
 
     #[test]
     fn recommend_rejects_bad_payloads() {
-        for shards in [1usize, 3] {
-            recommend_rejects_bad_payloads_at(&sharded_state(shards));
-        }
-    }
-
-    fn recommend_rejects_bad_payloads_at(st: &ServeCtx) {
+        let st = &state();
         let cases = [
             ("", "empty body"),
             ("{not json", "invalid JSON"),
@@ -1020,26 +1016,11 @@ mod tests {
             parse_reload_body(br#"{"path": 7}"#),
             Err(ServerError::BadRequest(_))
         ));
-        assert!(matches!(
-            parse_reload_body(br#"{"shard": "zero"}"#),
-            Err(ServerError::BadRequest(_))
-        ));
-        assert!(matches!(
-            parse_reload_body(br#"{"shard": -1}"#),
-            Err(ServerError::BadRequest(_))
-        ));
-        assert_eq!(parse_reload_body(b"").unwrap(), (None, None));
+        assert_eq!(parse_reload_body(b"").unwrap(), None);
+        assert_eq!(parse_reload_body(br#"{"path": null}"#).unwrap(), None);
         assert_eq!(
-            parse_reload_body(br#"{"path": "x.grlb"}"#).unwrap(),
-            (Some(PathBuf::from("x.grlb")), None)
-        );
-        assert_eq!(
-            parse_reload_body(br#"{"path": "x.grlb", "shard": 1}"#).unwrap(),
-            (Some(PathBuf::from("x.grlb")), Some(1))
-        );
-        assert_eq!(
-            parse_reload_body(br#"{"shard": 0}"#).unwrap(),
-            (None, Some(0))
+            parse_reload_body(br#"{"path": "x.grlb2"}"#).unwrap(),
+            Some(PathBuf::from("x.grlb2"))
         );
     }
 
@@ -1142,152 +1123,111 @@ mod tests {
 
     #[test]
     fn staged_state_serves_staged_actions_without_a_rebuild() {
-        for shards in [1usize, 3] {
-            let st = sharded_state(shards);
-            let base = st.state();
-            // Stage a brand-new goal whose actions include an id one past
-            // the base extent.
-            let base_actions = base.num_actions();
-            let staged = base
-                .with_staged(&[(3, vec![0, u32::try_from(base_actions).unwrap()])])
-                .unwrap();
-            assert_eq!(staged.delta_len(), 1);
-            assert_eq!(staged.generation(), base.generation());
-            let ctx = ServeCtx::fixed(staged);
-            // An activity naming the staged-only action id is admitted and
-            // ranked; the same id on the un-staged context is a 400.
-            let body = format!("{{\"activity\": [{base_actions}], \"k\": 3}}");
-            let resp = handle(&ctx, &post("/v1/recommend", &body)).unwrap();
-            assert_eq!(resp.status, 200, "shards {shards}");
-            assert!(matches!(
-                handle(&st, &post("/v1/recommend", &body)),
-                Err(ServerError::Recommend(_))
-            ));
-        }
+        let st = state();
+        let base = st.state();
+        // Stage a brand-new goal whose actions include an id one past the
+        // base extent.
+        let base_actions = base.num_actions();
+        let staged = base
+            .with_staged(&[(3, vec![0, u32::try_from(base_actions).unwrap()])])
+            .unwrap();
+        assert_eq!(staged.delta_len(), 1);
+        assert_eq!(staged.generation(), base.generation());
+        let ctx = ServeCtx::fixed(staged);
+        // An activity naming the staged-only action id is admitted and
+        // ranked; the same id on the un-staged context is a 400.
+        let body = format!("{{\"activity\": [{base_actions}], \"k\": 3}}");
+        let resp = handle(&ctx, &post("/v1/recommend", &body)).unwrap();
+        assert_eq!(resp.status, 200);
+        assert!(matches!(
+            handle(&st, &post("/v1/recommend", &body)),
+            Err(ServerError::Recommend(_))
+        ));
     }
 
-    /// Every strategy's response bytes at `shards` shards, for a few
-    /// activities, with and without a staged overlay.
-    fn recommend_bytes(shards: usize) -> Vec<String> {
-        let plain = sharded_state(shards);
-        let staged = ServeCtx::fixed(
-            plain
-                .state()
-                .with_staged(&[(0, vec![1, 5]), (4, vec![0, 3, 6]), (1, vec![2])])
-                .unwrap(),
+    #[test]
+    fn recommend_bytes_match_core_on_a_fresh_build_of_the_merged_library() {
+        let lib = library();
+        let plain = state();
+        let appends = [(0, vec![1, 5]), (4, vec![0, 3, 6]), (1, vec![2])];
+        let staged = ServeCtx::fixed(plain.state().with_staged(&appends).unwrap());
+        let activities: [&[u32]; 5] = [&[0, 1], &[0], &[2, 4], &[1, 3, 4], &[6]];
+        for (ctx, merged) in [
+            (&plain, oracle::merged(&lib, &[])),
+            (&staged, oracle::merged(&lib, &appends)),
+        ] {
+            let state = ctx.state();
+            let admitted = oracle::admitted(&state, &activities);
+            assert_eq!(
+                oracle::served_bodies(ctx, &admitted, 4),
+                oracle::expected_bodies(&state, &merged, &admitted, 4)
+            );
+        }
+        // The staged-only action 6 is served once its append is staged.
+        assert_eq!(oracle::admitted(&plain.state(), &activities).len(), 4);
+        assert_eq!(oracle::admitted(&staged.state(), &activities).len(), 5);
+    }
+
+    #[test]
+    fn recommend_reuses_one_arena_and_records_the_rank_spans() {
+        let st = state();
+        let mut arena = WorkerArena::new();
+        let mut trace = obs::TraceContext::new(true);
+        trace.begin(obs::TraceId(0x54a2), std::time::Instant::now());
+        // Two requests through one arena: no state may leak between them.
+        super::handle(
+            &st,
+            &post("/v1/recommend", r#"{"activity": [0, 1, 3], "k": 5}"#),
+            &mut arena,
+            &mut trace,
+        )
+        .unwrap();
+        trace.begin(obs::TraceId(0x54a3), std::time::Instant::now());
+        let resp = super::handle(
+            &st,
+            &post("/v1/recommend", r#"{"activity": [0, 1], "k": 2}"#),
+            &mut arena,
+            &mut trace,
+        )
+        .unwrap();
+        trace.finish(200);
+        let fresh = handle(
+            &st,
+            &post("/v1/recommend", r#"{"activity": [0, 1], "k": 2}"#),
+        )
+        .unwrap();
+        assert_eq!(resp.body, fresh.body);
+        // The trace carries the rank span, tiled by its two children.
+        let snap = trace.snapshot();
+        let dur = |name: &str| {
+            snap.spans()
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("no {name} span"))
+                .dur_ns
+        };
+        assert_eq!(
+            dur(names::SPAN_RANK_CANDIDATES) + dur(names::SPAN_RANK_TOPK),
+            dur(names::SPAN_RANK)
         );
-        let mut out = Vec::new();
-        for ctx in [&plain, &staged] {
-            for activity in ["[0, 1]", "[0]", "[2, 4]", "[1, 3, 4]"] {
-                for name in STRATEGY_NAMES {
-                    let body =
-                        format!("{{\"activity\": {activity}, \"strategy\": \"{name}\", \"k\": 4}}");
-                    let resp = handle(ctx, &post("/v1/recommend", &body)).unwrap();
-                    assert_eq!(resp.status, 200, "strategy {name} shards {shards}");
-                    out.push(String::from_utf8(resp.body).unwrap());
-                }
-            }
-        }
-        out
     }
 
     #[test]
-    fn recommend_bytes_are_identical_across_shard_counts() {
-        let one = recommend_bytes(1);
-        for shards in [2usize, 3] {
-            assert_eq!(recommend_bytes(shards), one, "shards {shards}");
-        }
-    }
-
-    #[test]
-    fn recommend_reuses_one_arena_and_traces_per_shard() {
-        for shards in [1usize, 3] {
-            let st = sharded_state(shards);
-            let mut arena = WorkerArena::new();
-            let mut trace = obs::TraceContext::new(true);
-            trace.begin(obs::TraceId(0x54a2), std::time::Instant::now());
-            // Two requests through one arena: no state may leak between
-            // them.
-            super::handle(
-                &st,
-                &post("/v1/recommend", r#"{"activity": [0, 1, 3], "k": 5}"#),
-                &mut arena,
-                &mut trace,
-            )
-            .unwrap();
-            trace.begin(obs::TraceId(0x54a3), std::time::Instant::now());
-            let resp = super::handle(
-                &st,
-                &post("/v1/recommend", r#"{"activity": [0, 1], "k": 2}"#),
-                &mut arena,
-                &mut trace,
-            )
-            .unwrap();
-            trace.finish(200);
-            let fresh = handle(
-                &st,
-                &post("/v1/recommend", r#"{"activity": [0, 1], "k": 2}"#),
-            )
-            .unwrap();
-            assert_eq!(resp.body, fresh.body);
-            // The trace carries the rank span family plus one child span
-            // per shard.
-            let snap = trace.snapshot();
-            for span in [
-                names::SPAN_RANK,
-                names::SPAN_RANK_CANDIDATES,
-                names::SPAN_RANK_TOPK,
-            ] {
-                assert!(snap.has_span(span), "{span} shards {shards}");
-            }
-            for i in 0..shards {
-                assert!(snap.has_span(names::span_shard(i)), "shard {i}");
-            }
-            assert!(!snap.has_span(names::span_shard(shards)));
-        }
-    }
-
-    #[test]
-    fn recommend_ticks_per_shard_and_per_strategy_metrics() {
-        for shards in [1usize, 3] {
-            let st = sharded_state(shards);
-            let count = |name: &str| goalrec_obs::snapshot().counter(name).unwrap_or(0);
-            let before: Vec<u64> = (0..shards)
-                .map(|i| count(&names::shard_requests(i)))
-                .collect();
-            let strategy_before = count(&names::strategy_requests("Focus_cl"));
-            handle(
-                &st,
-                &post(
-                    "/v1/recommend",
-                    r#"{"activity": [0], "strategy": "focus-cl", "k": 3}"#,
-                ),
-            )
-            .unwrap();
-            for (i, was) in before.iter().enumerate() {
-                assert!(count(&names::shard_requests(i)) > *was, "shard {i}");
-            }
-            assert!(count(&names::strategy_requests("Focus_cl")) > strategy_before);
-        }
-    }
-
-    #[test]
-    fn healthz_and_stats_report_the_generation_vector() {
-        for shards in [1usize, 3] {
-            let st = sharded_state(shards);
-            let health = handle(&st, &get("/healthz")).unwrap();
-            let text = String::from_utf8(health.body).unwrap();
-            assert!(text.contains("\"generation\":1"), "{text}");
-            assert!(text.contains("\"shards\":["), "{text}");
-            for i in 0..shards {
-                assert!(text.contains(&format!("\"shard\":{i}")), "{text}");
-            }
-            assert!(!text.contains(&format!("\"shard\":{shards}")), "{text}");
-            let stats = handle(&st, &get("/v1/stats")).unwrap();
-            let text = String::from_utf8(stats.body).unwrap();
-            assert!(text.contains("\"shards\""), "{text}");
-            assert!(text.contains("\"shard\""), "{text}");
-        }
+    fn recommend_ticks_the_strategy_metrics() {
+        let st = state();
+        let count = |name: &str| goalrec_obs::snapshot().counter(name).unwrap_or(0);
+        let before = count(&names::strategy_requests("Focus_cl"));
+        handle(
+            &st,
+            &post(
+                "/v1/recommend",
+                r#"{"activity": [0], "strategy": "focus-cl", "k": 3}"#,
+            ),
+        )
+        .unwrap();
+        // Other tests share the process-global registry, so the count
+        // moved by at least this request.
+        assert!(count(&names::strategy_requests("Focus_cl")) > before);
     }
 
     #[test]
