@@ -836,7 +836,9 @@ fn usage(err: &str) -> ! {
 mod guard_rails {
     use super::*;
     use goalrec_core::strategies::Strategy;
-    use goalrec_core::{Activity, BestMatch, Breadth, Focus, FocusVariant, GoalModel, Scratch};
+    use goalrec_core::{
+        Activity, BestMatch, Breadth, Focus, FocusVariant, GoalModel, LiveRef, Scratch,
+    };
     use goalrec_datasets::foodmart::{FoodMart, FoodMartConfig};
     use std::hint::black_box;
 
@@ -899,7 +901,7 @@ mod guard_rails {
         let best_match = BestMatch::default();
         let mut scratch = Scratch::new();
         let mut rank = |cart: &Activity| {
-            black_box(best_match.rank_into(&model, cart, 10, &mut scratch));
+            black_box(best_match.rank_into(LiveRef::solid(&model), cart, 10, &mut scratch));
         };
         // Two untimed passes settle the arena, caches and branch
         // predictors; the timed window covers the carts three times.
@@ -928,7 +930,7 @@ mod guard_rails {
         let mut scratch = Scratch::new();
         for strategy in strategies {
             let mut rank = |cart: &Activity| {
-                black_box(strategy.rank_into(&model, cart, 10, &mut scratch));
+                black_box(strategy.rank_into(LiveRef::solid(&model), cart, 10, &mut scratch));
             };
             // The same method as the BestMatch gate: two untimed passes,
             // then three timed passes over the carts.

@@ -51,6 +51,15 @@ impl Args {
         self.flags.contains_key(name)
     }
 
+    /// The first flag (by name) not in `known`, if any.
+    pub fn unknown_flag(&self, known: &[&str]) -> Option<&str> {
+        self.flags
+            .keys()
+            .map(String::as_str)
+            .filter(|name| !known.contains(name))
+            .min()
+    }
+
     /// Required flag, with a readable error.
     pub fn required(&self, name: &str) -> Result<&str, String> {
         self.flag(name)

@@ -12,36 +12,95 @@ use std::path::Path;
 
 type CmdResult = Result<(), String>;
 
+/// Each command's name, the flags it reads and its usage line. A flag a
+/// command does not read is an error naming the flag and that usage, so
+/// a mistyped or retired flag never passes silently. `serve` hands its
+/// arguments to the server's own parser, which is just as strict.
+const COMMANDS: &[(&str, &[&str], &str)] = &[
+    (
+        "generate",
+        &["scale", "out"],
+        "goalrec generate  foodmart|fortythree [--scale test|paper] --out FILE.jsonl",
+    ),
+    (
+        "synth",
+        &["out", "stories", "seed"],
+        "goalrec synth     --out FILE.json [--stories N] [--seed N]",
+    ),
+    (
+        "extract",
+        &["stories", "out"],
+        "goalrec extract   --stories FILE.json --out FILE.jsonl",
+    ),
+    (
+        "convert",
+        &["library", "out"],
+        "goalrec convert   --library FILE --out FILE.jsonl",
+    ),
+    (
+        "compile",
+        &["library", "out"],
+        "goalrec compile   --library FILE --out MODEL.grlb2",
+    ),
+    (
+        "stats",
+        &["library", "json", "metrics"],
+        "goalrec stats     --library FILE [--json] [--metrics]",
+    ),
+    (
+        "recommend",
+        &["library", "activity", "strategy", "k", "explain"],
+        "goalrec recommend --library FILE --activity a1,a2,... \
+         [--strategy breadth|best-match|focus-cmp|focus-cl] [--k N] [--explain]",
+    ),
+    (
+        "serve",
+        &[],
+        "goalrec serve     --library FILE [the goalrec-serve flags; goalrec serve --help]",
+    ),
+    ("demo", &[], "goalrec demo"),
+];
+
+/// The full usage text: every command's line.
+fn usage() -> String {
+    let mut text = "usage:\n".to_owned();
+    for (_, _, line) in COMMANDS {
+        text.push_str("  ");
+        text.push_str(line);
+        text.push('\n');
+    }
+    text.push_str(
+        "  a library FILE is JSON lines or a compiled GRLB v2 model, told apart by its first bytes",
+    );
+    text
+}
+
 /// Dispatches a parsed command line.
 pub fn dispatch(argv: &[String]) -> CmdResult {
     let args = Args::parse(argv);
-    match args.positional(0) {
-        Some("generate") => generate(&args),
-        Some("extract") => extract(&args),
-        Some("synth") => synth(&args),
-        Some("convert") => convert(&args),
-        Some("compile") => compile(&args),
-        Some("stats") => stats(&args),
-        Some("recommend") => recommend(&args),
-        Some("serve") => serve(argv.get(1..).unwrap_or_default()),
-        Some("demo") => demo(),
-        Some(other) => Err(format!("unknown command '{other}'\n{USAGE}")),
-        None => Err(USAGE.to_owned()),
+    let Some(command) = args.positional(0) else {
+        return Err(usage());
+    };
+    if command == "serve" {
+        return serve(argv.get(1..).unwrap_or_default());
+    }
+    let Some(&(_, flags, line)) = COMMANDS.iter().find(|(name, _, _)| *name == command) else {
+        return Err(format!("unknown command '{command}'\n{}", usage()));
+    };
+    if let Some(flag) = args.unknown_flag(flags) {
+        return Err(format!("'{command}' takes no --{flag} flag\nusage: {line}"));
+    }
+    match command {
+        "generate" => generate(&args),
+        "extract" => extract(&args),
+        "synth" => synth(&args),
+        "convert" => convert(&args),
+        "compile" => compile(&args),
+        "stats" => stats(&args),
+        "recommend" => recommend(&args),
+        _ => demo(), // the one command of `COMMANDS` left
     }
 }
-
-const USAGE: &str = "usage:\n  \
-    goalrec generate  foodmart|fortythree [--scale test|paper] --out FILE.jsonl\n  \
-    goalrec synth     --out FILE.json [--stories N] [--seed N]\n  \
-    goalrec extract   --stories FILE.json --out FILE.jsonl\n  \
-    goalrec convert   --library FILE --out FILE.jsonl\n  \
-    goalrec compile   --library FILE --out MODEL.grlb2\n  \
-    goalrec stats     --library FILE [--json] [--metrics]\n  \
-    goalrec recommend --library FILE --activity a1,a2,... \
-[--strategy breadth|best-match|focus-cmp|focus-cl] [--k N] [--explain]\n  \
-    goalrec serve     --library FILE [the goalrec-serve flags; goalrec serve --help]\n  \
-    goalrec demo\n\
-  a library FILE is JSON lines or a compiled GRLB v2 model, told apart by its first bytes";
 
 fn generate(args: &Args) -> CmdResult {
     let which = args
@@ -364,6 +423,54 @@ mod tests {
     fn unknown_command_and_usage() {
         assert!(run(&["frobnicate"]).is_err());
         assert!(run(&[]).is_err());
+    }
+
+    #[test]
+    fn a_flag_the_command_does_not_read_fails_naming_it_and_the_usage() {
+        let d = tmpdir();
+        let lib = d.join("flags.jsonl");
+        let lib = lib.to_str().unwrap();
+        run(&["generate", "fortythree", "--out", lib]).unwrap();
+        let out = d.join("flags.grlb2");
+        let out = out.to_str().unwrap();
+        for (bad, flag) in [
+            (&["--shards", "2"][..], "--shards"),
+            (&["--bogus", "7"], "--bogus"),
+            (&["--shards", "2", "--bogus", "7"], "--bogus"),
+        ] {
+            let mut argv = vec!["compile", "--library", lib, "--out", out];
+            argv.extend_from_slice(bad);
+            let err = run(&argv).unwrap_err();
+            assert!(err.contains(flag), "{argv:?}: {err}");
+            assert!(
+                err.contains("usage: goalrec compile   --library FILE --out MODEL.grlb2"),
+                "{argv:?}: {err}"
+            );
+        }
+        // A flag another command reads is still foreign to this one.
+        let err = run(&["stats", "--library", lib, "--explain"]).unwrap_err();
+        assert!(
+            err.contains("--explain") && err.contains("goalrec stats"),
+            "{err}"
+        );
+        let err = run(&["demo", "--k", "3"]).unwrap_err();
+        assert!(err.contains("--k") && err.contains("goalrec demo"), "{err}");
+        // Every flag a command documents is accepted.
+        run(&["compile", "--library", lib, "--out", out]).unwrap();
+        run(&["stats", "--library", lib, "--json", "--metrics"]).unwrap();
+        run(&[
+            "recommend",
+            "--library",
+            lib,
+            "--activity",
+            "0",
+            "--strategy",
+            "focus-cl",
+            "-k",
+            "2",
+            "--explain",
+        ])
+        .unwrap();
     }
 
     #[test]

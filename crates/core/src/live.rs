@@ -5,10 +5,11 @@
 //! grows continuously. Rather than rebuilding `O(model)` per accepted
 //! implementation, new implementations land in a small append-only
 //! [`DeltaSegment`] side-index that is overlaid *transparently* on the
-//! base model: a [`LiveRef`] presents the pair as one logical model
-//! through the [`AssocView`] trait, and every built-in strategy ranks
-//! through it bit-identically to a full rebuild of the merged library
-//! (proven property-style in `tests/live_overlay.rs`).
+//! base model: a [`LiveRef`] (a base model plus an optional delta)
+//! presents the pair as one logical model through the [`AssocView`]
+//! trait, and every built-in strategy ranks through it bit-identically to
+//! a full rebuild of the merged library (proven property-style in
+//! `tests/live_overlay.rs`).
 //!
 //! ## Why the overlay is exact
 //!
@@ -164,7 +165,7 @@ pub struct DeltaSegment {
 
 impl DeltaSegment {
     /// An empty segment whose id spaces start from the given extents.
-    pub fn new(first_impl: u32, num_actions: usize, num_goals: usize) -> Self {
+    fn new(first_impl: u32, num_actions: usize, num_goals: usize) -> Self {
         Self {
             first_impl,
             num_actions,
@@ -292,44 +293,27 @@ impl DeltaSegment {
 /// A borrowed base + delta overlay presenting one logical model.
 ///
 /// `Copy`, two pointers wide — built per request from whatever snapshot
-/// the caller holds. Either side may be absent: a solid model has no
-/// delta, and a delta-only view (no base) reads the staged rows alone.
+/// the caller holds. A solid model has no delta; an empty delta is
+/// dropped, so the read path degenerates to the solid case.
 #[derive(Clone, Copy)]
 pub struct LiveRef<'a> {
-    base: Option<&'a GoalModel>,
+    base: &'a GoalModel,
     delta: Option<&'a DeltaSegment>,
 }
 
 impl<'a> LiveRef<'a> {
     /// A view of a plain model with no staged mutations.
     pub fn solid(base: &'a GoalModel) -> Self {
-        Self {
-            base: Some(base),
-            delta: None,
-        }
+        Self { base, delta: None }
     }
 
     /// A view of a base model with a staged overlay. An empty delta is
     /// dropped so the read path degenerates to the solid case.
     pub fn overlay(base: &'a GoalModel, delta: &'a DeltaSegment) -> Self {
         Self {
-            base: Some(base),
+            base,
             delta: (!delta.is_empty()).then_some(delta),
         }
-    }
-
-    /// A view over optional parts; an empty delta is dropped as in
-    /// [`LiveRef::overlay`].
-    pub fn from_parts(base: Option<&'a GoalModel>, delta: Option<&'a DeltaSegment>) -> Self {
-        Self {
-            base,
-            delta: delta.filter(|d| !d.is_empty()),
-        }
-    }
-
-    /// The base model, if any.
-    pub fn base(&self) -> Option<&'a GoalModel> {
-        self.base
     }
 
     /// The staged (non-empty) delta, if any.
@@ -339,21 +323,9 @@ impl<'a> LiveRef<'a> {
 
     /// The plain compiled model when nothing is staged over it — the
     /// exact fast path every reader dispatches to — or `None` when the
-    /// overlay must be read (a vacant view reads as empty).
+    /// overlay must be read.
     pub fn unstaged(&self) -> Option<&'a GoalModel> {
-        self.base.filter(|_| self.delta.is_none())
-    }
-
-    /// Whether there is nothing to rank over at all.
-    pub fn is_vacant(&self) -> bool {
-        self.base.is_none() && self.delta.is_none()
-    }
-
-    fn split_at(&self) -> u32 {
-        match self.delta {
-            Some(d) => d.first_impl(),
-            None => u32::MAX,
-        }
+        self.delta.is_none().then_some(self.base)
     }
 
     /// Materialises the merged library `base ⊕ delta` — the compaction
@@ -362,18 +334,17 @@ impl<'a> LiveRef<'a> {
     /// implementation its overlay id.
     pub fn to_library(&self) -> Result<GoalLibrary> {
         let mut impls: Vec<(GoalId, Vec<ActionId>)> = Vec::with_capacity(self.num_impls());
-        if let Some(base) = self.base {
-            for p in 0..base.num_impls() {
-                let p = ImplId::new(u32::try_from(p).unwrap_or(u32::MAX));
-                impls.push((
-                    base.impl_goal(p),
-                    base.impl_actions(p)
-                        .iter()
-                        .copied()
-                        .map(ActionId::new)
-                        .collect(),
-                ));
-            }
+        let base = self.base;
+        for p in 0..base.num_impls() {
+            let p = ImplId::new(u32::try_from(p).unwrap_or(u32::MAX));
+            impls.push((
+                base.impl_goal(p),
+                base.impl_actions(p)
+                    .iter()
+                    .copied()
+                    .map(ActionId::new)
+                    .collect(),
+            ));
         }
         if let Some(delta) = self.delta {
             for (g, acts) in delta.staged() {
@@ -386,73 +357,49 @@ impl<'a> LiveRef<'a> {
             impls,
         )
     }
-
-    /// Compiles the merged model — what a background compaction swaps
-    /// in. Bit-identical to ranking through the overlay (the property
-    /// `tests/live_overlay.rs` pins).
-    // goalrec-lint:allow(hot-path-alloc): compaction input — built on the supervisor thread; the only serving-path caller is the default `rank_live_into` fallback for third-party strategies (every built-in overrides it with an allocation-free overlay read)
-    pub fn to_model(&self) -> Result<GoalModel> {
-        GoalModel::build(&self.to_library()?)
-    }
 }
 
 impl AssocView for LiveRef<'_> {
     fn num_actions(&self) -> usize {
-        match (self.delta, self.base) {
-            (Some(d), _) => d.num_actions(),
-            (None, Some(b)) => b.num_actions(),
-            (None, None) => 0,
+        match self.delta {
+            Some(d) => d.num_actions(),
+            None => self.base.num_actions(),
         }
     }
 
     fn num_goals(&self) -> usize {
-        match (self.delta, self.base) {
-            (Some(d), _) => d.num_goals(),
-            (None, Some(b)) => b.num_goals(),
-            (None, None) => 0,
+        match self.delta {
+            Some(d) => d.num_goals(),
+            None => self.base.num_goals(),
         }
     }
 
     fn num_impls(&self) -> usize {
-        match (self.delta, self.base) {
-            (Some(d), _) => ImplId::new(d.next_impl()).index(),
-            (None, Some(b)) => b.num_impls(),
-            (None, None) => 0,
+        match self.delta {
+            Some(d) => ImplId::new(d.next_impl()).index(),
+            None => self.base.num_impls(),
         }
     }
 
     fn impl_actions(&self, p: ImplId) -> &[u32] {
-        if p.raw() < self.split_at() {
-            match self.base {
-                Some(b) => b.impl_actions(p),
-                None => &[],
-            }
-        } else {
-            match self.delta {
-                Some(d) => d.impl_actions(p),
-                None => &[],
-            }
+        match self.delta {
+            Some(d) if p.raw() >= d.first_impl() => d.impl_actions(p),
+            _ => self.base.impl_actions(p),
         }
     }
 
     fn impl_goal(&self, p: ImplId) -> GoalId {
-        if p.raw() < self.split_at() {
-            match self.base {
-                Some(b) => b.impl_goal(p),
-                None => GoalId::new(0),
-            }
-        } else {
-            match self.delta {
-                Some(d) => d.impl_goal(p),
-                None => GoalId::new(0),
-            }
+        match self.delta {
+            Some(d) if p.raw() >= d.first_impl() => d.impl_goal(p),
+            _ => self.base.impl_goal(p),
         }
     }
 
     fn action_impls_parts(&self, a: ActionId) -> (&[u32], &[u32]) {
-        let base = match self.base {
-            Some(b) if a.index() < b.num_actions() => b.action_impls(a),
-            _ => &[],
+        let base = if a.index() < self.base.num_actions() {
+            self.base.action_impls(a)
+        } else {
+            &[]
         };
         let delta = match self.delta {
             Some(d) => d.action_impls(a),
@@ -462,9 +409,10 @@ impl AssocView for LiveRef<'_> {
     }
 
     fn goal_impls_parts(&self, g: GoalId) -> (&[u32], &[u32]) {
-        let base = match self.base {
-            Some(b) if g.index() < b.num_goals() => b.goal_impls(g),
-            _ => &[],
+        let base = if g.index() < self.base.num_goals() {
+            self.base.goal_impls(g)
+        } else {
+            &[]
         };
         let delta = match self.delta {
             Some(d) => d.goal_impls(g),
@@ -555,7 +503,7 @@ mod tests {
         d.append(GoalId::new(1), ids(&[1, 6])).unwrap();
         d.append(GoalId::new(4), ids(&[0, 7])).unwrap();
         let live = LiveRef::overlay(&m, &d);
-        let merged = live.to_model().unwrap();
+        let merged = GoalModel::build(&live.to_library().unwrap()).unwrap();
         for h in [vec![0u32], vec![1], vec![6], vec![0, 7], vec![9]] {
             let (mut got, mut want) = (Vec::new(), Vec::new());
             implementation_space_into(&live, &h, &mut got);
@@ -578,7 +526,7 @@ mod tests {
         let mut d = DeltaSegment::for_base(&m);
         d.append(GoalId::new(0), ids(&[2, 6])).unwrap();
         let live = LiveRef::overlay(&m, &d);
-        let merged = live.to_model().unwrap();
+        let merged = GoalModel::build(&live.to_library().unwrap()).unwrap();
         assert_eq!(merged.num_impls(), 6);
         // Overlay ids survive the merge: every impl reads identically.
         for p in 0..6u32 {
@@ -599,36 +547,13 @@ mod tests {
     }
 
     #[test]
-    fn delta_only_view_serves_without_a_base() {
-        let mut d = DeltaSegment::new(0, 0, 0);
-        d.append(GoalId::new(0), ids(&[0, 1])).unwrap();
-        d.append(GoalId::new(1), ids(&[0])).unwrap();
-        let live = LiveRef::from_parts(None, Some(&d));
-        let mut impls = Vec::new();
-        implementation_space_into(&live, &[0], &mut impls);
-        assert_eq!(impls, vec![0, 1]);
-        let mut goals = Vec::new();
-        goals_of_impls_into(&live, &impls, &mut goals);
-        assert_eq!(goals, vec![0, 1]);
-    }
-
-    #[test]
-    fn unstaged_is_the_base_only_when_nothing_is_staged_and_vacant_ranks_nothing() {
+    fn unstaged_is_the_base_only_when_nothing_is_staged() {
         let m = base();
         assert!(LiveRef::solid(&m).unstaged().is_some());
         let mut d = DeltaSegment::for_base(&m);
         assert!(LiveRef::overlay(&m, &d).unstaged().is_some());
         d.append(GoalId::new(0), ids(&[0, 6])).unwrap();
         assert!(LiveRef::overlay(&m, &d).unstaged().is_none());
-
-        let vacant = LiveRef::from_parts(None, None);
-        assert!(vacant.unstaged().is_none());
-        let activity = crate::Activity::from_raw([0u32, 1]);
-        let mut scratch = crate::scratch::Scratch::new();
-        for s in crate::strategies::default_strategies() {
-            assert_eq!(s.rank_live_into(vacant, &activity, 3, &mut scratch), 0);
-            assert!(scratch.out.is_empty(), "{}", s.name());
-        }
     }
 
     #[test]

@@ -79,65 +79,6 @@ impl GoalModel {
         )
     }
 
-    /// Assembles a model directly from pre-built flat `GI-A-idx` CSR arrays
-    /// plus the forward goal labels — the zero-copy entry point the binary
-    /// `GRLB` reader uses to load a model without per-implementation
-    /// allocations.
-    ///
-    /// `offsets`/`data` describe implementation `p`'s activity as
-    /// `data[offsets[p]..offsets[p + 1]]`. The arrays are fully validated
-    /// (shape, per-row strict sortedness, id ranges) before the inverse
-    /// indexes are built, so corrupt input yields [`Error::CorruptModel`]
-    /// rather than a wrong model.
-    pub fn from_csr_parts(
-        num_actions: usize,
-        num_goals: usize,
-        impl_goal: Vec<u32>,
-        offsets: Vec<u32>,
-        data: Vec<u32>,
-    ) -> Result<Self> {
-        if impl_goal.is_empty() {
-            return Err(Error::EmptyLibrary);
-        }
-        let _total = Timer::scoped(names::MODEL_BUILD_TOTAL);
-        obs::counter(names::MODEL_BUILDS).inc();
-        let corrupt = |detail: String| Error::CorruptModel { detail };
-
-        // The forward index is handed to us, so the GI-A phase is pure
-        // validation here.
-        let span = Timer::scoped(names::MODEL_BUILD_GI_A_IDX);
-        let impl_actions = Csr::from_parts(offsets, data);
-        impl_actions
-            .check_shape(impl_goal.len(), "GI-A-idx")
-            .map_err(corrupt)?;
-        for (pid, &g) in impl_goal.iter().enumerate() {
-            let actions = impl_actions.row(pid);
-            if actions.is_empty() {
-                return Err(corrupt(format!("GI-A-idx[p{pid}] is empty")));
-            }
-            if !setops::is_strictly_sorted(actions) {
-                return Err(corrupt(format!(
-                    "GI-A-idx[p{pid}] is not a strictly sorted set"
-                )));
-            }
-            if let Some(&max) = actions.last() {
-                if max as usize >= num_actions {
-                    return Err(corrupt(format!(
-                        "GI-A-idx[p{pid}] references unknown action a{max}"
-                    )));
-                }
-            }
-            if g as usize >= num_goals {
-                return Err(corrupt(format!(
-                    "GI-G-idx[p{pid}] references unknown goal g{g}"
-                )));
-            }
-        }
-        drop(span);
-
-        Self::assemble(num_actions, num_goals, impl_goal.into(), impl_actions)
-    }
-
     /// Assembles a model from all **seven** pre-built flat arrays — the
     /// forward goal labels plus offsets + data of each of the three CSR
     /// indexes — without rebuilding anything. This is the zero-copy entry
@@ -184,10 +125,9 @@ impl GoalModel {
         Ok(model)
     }
 
-    /// Shared back half of [`GoalModel::build`] and
-    /// [`GoalModel::from_csr_parts`]: the counting phases (A-idx, G-idx)
-    /// and the two parallel counting-sort fills producing the inverse
-    /// indexes.
+    /// Back half of [`GoalModel::build`]: the counting phases (A-idx,
+    /// G-idx) and the two parallel counting-sort fills producing the
+    /// inverse indexes.
     fn assemble(
         num_actions: usize,
         num_goals: usize,
@@ -294,24 +234,6 @@ impl GoalModel {
     #[inline]
     pub fn connectivity(&self, a: ActionId) -> usize {
         self.action_impls.row_len(a.index())
-    }
-
-    /// Validates that an action id belongs to the model.
-    pub fn check_action(&self, a: ActionId) -> Result<()> {
-        if a.index() < self.num_actions {
-            Ok(())
-        } else {
-            Err(Error::UnknownAction(a.raw()))
-        }
-    }
-
-    /// Validates that a goal id belongs to the model.
-    pub fn check_goal(&self, g: GoalId) -> Result<()> {
-        if g.index() < self.num_goals {
-            Ok(())
-        } else {
-            Err(Error::UnknownGoal(g.raw()))
-        }
     }
 
     // ------------------------------------------------------------------
@@ -601,7 +523,7 @@ impl GoalModel {
     /// booted from a model file recovers a library view for the cold admin
     /// paths (append merge, compaction persist).
     pub fn to_library(&self) -> Result<GoalLibrary> {
-        crate::live::LiveRef::from_parts(Some(self), None).to_library()
+        crate::live::LiveRef::solid(self).to_library()
     }
 }
 
@@ -721,15 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn check_bounds() {
-        let m = model();
-        assert!(m.check_action(ActionId::new(5)).is_ok());
-        assert!(m.check_action(ActionId::new(6)).is_err());
-        assert!(m.check_goal(GoalId::new(3)).is_ok());
-        assert!(m.check_goal(GoalId::new(4)).is_err());
-    }
-
-    #[test]
     fn memory_accounting_positive() {
         let m = model();
         assert!(m.memory_bytes() > 0);
@@ -801,74 +714,5 @@ mod tests {
         let mut m = model();
         m.impl_actions.offsets[0] = 1;
         assert!(matches!(m.validate(), Err(Error::CorruptModel { .. })));
-    }
-
-    #[test]
-    fn from_csr_parts_round_trips_build() {
-        let m = model();
-        let rebuilt = GoalModel::from_csr_parts(
-            m.num_actions(),
-            m.num_goals(),
-            m.impl_goal.to_vec(),
-            m.impl_actions.offsets.to_vec(),
-            m.impl_actions.data.to_vec(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt.validate(), Ok(()));
-        for p in 0..m.num_impls() {
-            let p = ImplId::new(p as u32);
-            assert_eq!(rebuilt.impl_actions(p), m.impl_actions(p));
-            assert_eq!(rebuilt.impl_goal(p), m.impl_goal(p));
-        }
-        for g in 0..m.num_goals() {
-            let g = GoalId::new(g as u32);
-            assert_eq!(rebuilt.goal_impls(g), m.goal_impls(g));
-        }
-        for a in 0..m.num_actions() {
-            let a = ActionId::new(a as u32);
-            assert_eq!(rebuilt.action_impls(a), m.action_impls(a));
-        }
-    }
-
-    #[test]
-    fn from_csr_parts_rejects_corrupt_input() {
-        let m = model();
-        let goals = m.impl_goal.to_vec();
-        let offs = m.impl_actions.offsets.to_vec();
-        let data = m.impl_actions.data.to_vec();
-
-        // Empty input.
-        assert!(matches!(
-            GoalModel::from_csr_parts(6, 4, Vec::new(), vec![0], Vec::new()),
-            Err(Error::EmptyLibrary)
-        ));
-        // Unsorted row.
-        let mut bad = data.clone();
-        bad.swap(0, 1);
-        assert!(matches!(
-            GoalModel::from_csr_parts(6, 4, goals.clone(), offs.clone(), bad),
-            Err(Error::CorruptModel { .. })
-        ));
-        // Action id out of range.
-        let mut bad = data.clone();
-        if let Some(x) = bad.last_mut() {
-            *x = 99;
-        }
-        assert!(matches!(
-            GoalModel::from_csr_parts(6, 4, goals.clone(), offs.clone(), bad),
-            Err(Error::CorruptModel { .. })
-        ));
-        // Goal id out of range.
-        let mut badg = goals.clone();
-        badg[0] = 42;
-        assert!(matches!(
-            GoalModel::from_csr_parts(6, 4, badg, offs.clone(), data.clone()),
-            Err(Error::CorruptModel { .. })
-        ));
-        // Offsets shape: wrong length.
-        assert!(matches!(
-            GoalModel::from_csr_parts(6, 4, goals, offs[..offs.len() - 1].to_vec(), data),
-            Err(Error::CorruptModel { .. })
-        ));
     }
 }

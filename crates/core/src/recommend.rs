@@ -76,17 +76,17 @@ impl ObservedStrategy {
         self.strategy.name()
     }
 
-    /// Ranks `activity` over a live base ⊕ delta view into `scratch`
-    /// ([`Strategy::rank_live_into`]) and returns a borrow of the result.
-    /// With an empty delta this ranks exactly like the model path and
-    /// stays allocation-free.
+    /// Ranks `activity` over a compiled model or a live base ⊕ delta view
+    /// into `scratch` ([`Strategy::rank_into`]) and returns a borrow of the
+    /// result. With an empty delta this ranks exactly like the model path
+    /// and stays allocation-free (proven by `tests/alloc_counting.rs`).
     ///
     /// Counts the request, records the ranking's latency and candidate
     /// count, and (when `trace` is enabled) records `span.rank` with its
     /// `span.rank.candidates` and `span.rank.topk` children. One clock
     /// read starts the window and one ends it; all three spans are cut
     /// from those two reads, so the children tile the parent exactly.
-    pub fn rank_live_into_traced<'s>(
+    pub fn rank_into_traced<'s>(
         &self,
         live: LiveRef<'_>,
         activity: &Activity,
@@ -101,7 +101,7 @@ impl ObservedStrategy {
         }
         scratch.phase.begin(traced);
         let start_ns = trace.elapsed_ns();
-        let num_candidates = self.strategy.rank_live_into(live, activity, k, scratch);
+        let num_candidates = self.strategy.rank_into(live, activity, k, scratch);
         let rank_ns = trace.elapsed_ns().saturating_sub(start_ns);
         self.latency.record(rank_ns);
         if traced {
@@ -162,38 +162,18 @@ impl GoalRecommender {
         k: usize,
         scratch: &'s mut Scratch,
     ) -> &'s [Scored] {
-        self.recommend_into_traced(activity, k, scratch, &mut obs::TraceContext::disabled())
-    }
-
-    /// [`GoalRecommender::recommend_into`], additionally recording the
-    /// ranking into `trace` as a `span.rank` span with
-    /// `span.rank.candidates`/`span.rank.topk` child spans (the phase
-    /// boundary every built-in strategy marks in its [`Scratch`]) that
-    /// tile it exactly.
-    ///
-    /// With a disabled trace this is exactly `recommend_into`; with an
-    /// enabled one it adds a clock read and fixed-slot span writes — the
-    /// steady state stays allocation-free either way (proven by
-    /// `tests/alloc_counting.rs`).
-    pub fn recommend_into_traced<'s>(
-        &self,
-        activity: &Activity,
-        k: usize,
-        scratch: &'s mut Scratch,
-        trace: &mut obs::TraceContext,
-    ) -> &'s [Scored] {
-        self.strategy.rank_live_into_traced(
+        self.strategy.rank_into_traced(
             LiveRef::solid(&self.model),
             activity,
             k,
             scratch,
-            trace,
+            &mut obs::TraceContext::disabled(),
         )
     }
 
-    /// [`GoalRecommender::recommend_into_traced`] over a live base ⊕
-    /// delta overlay instead of the bound model (see
-    /// [`ObservedStrategy::rank_live_into_traced`]).
+    /// [`GoalRecommender::recommend_into`] over a live base ⊕ delta
+    /// overlay instead of the bound model, additionally recording the
+    /// ranking into `trace` (see [`ObservedStrategy::rank_into_traced`]).
     pub fn recommend_live_into_traced<'s>(
         &self,
         live: LiveRef<'_>,
@@ -203,7 +183,7 @@ impl GoalRecommender {
         trace: &mut obs::TraceContext,
     ) -> &'s [Scored] {
         self.strategy
-            .rank_live_into_traced(live, activity, k, scratch, trace)
+            .rank_into_traced(live, activity, k, scratch, trace)
     }
 
     /// One recommender per paper mechanism, sharing a single model:
@@ -313,7 +293,13 @@ mod tests {
             let mut trace = obs::TraceContext::new(true);
             trace.begin(obs::TraceId(1), std::time::Instant::now());
             let expect = rec.recommend(&h, 4);
-            let got = rec.recommend_into_traced(&h, 4, &mut scratch, &mut trace);
+            let got = rec.recommend_live_into_traced(
+                LiveRef::solid(&model),
+                &h,
+                4,
+                &mut scratch,
+                &mut trace,
+            );
             assert_eq!(got, &expect[..], "{}", rec.name());
             trace.finish(200);
             let snap = trace.snapshot();
@@ -349,7 +335,13 @@ mod tests {
         let rec = GoalRecommender::from_library(&library(), Box::new(Breadth)).unwrap();
         let mut scratch = Scratch::new();
         let mut trace = obs::TraceContext::disabled();
-        let _ = rec.recommend_into_traced(&Activity::from_raw([0]), 3, &mut scratch, &mut trace);
+        let _ = rec.recommend_live_into_traced(
+            LiveRef::solid(rec.model()),
+            &Activity::from_raw([0]),
+            3,
+            &mut scratch,
+            &mut trace,
+        );
         assert!(trace.spans().is_empty());
     }
 

@@ -41,7 +41,7 @@ use std::time::Instant;
 /// candidate set, then select the top k — and the tracing layer wants
 /// those phases as separate child spans. Strategies cannot talk to a
 /// `TraceContext` directly (the trait must stay obs-agnostic), so they
-/// mark the boundary here and `ObservedStrategy::rank_live_into_traced`
+/// mark the boundary here and `ObservedStrategy::rank_into_traced`
 /// converts the mark into `span.rank.candidates`/`span.rank.topk`.
 /// Disabled (the default, and whenever tracing is off) the mark is a
 /// single branch; enabled it adds one monotonic clock read per request —

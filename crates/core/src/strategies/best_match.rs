@@ -18,10 +18,8 @@
 use crate::activity::Activity;
 use crate::distance::DistanceMetric;
 use crate::live::{AssocView, LiveRef};
-use crate::model::GoalModel;
-use crate::scratch::{with_thread_scratch, Scratch};
+use crate::scratch::Scratch;
 use crate::strategies::Strategy;
-use crate::topk::Scored;
 
 /// The Best Match strategy with a configurable distance metric.
 #[derive(Debug, Clone, Copy, Default)]
@@ -73,42 +71,16 @@ impl Strategy for BestMatch {
         "BestMatch"
     }
 
-    fn rank(&self, model: &GoalModel, activity: &Activity, k: usize) -> Vec<Scored> {
-        self.rank_observed(model, activity, k).0
-    }
-
-    fn rank_observed(
-        &self,
-        model: &GoalModel,
-        activity: &Activity,
-        k: usize,
-    ) -> (Vec<Scored>, usize) {
-        with_thread_scratch(|scratch| {
-            let candidates = self.rank_into(model, activity, k, scratch);
-            (scratch.out().to_vec(), candidates)
-        })
-    }
-
     fn rank_into(
         &self,
-        model: &GoalModel,
+        view: LiveRef<'_>,
         activity: &Activity,
         k: usize,
         scratch: &mut Scratch,
     ) -> usize {
-        self.rank_view_into(model, activity, k, scratch)
-    }
-
-    fn rank_live_into(
-        &self,
-        live: LiveRef<'_>,
-        activity: &Activity,
-        k: usize,
-        scratch: &mut Scratch,
-    ) -> usize {
-        match live.unstaged() {
+        match view.unstaged() {
             Some(base) => self.rank_view_into(base, activity, k, scratch),
-            None => self.rank_view_into(&live, activity, k, scratch),
+            None => self.rank_view_into(&view, activity, k, scratch),
         }
     }
 }

@@ -152,43 +152,17 @@ impl Strategy for Breadth {
         "Breadth"
     }
 
-    fn rank(&self, model: &GoalModel, activity: &Activity, k: usize) -> Vec<Scored> {
-        self.rank_observed(model, activity, k).0
-    }
-
-    fn rank_observed(
-        &self,
-        model: &GoalModel,
-        activity: &Activity,
-        k: usize,
-    ) -> (Vec<Scored>, usize) {
-        with_thread_scratch(|scratch| {
-            let candidates = self.rank_into(model, activity, k, scratch);
-            (scratch.out().to_vec(), candidates)
-        })
-    }
-
     fn rank_into(
         &self,
-        model: &GoalModel,
+        view: LiveRef<'_>,
         activity: &Activity,
         k: usize,
         scratch: &mut Scratch,
     ) -> usize {
-        self.rank_view_into(model, activity, k, scratch)
-    }
-
-    fn rank_live_into(
-        &self,
-        live: LiveRef<'_>,
-        activity: &Activity,
-        k: usize,
-        scratch: &mut Scratch,
-    ) -> usize {
-        match live.unstaged() {
+        match view.unstaged() {
             // Empty delta: the exact compiled-model pass, no parts reads.
             Some(base) => self.rank_view_into(base, activity, k, scratch),
-            None => self.rank_view_into(&live, activity, k, scratch),
+            None => self.rank_view_into(&view, activity, k, scratch),
         }
     }
 }
@@ -271,7 +245,8 @@ mod tests {
         let m = example_model();
         let h = Activity::from_raw([0, 1, 2, 3, 4, 5]);
         assert!(Breadth.rank(&m, &h, 10).is_empty());
-        assert_eq!(Breadth.rank_observed(&m, &h, 10).1, 0);
+        let n = Breadth.rank_into(LiveRef::solid(&m), &h, 10, &mut Scratch::new());
+        assert_eq!(n, 0);
     }
 
     #[test]
@@ -283,7 +258,8 @@ mod tests {
             Activity::from_raw([1, 2, 5]),
         ] {
             let want = Breadth::scores_naive(&m, &h).len();
-            assert_eq!(Breadth.rank_observed(&m, &h, 1).1, want, "H={h:?}");
+            let n = Breadth.rank_into(LiveRef::solid(&m), &h, 1, &mut Scratch::new());
+            assert_eq!(n, want, "H={h:?}");
         }
     }
 

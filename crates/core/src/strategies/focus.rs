@@ -34,8 +34,7 @@
 use crate::activity::Activity;
 use crate::ids::{ActionId, GoalId, ImplId};
 use crate::live::{AssocView, LiveRef};
-use crate::model::GoalModel;
-use crate::scratch::{with_thread_scratch, Scratch};
+use crate::scratch::Scratch;
 use crate::setops;
 use crate::strategies::Strategy;
 use crate::topk::Scored;
@@ -164,42 +163,16 @@ impl Strategy for Focus {
         }
     }
 
-    fn rank(&self, model: &GoalModel, activity: &Activity, k: usize) -> Vec<Scored> {
-        self.rank_observed(model, activity, k).0
-    }
-
-    fn rank_observed(
-        &self,
-        model: &GoalModel,
-        activity: &Activity,
-        k: usize,
-    ) -> (Vec<Scored>, usize) {
-        with_thread_scratch(|scratch| {
-            let candidates = self.rank_into(model, activity, k, scratch);
-            (scratch.out().to_vec(), candidates)
-        })
-    }
-
     fn rank_into(
         &self,
-        model: &GoalModel,
+        view: LiveRef<'_>,
         activity: &Activity,
         k: usize,
         scratch: &mut Scratch,
     ) -> usize {
-        self.rank_view_into(model, activity, k, scratch)
-    }
-
-    fn rank_live_into(
-        &self,
-        live: LiveRef<'_>,
-        activity: &Activity,
-        k: usize,
-        scratch: &mut Scratch,
-    ) -> usize {
-        match live.unstaged() {
+        match view.unstaged() {
             Some(base) => self.rank_view_into(base, activity, k, scratch),
-            None => self.rank_view_into(&live, activity, k, scratch),
+            None => self.rank_view_into(&view, activity, k, scratch),
         }
     }
 }

@@ -9,6 +9,11 @@
 //!   activity across many implementations at once.
 //! * [`BestMatch`] (§5.3) — match candidates against a goal-space user
 //!   profile by vector distance.
+//!
+//! Each implements the one ranking method [`Strategy::rank_into`] over a
+//! [`LiveRef`] view. It dispatches to a single generic `rank_view_into`
+//! body, monomorphised for the compiled [`GoalModel`] when nothing is
+//! staged and for the base ⊕ delta overlay otherwise.
 
 mod best_match;
 mod breadth;
@@ -21,12 +26,12 @@ pub use focus::{Focus, FocusVariant};
 use crate::activity::Activity;
 use crate::live::LiveRef;
 use crate::model::GoalModel;
-use crate::scratch::Scratch;
+use crate::scratch::{with_thread_scratch, Scratch};
 use crate::topk::Scored;
 
 /// A ranking strategy over the association-based goal model.
 ///
-/// Implementations must be deterministic: the same `(model, activity, k)`
+/// Implementations must be deterministic: the same `(view, activity, k)`
 /// always yields the same list. Scores are oriented so that **higher is
 /// better** regardless of the strategy's internal measure (distance-based
 /// strategies negate).
@@ -34,87 +39,35 @@ pub trait Strategy: Send + Sync {
     /// Short stable name used in experiment reports (e.g. `"Focus_cmp"`).
     fn name(&self) -> &'static str;
 
-    /// Ranks candidate actions (actions not in `activity`) and returns the
-    /// top `k`, best first.
-    fn rank(&self, model: &GoalModel, activity: &Activity, k: usize) -> Vec<Scored>;
-
-    /// Like [`Strategy::rank`], additionally reporting the number of
-    /// candidates the strategy scored *before* top-k truncation — actions
-    /// for Best Match and Breadth, implementations for Focus. The
-    /// observability layer feeds this into the per-strategy
-    /// `strategy.<name>.candidates` histogram.
+    /// Ranks candidate actions (actions not in `activity`) over `view` into
+    /// `scratch`'s buffers, leaving the top `k` best-first in
+    /// [`Scratch::out`], and returns the number of candidates scored
+    /// *before* top-k truncation — actions for Best Match and Breadth,
+    /// implementations for Focus. The observability layer feeds that count
+    /// into the per-strategy `strategy.<name>.candidates` histogram.
     ///
-    /// The default falls back to the truncated result length; strategies
-    /// override it where the true candidate count is available for free.
-    fn rank_observed(
-        &self,
-        model: &GoalModel,
-        activity: &Activity,
-        k: usize,
-    ) -> (Vec<Scored>, usize) {
-        let ranked = self.rank(model, activity, k);
-        let candidates = ranked.len();
-        (ranked, candidates)
-    }
-
-    /// The allocation-free form of [`Strategy::rank_observed`]: ranks into
-    /// `scratch`'s buffers, leaving the top-k list best-first in
-    /// [`Scratch::out`] and returning the pre-truncation candidate count.
-    ///
-    /// A warm `scratch` reused across calls makes the built-in strategies'
-    /// steady-state requests heap-allocation-free (see
-    /// `tests/alloc_counting.rs`); callers that do not hold an arena can
-    /// keep using `rank`/`rank_observed`, which route through a
-    /// thread-local one. The default implementation delegates to
-    /// `rank_observed` and copies the result — correct for any strategy,
-    /// allocation-free only for those that override it.
+    /// `view` is a compiled model ([`LiveRef::solid`]) or a base ⊕ delta
+    /// overlay ([`LiveRef::overlay`]); an overlay ranks bit-identically to
+    /// a full rebuild of the merged library (pinned for the built-ins by
+    /// `tests/live_overlay.rs`). A warm `scratch` reused across calls makes
+    /// the built-ins' steady-state requests heap-allocation-free on either
+    /// view with an empty delta (see `tests/alloc_counting.rs`).
     fn rank_into(
         &self,
-        model: &GoalModel,
+        view: LiveRef<'_>,
         activity: &Activity,
         k: usize,
         scratch: &mut Scratch,
-    ) -> usize {
-        let (ranked, candidates) = self.rank_observed(model, activity, k);
-        scratch.out.clear();
-        scratch.out.extend_from_slice(&ranked);
-        candidates
-    }
+    ) -> usize;
 
-    /// Like [`Strategy::rank_into`], but over a live base ⊕ delta overlay
-    /// ([`LiveRef`]) instead of a compiled model. Results must be
-    /// bit-identical to `rank_into` on a full rebuild of the merged
-    /// library (pinned for the built-ins by `tests/live_overlay.rs`).
-    ///
-    /// With an empty (or absent) delta this MUST behave exactly like
-    /// `rank_into` on the base — the default does precisely that, so the
-    /// serving hot path stays allocation-free. With a non-empty delta the
-    /// default falls back to compiling the merged model and ranking it —
-    /// correct for any strategy but allocating; the built-ins override
-    /// this with a direct overlay read. A vacant view ranks nothing.
-    fn rank_live_into(
-        &self,
-        live: LiveRef<'_>,
-        activity: &Activity,
-        k: usize,
-        scratch: &mut Scratch,
-    ) -> usize {
-        if live.delta().is_none() {
-            return match live.base() {
-                Some(base) => self.rank_into(base, activity, k, scratch),
-                None => {
-                    scratch.out.clear();
-                    0
-                }
-            };
-        }
-        match live.to_model() {
-            Ok(merged) => self.rank_into(&merged, activity, k, scratch),
-            Err(_) => {
-                scratch.out.clear();
-                0
-            }
-        }
+    /// Ranks over a compiled model and returns the top `k`, best first,
+    /// through the thread-local arena — the convenience form for tests,
+    /// benches and offline experiments.
+    fn rank(&self, model: &GoalModel, activity: &Activity, k: usize) -> Vec<Scored> {
+        with_thread_scratch(|scratch| {
+            self.rank_into(LiveRef::solid(model), activity, k, scratch);
+            scratch.out().to_vec()
+        })
     }
 }
 
@@ -211,8 +164,10 @@ mod tests {
                 Activity::from_raw([1, 2, 5]),
                 Activity::new(),
             ] {
-                let (expect, expect_n) = s.rank_observed(&m, &h, 3);
-                let n = s.rank_into(&m, &h, 3, &mut scratch);
+                let expect = s.rank(&m, &h, 3);
+                let fresh = &mut crate::scratch::Scratch::new();
+                let expect_n = s.rank_into(LiveRef::solid(&m), &h, 3, fresh);
+                let n = s.rank_into(LiveRef::solid(&m), &h, 3, &mut scratch);
                 assert_eq!(scratch.out(), &expect[..], "{} H={:?}", s.name(), h);
                 assert_eq!(n, expect_n, "{} H={:?}", s.name(), h);
             }

@@ -9,7 +9,7 @@
 //! second concurrent test would pollute the measurement.
 
 use goalrec_core::strategies::default_strategies;
-use goalrec_core::{Activity, GoalModel, GoalRecommender, LibraryBuilder, Scratch};
+use goalrec_core::{Activity, GoalModel, GoalRecommender, LibraryBuilder, LiveRef, Scratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,7 +75,7 @@ fn steady_state_rank_into_performs_zero_heap_allocations() {
     for _ in 0..2 {
         for s in &strategies {
             for h in &activities {
-                s.rank_into(&model, h, 10, &mut scratch);
+                s.rank_into(LiveRef::solid(&model), h, 10, &mut scratch);
             }
         }
     }
@@ -83,7 +83,7 @@ fn steady_state_rank_into_performs_zero_heap_allocations() {
     for s in &strategies {
         for h in &activities {
             let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let n = s.rank_into(&model, h, 10, &mut scratch);
+            let n = s.rank_into(LiveRef::solid(&model), h, 10, &mut scratch);
             let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
             assert_eq!(
                 delta,
@@ -121,20 +121,22 @@ fn steady_state_rank_into_performs_zero_heap_allocations() {
     // reads. This is the guarantee that lets the server trace every
     // request by default.
     let mut trace = goalrec_obs::TraceContext::new(true);
+    let solid = LiveRef::solid(&model);
     for _ in 0..2 {
         trace.begin(goalrec_obs::TraceId(7), std::time::Instant::now());
-        rec.recommend_into_traced(&activities[1], 10, &mut scratch, &mut trace);
+        rec.recommend_live_into_traced(solid, &activities[1], 10, &mut scratch, &mut trace);
         trace.finish(200);
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     trace.begin(goalrec_obs::TraceId(8), std::time::Instant::now());
-    let ranked = rec.recommend_into_traced(&activities[1], 10, &mut scratch, &mut trace);
+    let ranked =
+        rec.recommend_live_into_traced(solid, &activities[1], 10, &mut scratch, &mut trace);
     assert!(!ranked.is_empty());
     trace.finish(200);
     let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
         delta, 0,
-        "recommend_into_traced with an enabled trace allocated {delta} time(s)"
+        "recommend_live_into_traced with an enabled trace allocated {delta} time(s)"
     );
     assert!(
         trace
@@ -147,10 +149,10 @@ fn steady_state_rank_into_performs_zero_heap_allocations() {
     // The live-mutation hot path with an EMPTY delta — what the server
     // serves between appends — must be exactly as allocation-free as the
     // plain path: `LiveRef::overlay` drops an empty delta, so every
-    // strategy's `rank_live_into` dispatches straight to the compiled
+    // strategy's `rank_into` dispatches straight to the compiled
     // base with no per-request overlay bookkeeping.
     let empty_delta = goalrec_core::DeltaSegment::for_base(&model);
-    let live = goalrec_core::LiveRef::overlay(&model, &empty_delta);
+    let live = LiveRef::overlay(&model, &empty_delta);
     assert!(
         live.delta().is_none(),
         "an empty delta must vanish from the read path"
@@ -158,15 +160,15 @@ fn steady_state_rank_into_performs_zero_heap_allocations() {
     for s in &strategies {
         for h in &activities {
             for _ in 0..2 {
-                s.rank_live_into(live, h, 10, &mut scratch);
+                s.rank_into(live, h, 10, &mut scratch);
             }
             let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let n = s.rank_live_into(live, h, 10, &mut scratch);
+            let n = s.rank_into(live, h, 10, &mut scratch);
             let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
             assert_eq!(
                 delta,
                 0,
-                "{} allocated {delta} time(s) on an empty-delta rank_live_into (H={:?})",
+                "{} allocated {delta} time(s) on an empty-delta rank_into (H={:?})",
                 s.name(),
                 h
             );

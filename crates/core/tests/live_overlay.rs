@@ -1,7 +1,7 @@
 //! Property proof of the live overlay exactness contract.
 //!
 //! For random base libraries and random append sequences, ranking through
-//! `Strategy::rank_live_into` on a base ⊕ delta overlay must be
+//! `Strategy::rank_into` on a base ⊕ delta overlay must be
 //! **bit-for-bit identical** — action ids, `f64` score bits, tie-break
 //! order, candidate counts — to compiling the merged library with
 //! `GoalModel::build` and ranking with the plain `rank_into`, for every
@@ -117,9 +117,9 @@ proptest! {
 
         let mut scratch = Scratch::default();
         for s in all_strategies() {
-            let n_full = s.rank_into(&merged_model, &h_activity(&h), k, &mut scratch);
+            let n_full = s.rank_into(LiveRef::solid(&merged_model), &h_activity(&h), k, &mut scratch);
             let expect = scratch.out().to_vec();
-            let n_live = s.rank_live_into(live, &h_activity(&h), k, &mut scratch);
+            let n_live = s.rank_into(live, &h_activity(&h), k, &mut scratch);
             let ctx = format!("{} k={k} h={h:?}", s.name());
             assert_identical(scratch.out(), &expect, &ctx);
             prop_assert_eq!(n_live, n_full, "candidate counts differ {}", ctx);

@@ -196,9 +196,9 @@ proptest! {
         for metric in DistanceMetric::ALL {
             let expect = best_match_oracle::best_match(&lib, h.raw(), metric, k);
             let ctx = format!("{metric:?} H={h:?} k={k}");
-            let n = BestMatch::new(metric).rank_into(&model, &h, k, &mut scratch);
+            let n = BestMatch::new(metric).rank_into(LiveRef::solid(&model), &h, k, &mut scratch);
             best_match_oracle::assert_matches(scratch.out(), n, &expect, &format!("plain {ctx}"));
-            let n = BestMatch::new(metric).rank_live_into(
+            let n = BestMatch::new(metric).rank_into(
                 LiveRef::overlay(&base, &delta),
                 &h,
                 k,
@@ -236,9 +236,9 @@ proptest! {
                 let expect = focus_breadth_oracle::focus(&lib, h.raw(), variant, k);
                 let ctx = format!("{variant:?} H={h:?} k={k}");
                 let focus = Focus::new(variant);
-                let n = focus.rank_into(&model, &h, k, &mut scratch);
+                let n = focus.rank_into(LiveRef::solid(&model), &h, k, &mut scratch);
                 best_match_oracle::assert_matches(scratch.out(), n, &expect, &format!("plain {ctx}"));
-                let n = focus.rank_live_into(overlay, &h, k, &mut scratch);
+                let n = focus.rank_into(overlay, &h, k, &mut scratch);
                 best_match_oracle::assert_matches(
                     scratch.out(),
                     n,
@@ -248,9 +248,9 @@ proptest! {
             }
             let expect = focus_breadth_oracle::breadth(&lib, h.raw(), k);
             let ctx = format!("Breadth H={h:?} k={k}");
-            let n = Breadth.rank_into(&model, &h, k, &mut scratch);
+            let n = Breadth.rank_into(LiveRef::solid(&model), &h, k, &mut scratch);
             best_match_oracle::assert_matches(scratch.out(), n, &expect, &format!("plain {ctx}"));
-            let n = Breadth.rank_live_into(overlay, &h, k, &mut scratch);
+            let n = Breadth.rank_into(overlay, &h, k, &mut scratch);
             best_match_oracle::assert_matches(
                 scratch.out(),
                 n,

@@ -8,7 +8,7 @@
 //! process-global.
 
 use goalrec_core::strategies::default_strategies;
-use goalrec_core::{Activity, GoalModel, LibraryBuilder, Scratch};
+use goalrec_core::{Activity, GoalModel, LibraryBuilder, LiveRef, Scratch};
 use goalrec_datasets::grlb2;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,7 +82,7 @@ fn steady_state_rank_on_a_mapped_model_performs_zero_heap_allocations() {
     for _ in 0..2 {
         for s in &strategies {
             for h in &activities {
-                s.rank_into(&model, h, 10, &mut scratch);
+                s.rank_into(LiveRef::solid(&model), h, 10, &mut scratch);
             }
         }
     }
@@ -90,7 +90,7 @@ fn steady_state_rank_on_a_mapped_model_performs_zero_heap_allocations() {
     for s in &strategies {
         for h in &activities {
             let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let n = s.rank_into(&model, h, 10, &mut scratch);
+            let n = s.rank_into(LiveRef::solid(&model), h, 10, &mut scratch);
             let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
             assert_eq!(
                 delta,

@@ -8,7 +8,7 @@
 //! makes `goalrec compile` + mmap serving a pure performance change.
 
 use goalrec_core::strategies::default_strategies;
-use goalrec_core::{ActionId, Activity, GoalId, GoalLibrary, GoalModel, Scratch};
+use goalrec_core::{ActionId, Activity, GoalId, GoalLibrary, GoalModel, LiveRef, Scratch};
 use goalrec_datasets::{grlb2, mmap};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -97,7 +97,7 @@ proptest! {
                 let expect = s.rank(&built, &h, k);
                 let got = s.rank(reread, &h, k);
                 prop_assert_eq!(&got, &expect, "{} k={}", s.name(), k);
-                s.rank_into(reread, &h, k, &mut scratch);
+                s.rank_into(LiveRef::solid(reread), &h, k, &mut scratch);
                 prop_assert_eq!(scratch.out(), &expect[..], "{} rank_into", s.name());
             }
         }

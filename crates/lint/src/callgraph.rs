@@ -40,9 +40,7 @@ fn is_punct(t: Option<&Token>, c: char) -> bool {
 fn is_root(d: &crate::graph::FnDef) -> bool {
     match d.name.as_str() {
         "rank_into" => d.trait_name.as_deref() == Some("Strategy"),
-        "recommend_into" | "recommend_into_traced" => {
-            d.receiver.as_deref() == Some("GoalRecommender")
-        }
+        "recommend_into" => d.receiver.as_deref() == Some("GoalRecommender"),
         "handle" => d.receiver.is_none() && d.file.ends_with("router.rs"),
         "worker_loop" => true,
         _ => false,

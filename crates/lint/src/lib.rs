@@ -1,6 +1,6 @@
 //! goalrec-lint: in-tree static analysis for the goalrec workspace.
 //!
-//! Eight deny-by-default rules over a hand-rolled, string/comment/attribute
+//! Seven deny-by-default rules over a hand-rolled, string/comment/attribute
 //! aware token scan plus a conservative workspace call graph (the container
 //! is registry-less, so no external parser crates):
 //!
@@ -11,7 +11,6 @@
 //! * `metric-name-registry` — metric names live in
 //!   `crates/obs/src/names.rs` and stay in sync with the README's
 //!   Observability table (drift reported in both directions);
-//! * `strategy-surface` — every `Strategy` impl overrides `rank_observed`;
 //! * `hot-path-alloc` — no allocation or blocking call reachable from the
 //!   serving roots ([`callgraph`]), with the reachability trace in every
 //!   finding;

@@ -17,8 +17,6 @@ pub const RAW_ID_CAST: &str = "raw-id-cast";
 /// Rule id: metric names must come from the central registry and stay in
 /// sync with the README.
 pub const METRIC_NAME_REGISTRY: &str = "metric-name-registry";
-/// Rule id: every `Strategy` impl must override `rank_observed`.
-pub const STRATEGY_SURFACE: &str = "strategy-surface";
 /// Rule id: no allocation or blocking call reachable from the serving
 /// hot-path roots (see [`crate::callgraph`]).
 pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
@@ -42,7 +40,6 @@ pub const RULES: &[&str] = &[
     NO_PANIC_PATHS,
     RAW_ID_CAST,
     METRIC_NAME_REGISTRY,
-    STRATEGY_SURFACE,
     HOT_PATH_ALLOC,
     ATOMIC_ORDERING,
     LOCK_DISCIPLINE,
@@ -66,9 +63,6 @@ pub const LIBRARY_CRATES: &[&str] = &[
 
 /// Workspace-relative path of the central metric-name registry.
 pub const METRIC_REGISTRY_PATH: &str = "crates/obs/src/names.rs";
-
-/// Directory holding the `Strategy` implementations.
-pub const STRATEGIES_DIR: &str = "crates/core/src/strategies/";
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,7 +104,6 @@ pub fn source_rules(path: &str, lexed: &Lexed, namespaces: &BTreeSet<String>) ->
     no_panic_paths(path, lexed, &mut findings);
     raw_id_cast(path, lexed, &mut findings);
     metric_literals(path, lexed, namespaces, &mut findings);
-    strategy_surface(path, lexed, &mut findings);
     justified_unsafe(path, lexed, &mut findings);
     findings
 }
@@ -296,68 +289,6 @@ fn metric_literals(
                  `goalrec_obs::names`, not an inline literal"
             ),
         });
-    }
-}
-
-/// `strategy-surface`: a `Strategy` impl that keeps the default
-/// `rank_observed` silently reports truncated candidate counts, dodging
-/// the serving instrumentation.
-fn strategy_surface(path: &str, lexed: &Lexed, findings: &mut Vec<Finding>) {
-    if !path.starts_with(STRATEGIES_DIR) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    let mut i = 0usize;
-    while i < toks.len() {
-        if ident(toks.get(i)) != Some("impl") || lexed.is_test_line(toks[i].line) {
-            i += 1;
-            continue;
-        }
-        // Gather the header identifiers up to the impl body.
-        let mut j = i + 1;
-        let mut header: Vec<(usize, &str)> = Vec::new();
-        while j < toks.len() && !is_punct(toks.get(j), '{') && !is_punct(toks.get(j), ';') {
-            if let Some(name) = ident(toks.get(j)) {
-                header.push((j, name));
-            }
-            j += 1;
-        }
-        let target = header
-            .windows(3)
-            .find(|w| w[0].1 == "Strategy" && w[1].1 == "for")
-            .map(|w| w[2].1.to_owned());
-        let (Some(name), true) = (target, is_punct(toks.get(j), '{')) else {
-            i = j + 1;
-            continue;
-        };
-        // Scan the impl body for `fn rank_observed`.
-        let mut depth = 1usize;
-        let mut k = j + 1;
-        let mut has_override = false;
-        while k < toks.len() && depth > 0 {
-            match &toks[k].tok {
-                Tok::Punct('{') => depth += 1,
-                Tok::Punct('}') => depth -= 1,
-                Tok::Ident(s) if s == "fn" && ident(toks.get(k + 1)) == Some("rank_observed") => {
-                    has_override = true;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        if !has_override {
-            findings.push(Finding {
-                rule: STRATEGY_SURFACE,
-                file: path.to_owned(),
-                line: toks[i].line,
-                message: format!(
-                    "`impl Strategy for {name}` must override `rank_observed` so the \
-                     `strategy.<name>.candidates` instrumentation sees the true \
-                     pre-truncation candidate count"
-                ),
-            });
-        }
-        i = k;
     }
 }
 

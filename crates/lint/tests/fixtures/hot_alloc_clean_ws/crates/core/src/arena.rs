@@ -3,7 +3,7 @@
 
 pub trait Strategy {
     fn rank_into(&self, out: &mut Vec<u32>);
-    fn rank_observed(&self) {}
+    fn rank(&self) {}
 }
 
 pub struct Arena;
@@ -13,7 +13,7 @@ impl Strategy for Arena {
         out.clear();
         fill(out);
     }
-    fn rank_observed(&self) {}
+    fn rank(&self) {}
 }
 
 fn fill(out: &mut Vec<u32>) {

@@ -3,7 +3,7 @@
 
 pub trait Strategy {
     fn rank_into(&self);
-    fn rank_observed(&self) {}
+    fn rank(&self) {}
 }
 
 pub struct Greedy;
@@ -12,7 +12,7 @@ impl Strategy for Greedy {
     fn rank_into(&self) {
         scratch();
     }
-    fn rank_observed(&self) {}
+    fn rank(&self) {}
 }
 
 pub struct Wide;
@@ -21,7 +21,7 @@ impl Strategy for Wide {
     fn rank_into(&self) {
         <Greedy as Strategy>::rank_into(&Greedy);
     }
-    fn rank_observed(&self) {}
+    fn rank(&self) {}
 }
 
 fn scratch() {

@@ -158,7 +158,7 @@ pub const SPAN_QUEUE_WAIT: &str = "span.queue_wait";
 pub const SPAN_PARSE: &str = "span.parse";
 /// Span: `router::handle` — routing plus the handler body.
 pub const SPAN_HANDLE: &str = "span.handle";
-/// Span: one ranking (`Strategy::rank_live_into`) inside the recommend
+/// Span: one ranking (`Strategy::rank_into`) inside the recommend
 /// handler.
 pub const SPAN_RANK: &str = "span.rank";
 /// Child span of `span.rank`: candidate generation.

@@ -245,19 +245,6 @@ impl TraceContext {
     /// [`TraceContext::end_span`]; the sentinel when not recording.
     #[inline]
     pub fn start_span(&mut self, name: &'static str) -> SpanToken {
-        self.open(name, false)
-    }
-
-    /// Opens a child span clocked from now: the span subdivides an
-    /// enclosing parent, so it is excluded from the top-level span-sum
-    /// invariant.
-    #[inline]
-    pub fn start_child_span(&mut self, name: &'static str) -> SpanToken {
-        self.open(name, true)
-    }
-
-    #[inline]
-    fn open(&mut self, name: &'static str, child: bool) -> SpanToken {
         if !self.enabled {
             return SpanToken::NONE;
         }
@@ -268,20 +255,15 @@ impl TraceContext {
         }
         self.spans[i] = Span {
             name,
-            start_ns: if child {
-                self.elapsed_ns()
-            } else {
-                self.tiled_ns
-            },
+            start_ns: self.tiled_ns,
             dur_ns: 0,
-            child,
+            child: false,
         };
         self.len += 1;
         SpanToken(i as u32)
     }
 
-    /// Closes a span opened by [`TraceContext::start_span`] or
-    /// [`TraceContext::start_child_span`].
+    /// Closes a span opened by [`TraceContext::start_span`].
     #[inline]
     pub fn end_span(&mut self, token: SpanToken) {
         if token == SpanToken::NONE {
@@ -292,9 +274,7 @@ impl TraceContext {
             let now = self.elapsed_ns();
             let span = &mut self.spans[i];
             span.dur_ns = now.saturating_sub(span.start_ns);
-            if !span.child {
-                self.tiled_ns = now;
-            }
+            self.tiled_ns = now;
         }
     }
 
@@ -499,8 +479,13 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         t.end_span(tok);
         t.add_span(crate::names::SPAN_RANK_CANDIDATES, 0, 500, true);
-        let rank = t.start_child_span(crate::names::SPAN_RANK);
-        t.end_span(rank);
+        let rank_start = t.elapsed_ns();
+        t.add_span(
+            crate::names::SPAN_RANK,
+            rank_start,
+            t.elapsed_ns() - rank_start,
+            true,
+        );
         let total = t.finish(200);
         assert!(total > 0);
         let snap = t.snapshot();
@@ -508,7 +493,7 @@ mod tests {
         assert_eq!(snap.status, 200);
         assert_eq!(snap.generation, 3);
         assert_eq!(snap.len, 3);
-        assert!(snap.spans()[2].child, "start_child_span marks the span");
+        assert!(snap.spans()[2].child, "add_span(.., true) marks the span");
         assert!(snap.has_span(crate::names::SPAN_HANDLE));
         assert!(snap.spans()[0].dur_ns >= 1_000_000);
         // Child spans are excluded from the top-level sum.
@@ -527,8 +512,8 @@ mod tests {
         t.add_span(SPAN_PARSE, 1_000, t.elapsed_ns() - 1_000, false);
         stall(); // descheduled after parse, before handle opens
         let handle = t.start_span(SPAN_HANDLE);
-        let rank = t.start_child_span(SPAN_RANK);
-        t.end_span(rank);
+        let rank_start = t.elapsed_ns();
+        t.add_span(SPAN_RANK, rank_start, t.elapsed_ns() - rank_start, true);
         t.end_span(handle);
         stall(); // ... after handle, before write opens
         let write = t.start_span(SPAN_WRITE);

@@ -26,7 +26,7 @@
 //! [`WorkerArena`]; the handler loads one [`AppState`] snapshot up front,
 //! so a hot reload landing mid-request never changes the model a request
 //! is being answered from. The recommend route ranks through core's
-//! [`Strategy::rank_live_into`] — the same ranking repro, eval and batch
+//! [`Strategy::rank_into`] — the same ranking repro, eval and batch
 //! run — into the worker's arena, so steady-state recommends never touch
 //! the allocator.
 
@@ -616,7 +616,7 @@ fn recommend(
     let ranked =
         served
             .strategy
-            .rank_live_into_traced(state.live(), &activity, params.k, scratch, trace);
+            .rank_into_traced(state.live(), &activity, params.k, scratch, trace);
     Ok(render_recommendation(
         state,
         &params.strategy,

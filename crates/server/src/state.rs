@@ -157,7 +157,10 @@ impl AppState {
 
     /// What a recommend ranks over: the base ⊕ staged overlay.
     pub(crate) fn live(&self) -> LiveRef<'_> {
-        LiveRef::from_parts(Some(&self.model), self.delta.as_ref())
+        match &self.delta {
+            Some(delta) => LiveRef::overlay(&self.model, delta),
+            None => LiveRef::solid(&self.model),
+        }
     }
 
     /// Which reload generation this snapshot is: 1 at startup, +1 per full

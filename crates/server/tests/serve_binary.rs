@@ -147,35 +147,57 @@ fn a_grlb2_boot_builds_no_model_and_answers_byte_identically_to_jsonl() {
     let _ = std::fs::remove_dir_all(&d);
 }
 
-/// The served `strategy.Breadth.candidates` counts what core Breadth
-/// counts: the actions it can recommend, `AS(IS(H)) − H`.
+/// Each served `strategy.<name>.candidates` histogram sums the counts
+/// core `Strategy::rank_into` returns for the same requests: the
+/// pre-truncation candidates, not the `k` the response keeps.
 #[test]
-fn served_breadth_candidates_count_what_core_breadth_counts() {
-    use goalrec_core::{Activity, Breadth, Strategy};
+fn served_candidates_count_what_core_strategies_count() {
+    use goalrec_core::{
+        Activity, BestMatch, Breadth, Focus, FocusVariant, LiveRef, Scratch, Strategy,
+    };
     let d = dir("candidates");
     let jsonl = d.join("lib.jsonl");
     goalrec_datasets::io::write_library_jsonl(&library(), &jsonl).unwrap();
     let served = Served::start(&jsonl);
     let model = GoalModel::build(&library()).unwrap();
-    let mut want = 0;
-    for activity in [&[0u32][..], &[0, 1], &[1, 4], &[5]] {
-        let body = format!(r#"{{"activity": {activity:?}, "strategy": "breadth", "k": 1}}"#);
-        served.fetch("POST", "/v1/recommend", &body);
-        let h = Activity::from_raw(activity.iter().copied());
-        want += Breadth.rank_observed(&model, &h, 1).1 as u64;
+    let strategies: [(&str, Box<dyn Strategy>); 4] = [
+        ("breadth", Box::new(Breadth)),
+        ("best-match", Box::new(BestMatch::default())),
+        (
+            "focus-cmp",
+            Box::new(Focus::new(FocusVariant::Completeness)),
+        ),
+        ("focus-cl", Box::new(Focus::new(FocusVariant::Closeness))),
+    ];
+    let activities = [&[0u32][..], &[0, 1], &[1, 4], &[5]];
+    let mut scratch = Scratch::new();
+    for (wire_name, strategy) in strategies {
+        let mut want = 0;
+        for activity in activities {
+            let body =
+                format!(r#"{{"activity": {activity:?}, "strategy": "{wire_name}", "k": 1}}"#);
+            served.fetch("POST", "/v1/recommend", &body);
+            let h = Activity::from_raw(activity.iter().copied());
+            want += strategy.rank_into(LiveRef::solid(&model), &h, 1, &mut scratch) as u64;
+        }
+        let metrics = served.fetch("GET", "/metrics?format=prometheus", "");
+        let series = format!(
+            "strategy_{}_candidates",
+            strategy.name().to_ascii_lowercase()
+        );
+        let sum: u64 = metrics
+            .lines()
+            .find_map(|l| {
+                let (name, value) = l.split_once(' ')?;
+                let name = name.to_ascii_lowercase();
+                (name.contains(&series) && name.ends_with("_sum"))
+                    .then(|| value.trim().parse().ok())?
+            })
+            .unwrap_or_else(|| panic!("no {series} sum in:\n{metrics}"));
+        // Pre-truncation counts exceed the one action `k = 1` keeps.
+        assert!(want > activities.len() as u64, "{wire_name}: {want}");
+        assert_eq!(sum, want, "{wire_name}");
     }
-    let metrics = served.fetch("GET", "/metrics?format=prometheus", "");
-    let sum: u64 = metrics
-        .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(' ')?;
-            let name = name.to_ascii_lowercase();
-            (name.contains("strategy_breadth_candidates") && name.ends_with("_sum"))
-                .then(|| value.trim().parse().ok())?
-        })
-        .unwrap_or_else(|| panic!("no Breadth candidates sum in:\n{metrics}"));
-    assert!(want > 0);
-    assert_eq!(sum, want);
 }
 
 #[test]
