@@ -104,7 +104,6 @@ mod tests {
                 .zip(c)
                 .map(|(&x, &y)| i64::try_from(x.abs_diff(y)).unwrap() - i64::try_from(x).unwrap())
                 .sum(),
-            candidate: true,
         };
         (norms, terms)
     }

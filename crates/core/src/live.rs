@@ -316,11 +316,6 @@ impl<'a> LiveRef<'a> {
         }
     }
 
-    /// The staged (non-empty) delta, if any.
-    pub fn delta(&self) -> Option<&'a DeltaSegment> {
-        self.delta
-    }
-
     /// The plain compiled model when nothing is staged over it — the
     /// exact fast path every reader dispatches to — or `None` when the
     /// overlay must be read.
@@ -492,7 +487,7 @@ mod tests {
         let m = base();
         let d = DeltaSegment::for_base(&m);
         let live = LiveRef::overlay(&m, &d);
-        assert!(live.delta().is_none());
+        assert!(live.unstaged().is_some());
         assert_eq!(AssocView::num_impls(&live), 5);
     }
 

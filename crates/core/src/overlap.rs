@@ -110,6 +110,12 @@ impl OverlapBoard {
     pub(crate) fn goals(&self) -> &[u32] {
         &self.goal_space
     }
+
+    /// Sets the epoch, so a test can force the wraparound.
+    #[cfg(test)]
+    pub(crate) fn set_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
+    }
 }
 
 #[cfg(test)]

@@ -11,32 +11,55 @@
 //! * per action: `dot = Σ p_g·c_g`, `c2 = Σ c_g²` and
 //!   `l1 = Σ (|p_g − c_g| − p_g)`.
 //!
+//! ## Linear sums plus a repeat correction
+//!
 //! A goal the action does not implement (`c_g = 0`) adds 0 to each
-//! per-action sum, so the sums only need the `(goal, action)` pairs that
-//! occur in the library. [`TermBoard::fill`] gets them in one pass over
-//! the postings of `GS(H)`: for each goal `g` with count `p_g`, for each
-//! implementation of `g` (base rows, then staged ones), for each of its
-//! actions `a`, it raises `c_g(a)` by one and updates `a`'s sums by the
-//! difference that step makes (`dot += p_g`, `c2 += 2c − 1`, `l1 ∓= 1`).
-//! An action is flagged a candidate when one of those implementations is
-//! in `IS(H)`, which yields `CA = AS(H) − H` on the way. The cost is
-//! `O(Σ postings of GS(H))`, not `O(|CA| · |GS(H)|)` as a dense vector
-//! per candidate would be.
+//! per-action sum, so the sums only need the `(goal, implementation,
+//! action)` postings of `GS(H)`. [`TermBoard::fill`] walks them once,
+//! goal by goal in ascending id, and each posting of `a` under `g` only
+//! adds to `a`'s linear sums: `dot += p_g` and `occ += 1`, where
+//! `occ = Σ c_g` counts the postings. The quadratic sums follow from
+//!
+//! * `Σ c_g² = occ + Σ (c_g² − c_g)`, and
+//! * `Σ (|p_g − c_g| − p_g) = −occ + Σ 2·max(0, c_g − p_g)`
+//!
+//! (every goal of `GS(H)` has `p_g ≥ 1`, and for `c ≥ 1` and `p ≥ 1`,
+//! `|p − c| − p = −c + 2·max(0, c − p)`).
+//! Both corrections vanish where `c_g(a) ≤ 1`, which is every posting of
+//! a goal with a single implementation. Only inside goals with two or
+//! more implementations (base rows plus staged rows) does the walk count
+//! `c_g(a)`, in the action's slot against a per-request goal-visit
+//! number: the `k`-th posting of `a` under `g`, for `k ≥ 2`, adds `k − 1`
+//! to `Σ (c_g² − c_g)/2` and one to `Σ max(0, c_g − p_g)` once `k > p_g`.
+//!
+//! `IS(H)` and every `|A_p ∩ H|` come from the overlap board
+//! (`crate::overlap`) that Focus and Breadth fill too.
+//! `p_g = Σ_{p of g in IS(H)} |A_p ∩ H|` is Algorithm 3's count, summed
+//! per goal while `GS(H)` is marked in a bitmap; scanning the bitmap
+//! lists `GS(H)` in ascending goal id, which costs less than a sort and
+//! lets the walk read the model's tables front to back. An action is a
+//! candidate (`CA = AS(H) − H`) when an implementation with a non-zero
+//! overlap contains it. The cost is `O(Σ postings of GS(H))`, not
+//! `O(|CA| · |GS(H)|)` as a dense vector per candidate would be.
 //!
 //! ## Why the result is bit-identical to the dense definition
 //!
 //! Every coordinate is a small non-negative integer, so each of the five
-//! sums is an integer; `DistanceMetric::distance` asserts (in debug
-//! builds) that each stays below 2⁵³. Every integer of that size is
-//! an `f64` exactly, and so is every partial sum on the way to it. A
-//! literal dense evaluation in `f64` (the test oracle in
-//! `tests/support/best_match_oracle.rs`) therefore computes the very same
-//! integers, in any order, and the final formula sees identical inputs.
-//! The sums are also order-free in `u64`, which is what lets a base row
-//! split from its staged suffix add up to the unsplit answer.
+//! sums, and each linear sum and correction they are derived from, is an
+//! integer; `DistanceMetric::distance` asserts (in debug builds) that
+//! each stays below 2⁵³. The derivation is integer arithmetic, so it is
+//! exact, and every integer below 2⁵³ is an `f64` exactly, as is every
+//! partial sum on the way to it. A literal dense evaluation in `f64` (the
+//! test oracle in `tests/support/best_match_oracle.rs`) therefore computes
+//! the very same integers, in any order, and the final formula sees
+//! identical inputs. The sums are also order-free in `u64`, which is what
+//! lets a goal whose rows are split between a base and a staged part add
+//! up to the unsplit answer: its rows are walked as one visit, so `c_g`
+//! counts across the split.
 
 use crate::ids::{ActionId, GoalId, ImplId};
 use crate::live::AssocView;
+use crate::overlap::OverlapBoard;
 use crate::setops;
 use crate::topk::{Scored, TopK};
 use crate::DistanceMetric;
@@ -59,39 +82,58 @@ pub(crate) struct ActionTerms {
     pub(crate) c2: u64,
     /// `Σ (|p_g − c_g| − p_g)`, so that the L1 distance is `P1 + l1`.
     pub(crate) l1: i64,
-    /// Whether the action is in `AS(H)`: one of its implementations is in
-    /// `IS(H)`.
-    pub(crate) candidate: bool,
 }
 
-/// One action's slot on the board: its sums plus the goal the walk is on
-/// and the running count `c_g` within it.
-#[derive(Debug, Clone, Copy, Default)]
+/// One action's sums against the profile, and its running `c_g`. A
+/// posting under a single-implementation goal touches only `dot`, `occ`
+/// and `epoch`; the other fields only change under goals with several.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Slot {
-    terms: ActionTerms,
+    /// `Σ p_g·c_g` (`p_g` per posting) in the low 63 bits, and in bit 63
+    /// whether an implementation of `IS(H)` contains the action. The sum
+    /// stays below 2⁵³ (see the module docs), so it never carries into
+    /// the flag.
+    dot: u64,
+    /// `Σ (c_g² − c_g) / 2`.
+    pairs: u64,
+    /// `Σ c_g`: one per posting.
+    occ: u32,
+    /// `Σ max(0, c_g − p_g)`, at most `occ`.
+    excess: u32,
+    /// The request epoch the slot belongs to.
     epoch: u32,
-    goal: u32,
+    /// The goal visit `count` belongs to: goals with two or more
+    /// implementations are numbered from 1 in each request.
+    visit: u32,
+    /// `c_g(a)` so far in that visit.
     count: u32,
 }
 
+/// The candidate flag in [`Slot::dot`].
+const CANDIDATE: u64 = 1 << 63;
+
 /// The working memory of the goal-major pass, reused across requests.
 ///
-/// Per-action slots and per-implementation `IS(H)` marks are stamped
-/// with an epoch, so starting a request bumps one integer instead of
-/// re-zeroing either table (the same trick as the Breadth scoreboard in
-/// [`crate::Scratch`]). Every buffer grows to its high-water mark and then
-/// stays allocated, so steady-state requests never touch the heap.
+/// Per-action slots are stamped with an epoch, so starting a request
+/// bumps one integer instead of re-zeroing the table (the same trick as
+/// the Breadth scoreboard in [`crate::Scratch`]). Every buffer grows to
+/// its high-water mark and then stays allocated, so steady-state requests
+/// never touch the heap.
 #[derive(Debug, Default)]
 pub struct TermBoard {
+    /// `|A_p ∩ H|` and `IS(H)`; Focus and Breadth fill the same board
+    /// (see [`crate::Scratch`]).
+    pub(crate) overlap: OverlapBoard,
     epoch: u32,
     /// Per action id.
     slots: Vec<Slot>,
     /// Actions with a live slot, in first-touch order.
     touched: Vec<u32>,
-    /// Per implementation id: the epoch in which it was found in `IS(H)`.
-    in_impl_space: Vec<u32>,
-    /// The goal of every `(a ∈ H, p ∈ IS(a))` pair, sorted.
-    pairs: Vec<u32>,
+    /// `GS(H)` as a bitmap over goal ids; all zero between requests.
+    goal_bits: Vec<u64>,
+    /// Per goal id: `p_g` while it is being summed; all zero between
+    /// requests.
+    goal_counts: Vec<u32>,
     /// `H⃗` as `(goal, p_g)` over `GS(H)`, ascending goal id.
     profile: Vec<(u32, u32)>,
     norms: ProfileNorms,
@@ -99,19 +141,19 @@ pub struct TermBoard {
 
 impl TermBoard {
     /// Starts a new epoch with room for `num_actions` slots and
-    /// `num_impls` implementation marks; every old stamp goes stale.
-    fn begin(&mut self, num_actions: usize, num_impls: usize) {
+    /// `num_goals` goal bits; every old stamp goes stale.
+    fn begin(&mut self, num_actions: usize, num_goals: usize) {
         if self.slots.len() < num_actions {
             self.slots.resize(num_actions, Slot::default());
         }
-        if self.in_impl_space.len() < num_impls {
-            self.in_impl_space.resize(num_impls, 0);
+        if self.goal_counts.len() < num_goals {
+            self.goal_counts.resize(num_goals, 0);
+            self.goal_bits.resize(num_goals.div_ceil(64), 0);
         }
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Wraparound: stamps from 2³² requests ago could alias. Reset.
             self.slots.iter_mut().for_each(|s| s.epoch = 0);
-            self.in_impl_space.fill(0);
             self.epoch = 1;
         }
         self.touched.clear();
@@ -120,71 +162,100 @@ impl TermBoard {
     }
 
     /// The goal-major pass for activity `h` (sorted raw ids) over `view`:
-    /// builds `H⃗` (Algorithm 3), then walks `GS(H)`'s postings once,
-    /// leaving every touched action's sums on the board.
-    /// Actions of `h` beyond the view's extent are ignored.
+    /// fills the overlap board, sums `H⃗` from it (Algorithm 3), then
+    /// walks `GS(H)`'s postings once in ascending goal id, leaving every
+    /// touched action's sums on the board. Actions of `h` beyond the
+    /// view's extent are ignored.
     pub fn fill<V: AssocView + ?Sized>(&mut self, view: &V, h: &[u32]) {
-        self.begin(view.num_actions(), view.num_impls());
-        let epoch = self.epoch;
+        self.overlap.fill(view, h);
+        self.begin(view.num_actions(), view.num_goals());
+        // Algorithm 3: p_g sums |A_p ∩ H| over the implementations of g in
+        // IS(H), and each such goal is marked in GS(H)'s bitmap. Scanning
+        // the bitmap lists GS(H) in ascending goal id, which costs less
+        // than a sort and lets the walk read the model's tables front to
+        // back; it leaves both tables zero again.
+        for &p in self.overlap.impls() {
+            let p = ImplId::new(p);
+            let g = view.impl_goal(p).index();
+            self.goal_bits[g / 64] |= 1 << (g % 64);
+            self.goal_counts[g] += u32::try_from(self.overlap.count(p)).unwrap_or(u32::MAX);
+        }
+        for (word, bits) in (0u32..).zip(&mut self.goal_bits) {
+            let mut rest = std::mem::take(bits);
+            while rest != 0 {
+                let g = word * 64 + rest.trailing_zeros();
+                let p_g = std::mem::take(&mut self.goal_counts[GoalId::new(g).index()]);
+                self.profile.push((g, p_g));
+                rest &= rest - 1;
+            }
+        }
 
-        // Algorithm 3: one +1 on goal(p) per (a ∈ H, p ∈ IS(a)), and p is
-        // marked as a member of IS(H).
-        self.pairs.clear();
-        for &a in h {
-            let a = ActionId::new(a);
-            if a.index() >= view.num_actions() {
+        let epoch = self.epoch;
+        let Self {
+            overlap,
+            slots,
+            touched,
+            profile,
+            norms,
+            ..
+        } = self;
+        let slots = &mut slots[..];
+        let mut visit = 0;
+        for &(g, p_g) in profile.iter() {
+            let (base, delta) = view.goal_impls_parts(GoalId::new(g));
+            let rows = || base.iter().chain(delta).map(|&p| ImplId::new(p));
+            let p = u64::from(p_g);
+            norms.p1 += p;
+            norms.p2 += p * p;
+            if base.len() + delta.len() == 1 {
+                // c_g(a) = 1 for each action of the one implementation,
+                // which is in IS(H) since g is in GS(H): no correction.
+                for imp in rows() {
+                    for &a in view.impl_actions(imp) {
+                        let slot = open(slots, touched, epoch, a);
+                        slot.dot = (slot.dot + p) | CANDIDATE;
+                        slot.occ += 1;
+                    }
+                }
                 continue;
             }
-            let (base, delta) = view.action_impls_parts(a);
-            for &p in base.iter().chain(delta) {
-                let p = ImplId::new(p);
-                self.in_impl_space[p.index()] = epoch;
-                self.pairs.push(view.impl_goal(p).raw());
-            }
-        }
-        self.pairs.sort_unstable();
-        for &g in &self.pairs {
-            match self.profile.last_mut() {
-                Some((last, count)) if *last == g => *count += 1,
-                _ => self.profile.push((g, 1)),
-            }
-        }
-
-        // The goal-major walk. Within goal g, the k-th implementation of g
-        // seen containing a raises c_g(a) from k − 1 to k, which changes
-        // p_g·c_g by p_g, c_g² by 2k − 1, and |p_g − c_g| by −1 while
-        // k ≤ p_g and by +1 after.
-        for &(g, p_g) in &self.profile {
-            let p_g = u64::from(p_g);
-            self.norms.p1 += p_g;
-            self.norms.p2 += p_g * p_g;
-            let (base, delta) = view.goal_impls_parts(GoalId::new(g));
-            for &p in base.iter().chain(delta) {
-                let p = ImplId::new(p);
-                let in_impl_space = self.in_impl_space[p.index()] == epoch;
-                for &a in view.impl_actions(p) {
-                    let slot = &mut self.slots[ActionId::new(a).index()];
-                    if slot.epoch != epoch {
-                        *slot = Slot {
-                            epoch,
-                            goal: g,
-                            ..Slot::default()
-                        };
-                        self.touched.push(a);
-                    } else if slot.goal != g {
-                        slot.goal = g;
-                        slot.count = 0;
-                    }
-                    slot.count += 1;
-                    let c = u64::from(slot.count);
-                    let t = &mut slot.terms;
-                    t.dot += p_g;
-                    t.c2 += 2 * c - 1;
-                    t.l1 += if c <= p_g { -1 } else { 1 };
-                    t.candidate |= in_impl_space;
+            visit += 1;
+            for imp in rows() {
+                let hit = if overlap.count(imp) > 0 { CANDIDATE } else { 0 };
+                for &a in view.impl_actions(imp) {
+                    let slot = open(slots, touched, epoch, a);
+                    slot.dot = (slot.dot + p) | hit;
+                    slot.occ += 1;
+                    // The k-th posting of a under g adds
+                    // (k² − k − ((k−1)² − (k−1)))/2 = k − 1 to pairs, and 1
+                    // to excess once k > p_g; both are 0 for k = 1, so the
+                    // update needs no branch.
+                    slot.count = if slot.visit == visit {
+                        slot.count + 1
+                    } else {
+                        1
+                    };
+                    slot.visit = visit;
+                    slot.pairs += u64::from(slot.count - 1);
+                    slot.excess += u32::from(u64::from(slot.count) > p);
                 }
             }
         }
+    }
+
+    /// Candidate `a`'s exact sums this epoch, derived from its linear sums
+    /// and corrections; `None` if the walk did not make it a candidate.
+    fn candidate_terms(&self, a: ActionId) -> Option<ActionTerms> {
+        let slot = self.slots.get(a.index())?;
+        if slot.epoch != self.epoch || slot.dot & CANDIDATE == 0 {
+            return None;
+        }
+        let occ = u64::from(slot.occ);
+        Some(ActionTerms {
+            dot: slot.dot & !CANDIDATE,
+            c2: occ + 2 * slot.pairs,
+            l1: 2 * i64::from(slot.excess) - i64::from(slot.occ),
+        })
     }
 
     /// Algorithm 4's ranking step: scores every candidate `a ∈ AS(H) − H`
@@ -201,13 +272,15 @@ impl TermBoard {
         topk.reset(k);
         let mut num_candidates = 0;
         for &a in &self.touched {
-            let terms = &self.slots[ActionId::new(a).index()].terms;
-            if !terms.candidate || setops::contains(h, a) {
+            let Some(terms) = self.candidate_terms(ActionId::new(a)) else {
+                continue;
+            };
+            if setops::contains(h, a) {
                 continue;
             }
             num_candidates += 1;
             // Scores are higher-is-better across the crate; negate distance.
-            let dist = metric.distance(self.norms, terms);
+            let dist = metric.distance(self.norms, &terms);
             topk.push(Scored::new(ActionId::new(a), -dist));
         }
         topk.drain_sorted_into(out);
@@ -219,15 +292,21 @@ impl TermBoard {
     pub fn profile(&self) -> &[(u32, u32)] {
         &self.profile
     }
+}
 
-    /// Action `a`'s sums this epoch, if the walk touched it.
-    #[cfg(test)]
-    fn terms(&self, a: ActionId) -> Option<ActionTerms> {
-        self.slots
-            .get(a.index())
-            .filter(|s| s.epoch == self.epoch && self.epoch != 0)
-            .map(|s| s.terms)
+/// Action `a`'s slot, opened (zeroed and listed as touched) on the first
+/// touch of the epoch.
+#[inline(always)]
+fn open<'s>(slots: &'s mut [Slot], touched: &mut Vec<u32>, epoch: u32, a: u32) -> &'s mut Slot {
+    let slot = &mut slots[ActionId::new(a).index()];
+    if slot.epoch != epoch {
+        *slot = Slot {
+            epoch,
+            ..Slot::default()
+        };
+        touched.push(a);
     }
+    slot
 }
 
 #[cfg(test)]
@@ -257,19 +336,59 @@ mod tests {
         assert_eq!(board.norms, ProfileNorms { p1: 3, p2: 5 });
     }
 
+    /// Action `a`'s sums this epoch as `(dot, occ, pairs, excess,
+    /// candidate)`, where `pairs = Σ (c_g² − c_g)/2` and
+    /// `excess = Σ max(0, c_g − p_g)`; `None` if the walk did not touch it.
+    fn sums(board: &TermBoard, a: u32) -> Option<(u64, u32, u64, u32, bool)> {
+        let slot = board.slots.get(ActionId::new(a).index())?;
+        if slot.epoch != board.epoch {
+            return None;
+        }
+        let candidate = slot.dot & CANDIDATE != 0;
+        Some((
+            slot.dot & !CANDIDATE,
+            slot.occ,
+            slot.pairs,
+            slot.excess,
+            candidate,
+        ))
+    }
+
+    /// `(dot, c2, l1)` of a candidate.
+    fn terms(board: &TermBoard, a: u32) -> Option<(u64, u64, i64)> {
+        let t = board.candidate_terms(ActionId::new(a))?;
+        Some((t.dot, t.c2, t.l1))
+    }
+
     #[test]
     fn terms_count_implementations_per_goal_within_the_space() {
         // H = {a2, a3}, profile (g1: 2, g5: 1). a1 implements g1 twice and
-        // g5 once — the vector (2, 1): dot 5, c2 5, l1 = (0−2) + (0−1).
-        // a6 implements g5 once (g3 is outside GS(H)): (0, 1).
+        // g5 once — the vector (2, 1): dot 2·2 + 1·1 = 5 over 3 postings.
+        // Its c_g = 2 in g1 is one repeat, (2² − 2)/2 = 1, and does not
+        // exceed p_g = 2. So c2 = 3 + 2·1 = 5 and l1 = −3 + 2·0 = −3,
+        // which is (|2−2| − 2) + (|1−1| − 1).
+        let m = model();
         let mut board = TermBoard::default();
-        board.fill(&model(), &[1, 2]);
-        let a1 = board.terms(ActionId::new(0)).unwrap();
-        assert_eq!((a1.dot, a1.c2, a1.l1, a1.candidate), (5, 5, -3, true));
-        let a6 = board.terms(ActionId::new(5)).unwrap();
-        assert_eq!((a6.dot, a6.c2, a6.l1, a6.candidate), (1, 1, -1, true));
+        board.fill(&m, &[1, 2]);
+        assert_eq!(sums(&board, 0), Some((5, 3, 1, 0, true)));
+        assert_eq!(terms(&board, 0), Some((5, 5, -3)));
+        // a6 implements g5 once (g3 is outside GS(H)): (0, 1).
+        assert_eq!(sums(&board, 5), Some((1, 1, 0, 0, true)));
+        assert_eq!(terms(&board, 5), Some((1, 1, -1)));
         // a4 implements no goal of GS(H): the walk never touches it.
-        assert_eq!(board.terms(ActionId::new(3)), None);
+        assert_eq!(sums(&board, 3), None);
+
+        // H = {a2}, profile (g1: 1, g5: 1). a1 is still (2, 1), but now
+        // c_g = 2 exceeds p_g = 1 in g1: excess 1, so l1 = −3 + 2 = −1,
+        // which is (|1−2| − 1) + (|1−1| − 1).
+        board.fill(&m, &[1]);
+        assert_eq!(board.profile(), &[(0, 1), (3, 1)]);
+        assert_eq!(sums(&board, 0), Some((3, 3, 1, 1, true)));
+        assert_eq!(terms(&board, 0), Some((3, 5, -1)));
+        // a3 is only in p2, an implementation of g1 that H does not
+        // reach: it is walked, but it is no candidate.
+        assert_eq!(sums(&board, 2), Some((1, 1, 0, 0, false)));
+        assert_eq!(terms(&board, 2), None);
     }
 
     #[test]
@@ -278,14 +397,20 @@ mod tests {
         let mut board = TermBoard::default();
         board.fill(&m, &[0]);
         board.fill(&m, &[1, 2]);
+        // Force every stamp to wrap on the next fill: each must reset
+        // rather than let an old stamp look live.
         board.epoch = u32::MAX;
-        board.fill(&m, &[3]);
+        board.slots.iter_mut().for_each(|s| s.visit = u32::MAX);
+        board.overlap.set_epoch(u32::MAX);
+        board.fill(&m, &[0, 3]);
         assert_eq!(board.epoch, 1);
         let mut fresh = TermBoard::default();
-        fresh.fill(&m, &[3]);
+        fresh.fill(&m, &[0, 3]);
         assert_eq!(board.profile(), fresh.profile());
+        assert_eq!(board.norms, fresh.norms);
         for a in 0..6 {
-            assert_eq!(board.terms(ActionId::new(a)), fresh.terms(ActionId::new(a)));
+            assert_eq!(sums(&board, a), sums(&fresh, a), "a{}", a + 1);
+            assert_eq!(terms(&board, a), terms(&fresh, a), "a{}", a + 1);
         }
     }
 

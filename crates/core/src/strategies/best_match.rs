@@ -9,11 +9,15 @@
 //! pattern rank first.
 //!
 //! The vectors are never built. [`TermBoard::fill`](crate::profile::TermBoard::fill)
-//! walks the postings of `GS(H)` once, goal by goal, and leaves each
-//! touched action's exact integer sums (`Σ p·c`, `Σ c²`, `Σ |p − c| − p`);
-//! each metric is then one formula over those sums per candidate. The
-//! [`crate::profile`] module docs explain why that is bit-identical to
-//! the dense definition.
+//! reads `IS(H)` and every `|A_p ∩ H|` off the overlap board that Focus
+//! and Breadth fill too, sums the profile from them, then walks the
+//! postings of `GS(H)` once, goal by goal. Each posting only adds to the action's linear sums
+//! (`Σ p·c` and `Σ c`); inside goals with two or more implementations
+//! the walk also counts repeats, from which `Σ c²` and `Σ |p − c| − p`
+//! follow exactly. Each metric is then one formula over those integer
+//! sums per candidate. The [`crate::profile`] module docs give the
+//! identities and explain why the result is bit-identical to the dense
+//! definition.
 
 use crate::activity::Activity;
 use crate::distance::DistanceMetric;
@@ -58,8 +62,9 @@ impl BestMatch {
             phase,
             ..
         } = scratch;
-        // Algorithms 3–4 in one goal-major pass: the profile, the
-        // candidate pool CA = AS(H) − H and every candidate's sums.
+        // Algorithms 3–4 in one goal-major pass over the overlap board:
+        // the profile, the candidate pool CA = AS(H) − H and every
+        // candidate's sums.
         terms.fill(view, activity.raw());
         phase.mark(); // candidate sums complete; distance scoring next
         terms.rank_into(self.metric, activity.raw(), k, topk, out)

@@ -81,10 +81,11 @@ impl Focus {
         scratch: &mut Scratch,
     ) {
         let Scratch {
-            overlap,
+            terms,
             scored_impls,
             ..
         } = scratch;
+        let overlap = &mut terms.overlap;
         overlap.fill(view, activity.raw());
         scored_impls.clear();
         for &g in overlap.goals() {

@@ -43,7 +43,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// A library big enough that sloppy per-request allocation would show up
-/// (dozens of goals, overlapping action sets).
+/// (dozens of goals, overlapping action sets). Goals `g*` have three
+/// implementations each and goals `solo*` one, so every activity below
+/// reaches both kinds and Best Match's walk runs both of its branches.
 fn library_builder() -> LibraryBuilder {
     let mut b = LibraryBuilder::new();
     for g in 0..24u32 {
@@ -54,6 +56,11 @@ fn library_builder() -> LibraryBuilder {
             let refs: Vec<&str> = actions.iter().map(String::as_str).collect();
             b.add_impl(&format!("g{g}"), refs).unwrap();
         }
+    }
+    for g in 0..10u32 {
+        let actions: Vec<String> = (0..4u32).map(|i| format!("a{}", g + 10 * i)).collect();
+        let refs: Vec<&str> = actions.iter().map(String::as_str).collect();
+        b.add_impl(&format!("solo{g}"), refs).unwrap();
     }
     b
 }
@@ -67,6 +74,18 @@ fn steady_state_rank_into_performs_zero_heap_allocations() {
         Activity::from_raw([1, 5, 9]),
         Activity::from_raw([2, 3, 17, 30]),
     ];
+    for h in &activities {
+        let sizes: Vec<usize> = h
+            .raw()
+            .iter()
+            .flat_map(|&a| model.goal_space_of_action(goalrec_core::ActionId::new(a)))
+            .map(|g| model.goal_impls(goalrec_core::GoalId::new(g)).len())
+            .collect();
+        assert!(
+            sizes.contains(&1) && sizes.contains(&3),
+            "H={h:?} must reach goals with one and with three implementations"
+        );
+    }
     let mut scratch = Scratch::new();
 
     // Warm-up: two rounds per (strategy, activity) pair grow every arena
@@ -154,7 +173,7 @@ fn steady_state_rank_into_performs_zero_heap_allocations() {
     let empty_delta = goalrec_core::DeltaSegment::for_base(&model);
     let live = LiveRef::overlay(&model, &empty_delta);
     assert!(
-        live.delta().is_none(),
+        live.unstaged().is_some(),
         "an empty delta must vanish from the read path"
     );
     for s in &strategies {

@@ -101,6 +101,67 @@ fn assert_ranked(list: &[Scored], strict_ties: bool) {
     }
 }
 
+/// Best Match over `lib` for `h`, on a plain model and on the overlay that
+/// stages every implementation from `split` on, equals the §5.3 oracle
+/// for every metric: ids, order, score bits and candidate count.
+fn assert_best_match_equals_the_paper_oracle(
+    lib: &GoalLibrary,
+    h: &Activity,
+    k: usize,
+    split: usize,
+) {
+    let model = GoalModel::build(lib).unwrap();
+    let (base, delta) = split_as_overlay(lib, split);
+    let mut scratch = Scratch::new();
+    for metric in DistanceMetric::ALL {
+        let expect = best_match_oracle::best_match(lib, h.raw(), metric, k);
+        let ctx = format!("{metric:?} H={h:?} k={k}");
+        let n = BestMatch::new(metric).rank_into(LiveRef::solid(&model), h, k, &mut scratch);
+        best_match_oracle::assert_matches(scratch.out(), n, &expect, &format!("plain {ctx}"));
+        let n =
+            BestMatch::new(metric).rank_into(LiveRef::overlay(&base, &delta), h, k, &mut scratch);
+        best_match_oracle::assert_matches(
+            scratch.out(),
+            n,
+            &expect,
+            &format!("overlay split={split} {ctx}"),
+        );
+    }
+}
+
+/// The repeat case, on every run: goal 0 has three implementations that
+/// share action 0 (`c_g = 3`), and `H` reaches one or two of them
+/// (`p_g < c_g`), so both of Best Match's corrections are non-zero. Every
+/// split is checked, including the two that fall between goal 0's rows.
+#[test]
+fn best_match_repeats_equal_the_paper_oracle() {
+    let imp = |g: u32, acts: &[u32]| {
+        (
+            GoalId::new(g),
+            acts.iter().copied().map(ActionId::new).collect::<Vec<_>>(),
+        )
+    };
+    let lib = GoalLibrary::from_id_implementations(
+        MAX_ACTIONS,
+        MAX_GOALS,
+        vec![
+            imp(0, &[0, 1]),
+            imp(0, &[0, 2]),
+            imp(0, &[0, 3]),
+            imp(1, &[1, 4]),
+            imp(1, &[4, 5]),
+            imp(2, &[1, 6]),
+            imp(3, &[2, 7]),
+        ],
+    )
+    .unwrap();
+    for h in [Activity::from_raw([1]), Activity::from_raw([1, 2])] {
+        for split in 1..=lib.implementations().len() {
+            assert_best_match_equals_the_paper_oracle(&lib, &h, 10, split);
+        }
+    }
+}
+
 proptest! {
     /// Universal strategy contract: bounded by k, candidates only, unique,
     /// rank-sorted, prefix-consistent, and every candidate is in AS(H).
@@ -190,27 +251,7 @@ proptest! {
         k in 1usize..12,
         split in 1usize..25,
     ) {
-        let model = GoalModel::build(&lib).unwrap();
-        let (base, delta) = split_as_overlay(&lib, split);
-        let mut scratch = Scratch::new();
-        for metric in DistanceMetric::ALL {
-            let expect = best_match_oracle::best_match(&lib, h.raw(), metric, k);
-            let ctx = format!("{metric:?} H={h:?} k={k}");
-            let n = BestMatch::new(metric).rank_into(LiveRef::solid(&model), &h, k, &mut scratch);
-            best_match_oracle::assert_matches(scratch.out(), n, &expect, &format!("plain {ctx}"));
-            let n = BestMatch::new(metric).rank_into(
-                LiveRef::overlay(&base, &delta),
-                &h,
-                k,
-                &mut scratch,
-            );
-            best_match_oracle::assert_matches(
-                scratch.out(),
-                n,
-                &expect,
-                &format!("overlay split={split} {ctx}"),
-            );
-        }
+        assert_best_match_equals_the_paper_oracle(&lib, &h, k, split);
     }
 
     /// Focus_cmp, Focus_cl and Breadth, on a plain model and on a live
