@@ -95,7 +95,6 @@ impl DerefMut for CsrBacking {
         }
         match self {
             CsrBacking::Owned(b) => b,
-            // goalrec-lint:allow(no-panic-paths): the arm above just replaced Mapped with Owned; this arm is statically unreachable
             CsrBacking::Mapped { .. } => unreachable!("mapped backing survived copy-on-write"),
         }
     }

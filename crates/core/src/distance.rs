@@ -6,9 +6,10 @@
 //! construction (the profile aggregates every action in `H`), and the
 //! ablation experiment compares all three.
 //!
-//! Each metric is evaluated from the exact integer sums of
-//! [`crate::profile`] rather than from dense vectors; the module docs
-//! there explain why the result is bit-identical to the dense definition.
+//! Each metric is evaluated from the exact integer sums of the
+//! crate-private `profile` module rather than from dense vectors; its
+//! module docs explain why the result is bit-identical to the dense
+//! definition.
 
 use crate::profile::{ActionTerms, ProfileNorms};
 use serde::{Deserialize, Serialize};

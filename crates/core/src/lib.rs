@@ -42,7 +42,7 @@
 //! |---|---|
 //! | Actions, goals, implementations (§3) | [`ids`], [`library`] |
 //! | Index structures & spaces (§4) | [`model`], [`setops`] |
-//! | Focus / Breadth / Best Match (§5) | [`strategies`], [`profile`], [`distance`] |
+//! | Focus / Breadth / Best Match (§5) | [`strategies`] (Best Match's sums: `profile`), [`distance`] |
 //! | Ranking & facade | [`topk`], [`recommend`], [`batch`] |
 
 #![warn(missing_docs)]
@@ -59,7 +59,7 @@ pub mod library;
 pub mod live;
 pub mod model;
 pub(crate) mod overlap;
-pub mod profile;
+pub(crate) mod profile;
 pub mod recommend;
 pub mod rerank;
 pub mod scratch;

@@ -104,11 +104,16 @@ impl GoalLibrary {
 
     /// Resolves an action id to its name, falling back to the rendered id.
     pub fn action_name(&self, a: ActionId) -> String {
-        self.actions
-            .resolve(a.raw())
+        self.resolve_action(a)
             .map(str::to_owned)
-            // goalrec-lint:allow(hot-path-alloc): response assembly renders display names per request
             .unwrap_or_else(|| a.to_string())
+    }
+
+    /// The interned name of action `a`, borrowed; `None` for an id the
+    /// dictionary does not hold (which [`GoalLibrary::action_name`]
+    /// renders as `a{id}`).
+    pub fn resolve_action(&self, a: ActionId) -> Option<&str> {
+        self.actions.resolve(a.raw())
     }
 
     /// Resolves a goal id to its name, falling back to the rendered id.

@@ -120,10 +120,7 @@ const CANDIDATE: u64 = 1 << 63;
 /// its high-water mark and then stays allocated, so steady-state requests
 /// never touch the heap.
 #[derive(Debug, Default)]
-pub struct TermBoard {
-    /// `|A_p ∩ H|` and `IS(H)`; Focus and Breadth fill the same board
-    /// (see [`crate::Scratch`]).
-    pub(crate) overlap: OverlapBoard,
+pub(crate) struct TermBoard {
     epoch: u32,
     /// Per action id.
     slots: Vec<Slot>,
@@ -162,23 +159,29 @@ impl TermBoard {
     }
 
     /// The goal-major pass for activity `h` (sorted raw ids) over `view`:
-    /// fills the overlap board, sums `H⃗` from it (Algorithm 3), then
-    /// walks `GS(H)`'s postings once in ascending goal id, leaving every
-    /// touched action's sums on the board. Actions of `h` beyond the
-    /// view's extent are ignored.
-    pub fn fill<V: AssocView + ?Sized>(&mut self, view: &V, h: &[u32]) {
-        self.overlap.fill(view, h);
+    /// fills `overlap` (the arena's board that Focus and Breadth fill
+    /// too), sums `H⃗` from it (Algorithm 3), then walks `GS(H)`'s
+    /// postings once in ascending goal id, leaving every touched action's
+    /// sums on the board. Actions of `h` beyond the view's extent are
+    /// ignored.
+    pub(crate) fn fill<V: AssocView + ?Sized>(
+        &mut self,
+        overlap: &mut OverlapBoard,
+        view: &V,
+        h: &[u32],
+    ) {
+        overlap.fill(view, h);
         self.begin(view.num_actions(), view.num_goals());
         // Algorithm 3: p_g sums |A_p ∩ H| over the implementations of g in
         // IS(H), and each such goal is marked in GS(H)'s bitmap. Scanning
         // the bitmap lists GS(H) in ascending goal id, which costs less
         // than a sort and lets the walk read the model's tables front to
         // back; it leaves both tables zero again.
-        for &p in self.overlap.impls() {
+        for &p in overlap.impls() {
             let p = ImplId::new(p);
             let g = view.impl_goal(p).index();
             self.goal_bits[g / 64] |= 1 << (g % 64);
-            self.goal_counts[g] += u32::try_from(self.overlap.count(p)).unwrap_or(u32::MAX);
+            self.goal_counts[g] += u32::try_from(overlap.count(p)).unwrap_or(u32::MAX);
         }
         for (word, bits) in (0u32..).zip(&mut self.goal_bits) {
             let mut rest = std::mem::take(bits);
@@ -192,7 +195,6 @@ impl TermBoard {
 
         let epoch = self.epoch;
         let Self {
-            overlap,
             slots,
             touched,
             profile,
@@ -261,7 +263,7 @@ impl TermBoard {
     /// Algorithm 4's ranking step: scores every candidate `a ∈ AS(H) − H`
     /// by its negated `metric` distance to the profile, keeps the best
     /// `k` in `out` (cleared first) and returns the candidate count.
-    pub fn rank_into(
+    pub(crate) fn rank_into(
         &self,
         metric: DistanceMetric,
         h: &[u32],
@@ -289,7 +291,8 @@ impl TermBoard {
 
     /// The profile `H⃗` of the last [`TermBoard::fill`] as `(goal, p_g)`
     /// pairs over `GS(H)`, ascending goal id.
-    pub fn profile(&self) -> &[(u32, u32)] {
+    #[cfg(test)]
+    fn profile(&self) -> &[(u32, u32)] {
         &self.profile
     }
 }
@@ -312,27 +315,42 @@ fn open<'s>(slots: &'s mut [Slot], touched: &mut Vec<u32>, epoch: u32, a: u32) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::library::LibraryBuilder;
+    use crate::library::{GoalLibrary, LibraryBuilder};
     use crate::model::GoalModel;
 
-    /// Example 3.2 model: a1..a6 → 0..5, goals g1,g2,g3,g5 → 0..3.
-    fn model() -> GoalModel {
+    /// Example 3.2 (Figure 1): a1..a6 → 0..5, goals g1 (meeting
+    /// friends), g2 (going to the office), g3 (be warm) and g5 (hiking)
+    /// → 0..3.
+    fn library() -> GoalLibrary {
         let mut b = LibraryBuilder::new();
         b.add_impl("g1", ["a1", "a2"]).unwrap();
         b.add_impl("g1", ["a1", "a3"]).unwrap();
         b.add_impl("g2", ["a1", "a4", "a5"]).unwrap();
         b.add_impl("g3", ["a4", "a6"]).unwrap();
         b.add_impl("g5", ["a1", "a2", "a6"]).unwrap();
-        GoalModel::build(&b.build().unwrap()).unwrap()
+        b.build().unwrap()
+    }
+
+    fn model() -> GoalModel {
+        GoalModel::build(&library()).unwrap()
     }
 
     #[test]
-    fn paper_example_profile_for_a2_a3() {
-        // The paper's §5.3 example: H = {a2, a3}. a2 contributes to g1 (p1)
-        // and g5 (p5); a3 to g1 (p2). Goal space {g1, g5} = ids {0, 3}.
+    fn section_5_3_profile_of_a2_a3() {
+        // The paper's §5.3 example: H = {a2, a3}. The profile counts
+        // g1 → 2 (p1 via a2, p2 via a3) and g5 → 1 (p5 via a2).
+        let lib = library();
+        let id = |name| lib.action_id(name).unwrap().raw();
+        let goal = |name| lib.goal_id(name).unwrap().raw();
         let mut board = TermBoard::default();
-        board.fill(&model(), &[1, 2]);
-        assert_eq!(board.profile(), &[(0, 2), (3, 1)]);
+        let mut h = vec![id("a2"), id("a3")];
+        h.sort_unstable();
+        board.fill(
+            &mut OverlapBoard::default(),
+            &GoalModel::build(&lib).unwrap(),
+            &h,
+        );
+        assert_eq!(board.profile(), &[(goal("g1"), 2), (goal("g5"), 1)]);
         assert_eq!(board.norms, ProfileNorms { p1: 3, p2: 5 });
     }
 
@@ -369,7 +387,8 @@ mod tests {
         // which is (|2−2| − 2) + (|1−1| − 1).
         let m = model();
         let mut board = TermBoard::default();
-        board.fill(&m, &[1, 2]);
+        let mut overlap = OverlapBoard::default();
+        board.fill(&mut overlap, &m, &[1, 2]);
         assert_eq!(sums(&board, 0), Some((5, 3, 1, 0, true)));
         assert_eq!(terms(&board, 0), Some((5, 5, -3)));
         // a6 implements g5 once (g3 is outside GS(H)): (0, 1).
@@ -381,7 +400,7 @@ mod tests {
         // H = {a2}, profile (g1: 1, g5: 1). a1 is still (2, 1), but now
         // c_g = 2 exceeds p_g = 1 in g1: excess 1, so l1 = −3 + 2 = −1,
         // which is (|1−2| − 1) + (|1−1| − 1).
-        board.fill(&m, &[1]);
+        board.fill(&mut overlap, &m, &[1]);
         assert_eq!(board.profile(), &[(0, 1), (3, 1)]);
         assert_eq!(sums(&board, 0), Some((3, 3, 1, 1, true)));
         assert_eq!(terms(&board, 0), Some((3, 5, -1)));
@@ -395,17 +414,18 @@ mod tests {
     fn reuse_and_epoch_wraparound_match_a_fresh_board() {
         let m = model();
         let mut board = TermBoard::default();
-        board.fill(&m, &[0]);
-        board.fill(&m, &[1, 2]);
+        let mut overlap = OverlapBoard::default();
+        board.fill(&mut overlap, &m, &[0]);
+        board.fill(&mut overlap, &m, &[1, 2]);
         // Force every stamp to wrap on the next fill: each must reset
         // rather than let an old stamp look live.
         board.epoch = u32::MAX;
         board.slots.iter_mut().for_each(|s| s.visit = u32::MAX);
-        board.overlap.set_epoch(u32::MAX);
-        board.fill(&m, &[0, 3]);
+        overlap.set_epoch(u32::MAX);
+        board.fill(&mut overlap, &m, &[0, 3]);
         assert_eq!(board.epoch, 1);
         let mut fresh = TermBoard::default();
-        fresh.fill(&m, &[0, 3]);
+        fresh.fill(&mut OverlapBoard::default(), &m, &[0, 3]);
         assert_eq!(board.profile(), fresh.profile());
         assert_eq!(board.norms, fresh.norms);
         for a in 0..6 {
@@ -418,13 +438,14 @@ mod tests {
     fn empty_and_unknown_activities_give_an_empty_profile() {
         let m = model();
         let mut board = TermBoard::default();
-        board.fill(&m, &[]);
+        let mut overlap = OverlapBoard::default();
+        board.fill(&mut overlap, &m, &[]);
         assert!(board.profile().is_empty());
-        board.fill(&m, &[999]);
+        board.fill(&mut overlap, &m, &[999]);
         assert!(board.profile().is_empty());
-        board.fill(&m, &[0, 999]);
+        board.fill(&mut overlap, &m, &[0, 999]);
         let mut known = TermBoard::default();
-        known.fill(&m, &[0]);
+        known.fill(&mut OverlapBoard::default(), &m, &[0]);
         assert_eq!(board.profile(), known.profile());
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! Every strategy needs the same handful of working buffers per request: a
 //! dense per-action scoreboard (Algorithm 2), the per-implementation
-//! overlaps `|A_p ∩ H|` with `IS(H)` and `GS(H)` (`overlap.rs`, held by
-//! the [`TermBoard`] and filled by every strategy), Focus's lazily ranked
-//! implementations, Best Match's per-action sums ([`TermBoard`]), and a
-//! bounded top-k accumulator. Allocating them per
-//! call makes the hot path allocator-bound; a [`Scratch`] owns all of them
-//! and is reused across requests, so steady-state
+//! overlaps `|A_p ∩ H|` with `IS(H)` and `GS(H)` (`overlap.rs`, filled by
+//! every strategy), Focus's lazily ranked implementations, Best Match's
+//! per-action sums (`profile.rs`), and a bounded top-k accumulator.
+//! Allocating them per call makes the hot path allocator-bound; a
+//! [`Scratch`] owns all of them and is reused across requests, so
+//! steady-state
 //! [`crate::strategies::Strategy::rank_into`] calls touch the heap zero
 //! times (verified by the counting-allocator test in
 //! `tests/alloc_counting.rs`).
@@ -30,6 +30,7 @@
 //! [`with_thread_scratch`]. A `Scratch` is plain mutable state — it is
 //! never shared between threads.
 
+use crate::overlap::OverlapBoard;
 use crate::profile::TermBoard;
 use crate::topk::{LazyRanking, Scored, TopK};
 use std::cell::RefCell;
@@ -96,9 +97,11 @@ pub struct Scratch {
     pub(crate) seen: Vec<u32>,
     /// Per-implementation remaining-action buffer.
     pub(crate) remaining: Vec<u32>,
-    /// Best Match's goal-major sums (Eq. 8–10), per action, and the
-    /// overlap board (`terms.overlap`: `|A_p ∩ H|` per implementation,
-    /// `IS(H)` and `GS(H)`) that every strategy fills.
+    /// `|A_p ∩ H|` per implementation, `IS(H)` and `GS(H)`: the counting
+    /// pass every strategy starts with.
+    pub(crate) overlap: OverlapBoard,
+    /// Best Match's goal-major sums (Eq. 8–10), per action, read off
+    /// `overlap`.
     pub(crate) terms: TermBoard,
     /// Focus's scored candidate implementations, ranked on demand.
     pub(crate) scored_impls: LazyRanking,

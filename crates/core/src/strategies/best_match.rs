@@ -8,16 +8,16 @@
 //! actions whose per-goal contribution pattern mirrors the user's effort
 //! pattern rank first.
 //!
-//! The vectors are never built. [`TermBoard::fill`](crate::profile::TermBoard::fill)
-//! reads `IS(H)` and every `|A_p ∩ H|` off the overlap board that Focus
-//! and Breadth fill too, sums the profile from them, then walks the
-//! postings of `GS(H)` once, goal by goal. Each posting only adds to the action's linear sums
-//! (`Σ p·c` and `Σ c`); inside goals with two or more implementations
-//! the walk also counts repeats, from which `Σ c²` and `Σ |p − c| − p`
-//! follow exactly. Each metric is then one formula over those integer
-//! sums per candidate. The [`crate::profile`] module docs give the
-//! identities and explain why the result is bit-identical to the dense
-//! definition.
+//! The vectors are never built. The crate-private `profile` module's
+//! goal-major pass reads `IS(H)` and every `|A_p ∩ H|` off the overlap
+//! board that Focus and Breadth fill too, sums the profile from them,
+//! then walks the postings of `GS(H)` once, goal by goal. Each posting
+//! only adds to the action's linear sums (`Σ p·c` and `Σ c`); inside
+//! goals with two or more implementations the walk also counts repeats,
+//! from which `Σ c²` and `Σ |p − c| − p` follow exactly. Each metric is
+//! then one formula over those integer sums per candidate. The `profile`
+//! module docs give the identities and explain why the result is
+//! bit-identical to the dense definition.
 
 use crate::activity::Activity;
 use crate::distance::DistanceMetric;
@@ -56,6 +56,7 @@ impl BestMatch {
             return 0;
         }
         let Scratch {
+            overlap,
             terms,
             topk,
             out,
@@ -65,7 +66,7 @@ impl BestMatch {
         // Algorithms 3–4 in one goal-major pass over the overlap board:
         // the profile, the candidate pool CA = AS(H) − H and every
         // candidate's sums.
-        terms.fill(view, activity.raw());
+        terms.fill(overlap, view, activity.raw());
         phase.mark(); // candidate sums complete; distance scoring next
         terms.rank_into(self.metric, activity.raw(), k, topk, out)
     }

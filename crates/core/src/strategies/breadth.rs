@@ -42,7 +42,7 @@ impl Breadth {
         scratch.begin(view.num_actions());
         // Take the overlap board out so the loop can both read it and
         // mutate the scoreboard.
-        let mut overlap = std::mem::take(&mut scratch.terms.overlap);
+        let mut overlap = std::mem::take(&mut scratch.overlap);
         overlap.fill(view, h);
         for &p in overlap.impls() {
             let p = ImplId::new(p);
@@ -52,7 +52,7 @@ impl Breadth {
                 scratch.board_add(a, comm);
             }
         }
-        scratch.terms.overlap = overlap;
+        scratch.overlap = overlap;
     }
 
     /// The [`Strategy::rank_into`] body, generic over the view so the

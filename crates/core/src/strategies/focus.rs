@@ -81,11 +81,10 @@ impl Focus {
         scratch: &mut Scratch,
     ) {
         let Scratch {
-            terms,
+            overlap,
             scored_impls,
             ..
         } = scratch;
-        let overlap = &mut terms.overlap;
         overlap.fill(view, activity.raw());
         scored_impls.clear();
         for &g in overlap.goals() {

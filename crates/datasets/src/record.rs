@@ -26,7 +26,13 @@
 //! [`RecordReader`] streams a JSON-lines file through one reused line
 //! buffer; [`parse_append_body`] reads the single-record and batch
 //! (`{"implementations": […]}`) forms of an append body.
+//!
+//! The same cursor reads the other body the server parses per request,
+//! `POST /v1/recommend`'s `{"activity": [id, …], "strategy": …, "k": …}`
+//! ([`parse_recommend_body`]), under the same rules: what the vendored
+//! `serde_json` parser followed by the route's field checks accepts.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -260,6 +266,128 @@ pub fn parse_append_body(body: &[u8], cap: usize) -> Result<Vec<Record>, AppendE
     records.map_err(|(i, why)| AppendError::Entry(i, why))
 }
 
+/// A `POST /v1/recommend` body as read. The activity's ids go to the
+/// caller's buffer, so a server worker reuses one across requests.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecommendBody<'a> {
+    /// The first `strategy` field; `None` when absent or `null`. Borrowed
+    /// from the body unless the string is written with escapes.
+    pub strategy: Option<Cow<'a, str>>,
+    /// The first `k` field as a whole number (the vendored
+    /// `Value::as_u64` rule, so `10`, `10.0` and `1e1` are all 10); `None`
+    /// when absent or `null`.
+    pub k: Option<u64>,
+}
+
+/// Why a `POST /v1/recommend` body was refused, in the order the checks
+/// run: the whole body's syntax first, then `activity`, `strategy`, `k`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RecommendError {
+    /// The body is not UTF-8.
+    NotUtf8,
+    /// The body is empty or whitespace.
+    Empty,
+    /// The body is not JSON.
+    Syntax(SyntaxError),
+    /// No `activity` array (absent, or not an array; also any body that
+    /// is not an object).
+    NoActivity,
+    /// An `activity` entry is not an id in `0..=u32::MAX`.
+    BadActivity,
+    /// `strategy` is neither a string nor `null`.
+    BadStrategy,
+    /// `k` is neither a whole non-negative number nor `null`.
+    BadK,
+}
+
+/// Parses a recommend body: `activity` (required, an array of ids, left
+/// in `activity`), `strategy` and `k` (both optional). As for records,
+/// unknown fields are skipped, the first of duplicated keys counts, and
+/// syntax is checked over the whole body before any field is judged.
+pub fn parse_recommend_body<'a>(
+    body: &'a [u8],
+    activity: &mut Vec<u32>,
+) -> Result<RecommendBody<'a>, RecommendError> {
+    let Ok(text) = std::str::from_utf8(body) else {
+        return Err(RecommendError::NotUtf8);
+    };
+    if text.trim().is_empty() {
+        return Err(RecommendError::Empty);
+    }
+    activity.clear();
+    let mut ids = None;
+    let mut strategy = None;
+    let mut k = None;
+    let mut p = Cursor::of_str(text);
+    p.ws();
+    let parsed = if p.peek() == Some(b'{') {
+        p.object(1, |p, key| match key {
+            Key::Activity if ids.is_none() => {
+                ids = Some(p.actions(1, activity)?);
+                Ok(())
+            }
+            Key::Strategy if strategy.is_none() => {
+                strategy = Some(p.text(1, text)?);
+                Ok(())
+            }
+            Key::K if k.is_none() => {
+                let start = p.pos;
+                p.skip_value(1)?;
+                k = Some(whole_number(&text[start..p.pos]));
+                Ok(())
+            }
+            _ => p.skip_value(1),
+        })
+    } else {
+        p.skip_value(0)
+    };
+    parsed
+        .and_then(|()| p.end())
+        .map_err(RecommendError::Syntax)?;
+    match ids {
+        Some(Actions::Ids) => {}
+        Some(Actions::BadItem(..)) => return Err(RecommendError::BadActivity),
+        Some(Actions::NotArray(_)) | None => return Err(RecommendError::NoActivity),
+    }
+    Ok(RecommendBody {
+        strategy: strategy
+            .unwrap_or(Ok(None))
+            .map_err(|()| RecommendError::BadStrategy)?,
+        k: k.unwrap_or(Ok(None)).map_err(|()| RecommendError::BadK)?,
+    })
+}
+
+/// A checked number or `null` as `k` reads it: `Ok(None)` for `null`,
+/// `Ok(Some(n))` for a whole number in `0..=u64::MAX`, else `Err`. The
+/// vendored parser reads a number without `.eE+-` (after the sign) as an
+/// `i64`, else a `u64`, else an `f64`, and one with them as an `f64`;
+/// `Value::as_u64` then takes a non-negative integer, or a float that is
+/// whole and below 1.9e19 (saturating at `u64::MAX`).
+fn whole_number(value: &str) -> Result<Option<u64>, ()> {
+    if value == "null" {
+        return Ok(None);
+    }
+    if !value.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+        return Err(());
+    }
+    let unsigned = value.strip_prefix('-').unwrap_or(value);
+    let whole = if unsigned.bytes().all(|b| b.is_ascii_digit()) {
+        match (value.parse::<i64>(), value.parse::<u64>()) {
+            (Ok(i), _) => u64::try_from(i).ok(),
+            (_, Ok(u)) => Some(u),
+            _ => value.parse::<f64>().ok().and_then(float_as_u64),
+        }
+    } else {
+        value.parse::<f64>().ok().and_then(float_as_u64)
+    };
+    whole.map(Some).ok_or(())
+}
+
+/// `Value::as_u64` of a float.
+fn float_as_u64(f: f64) -> Option<u64> {
+    (f.fract() == 0.0 && (0.0..1.9e19).contains(&f)).then_some(f as u64)
+}
+
 /// What an append body holds.
 enum Body {
     /// No `implementations` field: the body is one record (or the reason
@@ -305,12 +433,16 @@ fn is_ws(b: u8) -> bool {
     matches!(b, b' ' | b'\t' | b'\n' | b'\r')
 }
 
-/// The object keys the schema knows; every other key is skipped.
+/// The object keys the schemas know (records and append bodies, then
+/// recommend bodies); every other key is skipped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Key {
     Goal,
     Actions,
     Implementations,
+    Activity,
+    Strategy,
+    K,
     Other,
 }
 
@@ -320,6 +452,9 @@ impl Key {
             b"goal" => Key::Goal,
             b"actions" => Key::Actions,
             b"implementations" => Key::Implementations,
+            b"activity" => Key::Activity,
+            b"strategy" => Key::Strategy,
+            b"k" => Key::K,
             _ => Key::Other,
         }
     }
@@ -400,7 +535,6 @@ impl Fields {
 }
 
 /// The source text of a rejected value, shortened for an error message.
-// goalrec-lint:allow(hot-path-alloc): reject path — quotes a value only for a bad record's message
 fn show(bytes: &[u8], (start, end): Span) -> String {
     const MAX: usize = 64;
     let text = String::from_utf8_lossy(&bytes[start..end]);
@@ -564,6 +698,31 @@ impl<'a> Cursor<'a> {
             Ok(())
         })?;
         Ok(verdict)
+    }
+
+    /// A string or `null` held in a container at `depth`: `Ok(Some(_))`
+    /// for a string (decoded; borrowed from `text`, the cursor's input,
+    /// when it has no escapes), `Ok(None)` for `null`, `Err` for any
+    /// other value (skipped).
+    fn text<'t>(
+        &mut self,
+        depth: usize,
+        text: &'t str,
+    ) -> Result<Result<Option<Cow<'t, str>>, ()>, SyntaxError> {
+        match self.peek() {
+            Some(b'"') => {
+                let start = self.pos + 1;
+                self.string()?;
+                let raw = &text[start..self.pos - 1];
+                Ok(Ok(Some(if raw.contains('\\') {
+                    Cow::Owned(unescape(raw.as_bytes()))
+                } else {
+                    Cow::Borrowed(raw)
+                })))
+            }
+            Some(b'n') => self.literal(b"null").map(|()| Ok(None)),
+            _ => self.skip_value(depth).map(|()| Err(())),
+        }
     }
 
     /// The value of an `implementations` field in an object at `depth`.
@@ -743,9 +902,7 @@ impl<'a> Cursor<'a> {
             column: start + 1,
             what: "invalid number",
         })?;
-        Ok((f.fract() == 0.0 && (0.0..1.9e19).contains(&f))
-            .then_some(f as u64)
-            .and_then(|n| u32::try_from(n).ok()))
+        Ok(float_as_u64(f).and_then(|n| u32::try_from(n).ok()))
     }
 }
 

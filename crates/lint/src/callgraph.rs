@@ -160,7 +160,15 @@ pub fn alloc_sites(toks: &[Token], body: (usize, usize)) -> Vec<Site> {
 /// roots (cold-marked defs block traversal), then flag every
 /// allocation/blocking site inside a reached body, each finding carrying
 /// its root → … → site trace.
-pub fn hot_path_alloc(graph: &CallGraph, files: &[(String, Lexed)], findings: &mut Vec<Finding>) {
+///
+/// Returns the cold-marks that did something — (file, `fn` line) of each
+/// cold-marked def that is a root or is called from a reached def — so
+/// the engine does not report their directives as stale.
+pub fn hot_path_alloc(
+    graph: &CallGraph,
+    files: &[(String, Lexed)],
+    findings: &mut Vec<Finding>,
+) -> Vec<(String, u32)> {
     let lexed_of: std::collections::BTreeMap<&str, &Lexed> =
         files.iter().map(|(r, l)| (r.as_str(), l)).collect();
     let cold: Vec<bool> = graph
@@ -172,9 +180,20 @@ pub fn hot_path_alloc(graph: &CallGraph, files: &[(String, Lexed)], findings: &m
         .filter(|&i| is_root(&graph.defs[i]))
         .collect();
     if roots.is_empty() {
-        return;
+        return Vec::new();
     }
     let reach = graph.reach(&roots, &|i| cold[i]);
+    let mut blocking = vec![false; cold.len()];
+    for &r in &roots {
+        blocking[r] = cold[r];
+    }
+    for (u, edges) in graph.edges.iter().enumerate() {
+        if reach.reached(u) {
+            for &(v, _) in edges {
+                blocking[v] |= cold[v];
+            }
+        }
+    }
     for i in 0..graph.defs.len() {
         if !reach.reached(i) {
             continue;
@@ -208,6 +227,10 @@ pub fn hot_path_alloc(graph: &CallGraph, files: &[(String, Lexed)], findings: &m
             });
         }
     }
+    (0..graph.defs.len())
+        .filter(|&i| blocking[i])
+        .map(|i| (graph.defs[i].file.clone(), graph.defs[i].line))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ use crate::config::{parse_config, LintConfig};
 use crate::graph;
 use crate::lexer::{lex, Lexed};
 use crate::rules::{
-    readme_metrics, registry_names, registry_namespaces, source_rules, Finding,
+    readme_metrics, registry_names, registry_namespaces, source_rules, Finding, HOT_PATH_ALLOC,
     METRIC_NAME_REGISTRY, METRIC_REGISTRY_PATH, RULES, SUPPRESSION_FORMAT,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -83,7 +83,7 @@ pub fn run_workspace_with(root: &Path, opts: &RunOptions) -> Result<RunResult, S
     }
     let deps = crate_deps(&crates_dir);
     let call_graph = graph::build_with_deps(&lexed_files, &deps);
-    callgraph::hot_path_alloc(&call_graph, &lexed_files, &mut raw);
+    let cold_marks = callgraph::hot_path_alloc(&call_graph, &lexed_files, &mut raw);
 
     // Inline suppressions apply at the finding's site, per file.
     let mut raw_by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
@@ -93,7 +93,12 @@ pub fn run_workspace_with(root: &Path, opts: &RunOptions) -> Result<RunResult, S
     let mut findings = Vec::new();
     for (rel, lexed) in &lexed_files {
         let file_raw = raw_by_file.remove(rel.as_str()).unwrap_or_default();
-        findings.extend(apply_suppressions(rel, lexed, file_raw));
+        let marked: Vec<u32> = cold_marks
+            .iter()
+            .filter(|(file, _)| file == rel)
+            .map(|&(_, line)| line)
+            .collect();
+        findings.extend(apply_suppressions(rel, lexed, file_raw, &marked));
     }
     // Findings in files without a lexed source (shouldn't happen) pass
     // through unsuppressed.
@@ -241,10 +246,47 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, PathBuf)>) -> Result<(),
 
 /// Drops findings covered by a well-formed inline directive on the same or
 /// the preceding line, and reports malformed directives as findings of
-/// their own (which never suppress anything).
-fn apply_suppressions(file: &str, lexed: &Lexed, raw: Vec<Finding>) -> Vec<Finding> {
+/// their own (which never suppress anything). A well-formed directive
+/// that suppresses no finding and cold-marks none of the `fn` lines in
+/// `cold_marks` (the cold-marked defs the hot path would otherwise
+/// enter) is reported too: it is stale, and left in place it would
+/// silently excuse whatever lands on its lines next.
+fn apply_suppressions(
+    file: &str,
+    lexed: &Lexed,
+    raw: Vec<Finding>,
+    cold_marks: &[u32],
+) -> Vec<Finding> {
     let mut out = Vec::new();
-    for s in &lexed.suppressions {
+    let well_formed = |s: &crate::lexer::Suppression| {
+        !s.justification.is_empty() && s.rules.iter().all(|r| RULES.contains(&r.as_str()))
+    };
+    let mut used: Vec<bool> = lexed
+        .suppressions
+        .iter()
+        .map(|s| {
+            s.rules.iter().any(|r| r == HOT_PATH_ALLOC)
+                && cold_marks
+                    .iter()
+                    .any(|&line| s.line == line || s.line + 1 == line)
+        })
+        .collect();
+    for f in raw {
+        let mut suppressed = false;
+        for (i, s) in lexed.suppressions.iter().enumerate() {
+            if well_formed(s)
+                && s.rules.iter().any(|r| r == f.rule)
+                && (s.line == f.line || s.line + 1 == f.line)
+            {
+                used[i] = true;
+                suppressed = true;
+            }
+        }
+        if !suppressed {
+            out.push(f);
+        }
+    }
+    for (s, used) in lexed.suppressions.iter().zip(used) {
         let unknown: Vec<&String> = s
             .rules
             .iter()
@@ -269,17 +311,17 @@ fn apply_suppressions(file: &str, lexed: &Lexed, raw: Vec<Finding>) -> Vec<Findi
                           `// goalrec-lint:allow(<rule>): <why this is safe>`"
                     .to_owned(),
             });
-        }
-    }
-    for f in raw {
-        let suppressed = lexed.suppressions.iter().any(|s| {
-            !s.justification.is_empty()
-                && s.rules.iter().all(|r| RULES.contains(&r.as_str()))
-                && s.rules.iter().any(|r| r == f.rule)
-                && (s.line == f.line || s.line + 1 == f.line)
-        });
-        if !suppressed {
-            out.push(f);
+        } else if !used {
+            out.push(Finding {
+                rule: SUPPRESSION_FORMAT,
+                file: file.to_owned(),
+                line: s.line,
+                message: format!(
+                    "suppression of {} excuses no finding on this line or the next; \
+                     delete the stale directive",
+                    s.rules.join(", ")
+                ),
+            });
         }
     }
     out
@@ -381,7 +423,7 @@ z.unwrap();
             finding(crate::rules::NO_PANIC_PATHS, "f.rs", 3),
             finding(crate::rules::NO_PANIC_PATHS, "f.rs", 5),
         ];
-        let kept = apply_suppressions("f.rs", &lexed, raw);
+        let kept = apply_suppressions("f.rs", &lexed, raw, &[]);
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].line, 5);
     }
@@ -397,7 +439,7 @@ y.unwrap(); // goalrec-lint:allow(no-such-rule): justified
             finding(crate::rules::NO_PANIC_PATHS, "f.rs", 1),
             finding(crate::rules::NO_PANIC_PATHS, "f.rs", 2),
         ];
-        let kept = apply_suppressions("f.rs", &lexed, raw);
+        let kept = apply_suppressions("f.rs", &lexed, raw, &[]);
         // Two directive findings plus the two unsuppressed originals.
         assert_eq!(kept.len(), 4);
         assert_eq!(

@@ -119,7 +119,10 @@ pub fn lex(src: &str) -> Lexed {
                 i += 1;
             }
             let text: String = cs[start..i].iter().collect();
-            if let Some(s) = parse_suppression(&text, line) {
+            // Doc comments (`///`, `//!`) are prose: one that quotes the
+            // directive syntax is not a directive.
+            let doc = text.starts_with("///") || text.starts_with("//!");
+            if let Some(s) = parse_suppression(&text, line).filter(|_| !doc) {
                 suppressions.push(s);
             }
             // A run of `//` lines with no code between them is one logical
@@ -633,6 +636,8 @@ z.load(o);
 x.unwrap(); // goalrec-lint:allow(no-panic-paths): fixture boundary, cannot fail
 // goalrec-lint:allow(raw-id-cast, no-panic-paths): two rules
 y.unwrap(); // goalrec-lint:allow(no-panic-paths)
+/// Prose quoting `goalrec-lint:allow(no-panic-paths): why` is no directive.
+//! Nor in module docs: `goalrec-lint:allow(hot-path-alloc): why`.
 ";
         let lexed = lex(src);
         assert_eq!(lexed.suppressions.len(), 3);

@@ -165,6 +165,26 @@ fn hot_alloc_clean_workspace_reports_nothing() {
 }
 
 #[test]
+fn stale_directives_are_findings_of_their_own() {
+    let result = run_workspace(&fixture("stale_allow_ws")).unwrap();
+    assert_eq!(
+        triples(&result),
+        vec![
+            // A cold-mark on a function no root calls.
+            ("crates/core/src/directives.rs", 24, SUPPRESSION_FORMAT),
+            // A site suppression with nothing to suppress.
+            ("crates/core/src/directives.rs", 35, SUPPRESSION_FORMAT),
+            // The used cold-mark (line 18), the used suppression (line 30)
+            // and the doc prose quoting the syntax (line 39) are clean.
+        ]
+    );
+    assert!(result.findings[0]
+        .message
+        .contains("suppression of hot-path-alloc excuses no finding"));
+    assert!(result.findings[1].message.contains("no-panic-paths"));
+}
+
+#[test]
 fn seqcst_is_flagged_even_with_a_comment() {
     let result = run_workspace(&fixture("seqcst_unjustified_ws")).unwrap();
     assert_eq!(

@@ -279,6 +279,14 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Bytes of a response head besides the reason phrase, the content type
+/// and extra headers: the fixed text, a `u16` status, a `usize`
+/// length and the longer connection token.
+const HEAD_WIDTH: usize =
+    "HTTP/1.1  \r\ncontent-type: \r\ncontent-length: \r\nconnection: keep-alive\r\n\r\n".len()
+        + 5
+        + 20;
+
 /// One response ready to serialize.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -295,12 +303,13 @@ pub struct Response {
 }
 
 impl Response {
-    /// A JSON response.
-    pub fn json(status: u16, body: String) -> Self {
+    /// A JSON response; `body` is JSON text, as a `String` or as the
+    /// bytes of one.
+    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Self {
         Response {
             status,
             content_type: "application/json",
-            body: body.into_bytes(),
+            body: body.into(),
             // goalrec-lint:allow(hot-path-alloc): zero-capacity placeholder — allocates only if headers are added
             extra_headers: Vec::new(),
             close: false,
@@ -339,19 +348,28 @@ impl Response {
     }
 
     /// Serializes the response. `keep_alive` reflects the request side;
-    /// `close: true` overrides it.
+    /// `close: true` overrides it. Head and body go out in one write from
+    /// one buffer, sized once (the response's one allocation).
     pub fn write_to<W: Write>(&self, w: &mut W, keep_alive: bool) -> Result<(), ServerError> {
         let alive = keep_alive && !self.close;
-        // goalrec-lint:allow(hot-path-alloc): response framing — the head string is the per-response write buffer
-        let head = format!(
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
+        let reason = reason(self.status);
+        let extra: usize = self
+            .extra_headers
+            .iter()
+            .map(|(name, value)| name.len() + value.len() + 4)
+            .sum();
+        let mut out = Vec::with_capacity(
+            HEAD_WIDTH + reason.len() + self.content_type.len() + extra + self.body.len(),
+        );
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(
+            out,
+            "HTTP/1.1 {} {reason}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
             self.status,
-            reason(self.status),
             self.content_type,
             self.body.len(),
             if alive { "keep-alive" } else { "close" },
         );
-        let mut out = head.into_bytes();
         for (name, value) in &self.extra_headers {
             out.extend_from_slice(name.as_bytes());
             out.extend_from_slice(b": ");

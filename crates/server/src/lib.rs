@@ -43,6 +43,7 @@ pub mod reload;
 pub mod router;
 pub mod shutdown;
 pub mod state;
+mod wire;
 
 pub use args::{parse_args, USAGE};
 pub use error::ServerError;

@@ -1013,9 +1013,12 @@ mod tests {
         for s in default_strategies() {
             assert_eq!(s.rank(model, &h, 5), s.rank(&built, &h, 5), "{}", s.name());
         }
-        // Display names degrade to the synthetic ids a v2 file can store.
-        assert_eq!(st.action_name(ActionId::new(0)), "a0");
+        // Display names degrade to the synthetic ids a v2 file can store:
+        // rendered as `a{id}` until the library is materialised, then
+        // read from its dictionary of those same names.
+        assert_eq!(st.resolve_action(ActionId::new(0)), None);
         assert_eq!(st.library().unwrap().len(), built.num_impls());
+        assert_eq!(st.resolve_action(ActionId::new(0)), Some("a0"));
         assert_eq!(st.stats().num_implementations, built.num_impls());
 
         // A corrupted v2 file is rejected before anything swaps.

@@ -13,31 +13,35 @@
 //!
 //! The recommend body is `{"activity": [u32, …], "strategy": "breadth" |
 //! "best-match" | "focus-cmp" | "focus-cl", "k": usize}` with `strategy`
-//! and `k` optional. The append body is read by the byte-level record
-//! parser that also reads library files and the append WAL
-//! (`goalrec_datasets::record`), so a row is accepted or refused the same
-//! way on every ingest path; the other JSON bodies go through the
-//! vendored `serde_json`. Both refuse nesting deeper than 128 levels with
-//! a `400`. Every handler returns `Result<Response, ServerError>`
-//! and the connection layer turns errors into their status-coded JSON
-//! envelopes, so nothing in here can abort a worker.
+//! and `k` optional. Recommend and append bodies are read by the
+//! byte-level record parser that also reads library files and the append
+//! WAL (`goalrec_datasets::record`), so neither goes through a
+//! `serde_json` value tree, and an append row is accepted or refused the
+//! same way on every ingest path; the recommend response is written
+//! straight to bytes (`wire.rs`). Only the control-plane bodies (reload)
+//! go through the vendored `serde_json`. Every body parser refuses
+//! nesting deeper than 128 levels with a `400`. Every handler returns
+//! `Result<Response, ServerError>` and the connection layer turns errors
+//! into their status-coded JSON envelopes, so nothing in here can abort a
+//! worker.
 //!
 //! Workers hand requests to [`handle`] with a [`ServeCtx`] and their own
 //! [`WorkerArena`]; the handler loads one [`AppState`] snapshot up front,
 //! so a hot reload landing mid-request never changes the model a request
 //! is being answered from. The recommend route ranks through core's
 //! [`Strategy::rank_into`] — the same ranking repro, eval and batch
-//! run — into the worker's arena, so steady-state recommends never touch
-//! the allocator.
+//! run — into the worker's arena, so a steady-state recommend allocates
+//! only its activity set and its response body.
 
 use crate::debug::InflightRegistry;
 use crate::error::ServerError;
 use crate::http::{Request, Response};
 use crate::reload::ReloadHandle;
 use crate::state::{AppState, StateCell};
+use crate::wire;
 use goalrec_core::{
-    Activity, BestMatch, Breadth, Focus, FocusVariant, ObservedStrategy, Scored, Scratch,
-    StatsReport, Strategy,
+    Activity, BestMatch, Breadth, Focus, FocusVariant, ObservedStrategy, Scratch, StatsReport,
+    Strategy,
 };
 use goalrec_obs::{self as obs, names};
 use serde_json::Value;
@@ -193,16 +197,19 @@ impl ServeCtx {
         self.strategies
             .iter()
             .find(|s| s.api_name == api_name)
-            // goalrec-lint:allow(hot-path-alloc): reject path — the error response owns the unknown name
             .ok_or_else(|| ServerError::UnknownStrategy(api_name.to_owned()))
     }
 }
 
-/// One worker's reusable per-request memory: core's ranking arena.
-/// Workers own exactly one for their lifetime, so steady-state
-/// recommends never touch the allocator.
+/// One worker's reusable per-request memory: core's ranking arena and
+/// the buffer a recommend body's activity ids are read into. Workers own
+/// exactly one for their lifetime; its buffers grow to the largest
+/// request served and are reused from then on, so a warm recommend
+/// allocates only its activity set and its response body (pinned by
+/// `tests/request_allocations.rs`).
 pub struct WorkerArena {
     scratch: Scratch,
+    ids: Vec<u32>,
 }
 
 impl WorkerArena {
@@ -212,6 +219,7 @@ impl WorkerArena {
     pub fn new() -> Self {
         WorkerArena {
             scratch: Scratch::new(),
+            ids: Vec::new(),
         }
     }
 }
@@ -259,7 +267,7 @@ pub fn handle(
         ("GET", "/v1/stats") => Ok(stats(ctx, &state)),
         ("GET", "/debug/traces") => Ok(debug_traces(ctx, request)),
         ("GET", "/debug/requests") => Ok(debug_requests(ctx)),
-        ("POST", "/v1/recommend") => recommend(ctx, &state, request, &mut arena.scratch, trace),
+        ("POST", "/v1/recommend") => recommend(ctx, &state, request, arena, trace),
         ("POST", "/v1/admin/reload") => admin_reload(ctx, request),
         ("POST", "/v1/admin/library/append") => admin_append(ctx, request),
         (_, "/healthz")
@@ -490,99 +498,6 @@ fn admin_append(ctx: &ServeCtx, request: &Request) -> Result<Response, ServerErr
     Ok(Response::json(200, doc.to_string()))
 }
 
-/// Parsed `/v1/recommend` body.
-struct RecommendParams {
-    activity: Vec<u32>,
-    strategy: String,
-    k: usize,
-}
-
-fn parse_recommend_body(body: &[u8]) -> Result<RecommendParams, ServerError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| ServerError::BadRequest("body is not valid UTF-8".to_owned()))?;
-    if text.trim().is_empty() {
-        return Err(ServerError::BadRequest(
-            "empty body; expected {\"activity\": [..], \"strategy\": .., \"k\": ..}".to_owned(),
-        ));
-    }
-    let doc: Value = serde_json::from_str(text)
-        // goalrec-lint:allow(hot-path-alloc): reject path — the parse error message is built only for bad bodies
-        .map_err(|e| ServerError::BadRequest(format!("invalid JSON body: {e}")))?;
-
-    let activity = match doc.get("activity") {
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|u| u32::try_from(u).ok())
-                    .ok_or_else(|| {
-                        ServerError::BadRequest(
-                            "'activity' must be an array of non-negative action ids".to_owned(),
-                        )
-                    })
-            })
-            .collect::<Result<Vec<u32>, ServerError>>()?,
-        _ => {
-            return Err(ServerError::BadRequest(
-                "missing 'activity' (array of action ids)".to_owned(),
-            ))
-        }
-    };
-
-    let strategy = match doc.get("strategy") {
-        None | Some(Value::Null) => "breadth".to_owned(),
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| ServerError::BadRequest("'strategy' must be a string".to_owned()))?
-            .to_owned(),
-    };
-
-    let k = match doc.get("k") {
-        None | Some(Value::Null) => 10,
-        Some(v) => v
-            .as_u64()
-            .and_then(|u| usize::try_from(u).ok())
-            .filter(|&k| k > 0)
-            .ok_or_else(|| ServerError::BadRequest("'k' must be a positive integer".to_owned()))?,
-    };
-
-    Ok(RecommendParams {
-        activity,
-        strategy,
-        k,
-    })
-}
-
-/// Renders the recommend response from a ranked slice. The response
-/// body is the documented per-request allocation.
-fn render_recommendation(
-    state: &AppState,
-    strategy: &str,
-    k: usize,
-    activity: &Activity,
-    ranked: &[Scored],
-) -> Response {
-    let items: Vec<Value> = ranked
-        .iter()
-        .map(|s| {
-            serde_json::json!({
-                "action": s.action.raw(),
-                "name": state.action_name(s.action),
-                "score": s.score,
-            })
-        })
-        // goalrec-lint:allow(hot-path-alloc): the response body is the documented per-request allocation
-        .collect();
-    let doc = serde_json::json!({
-        "strategy": strategy,
-        "k": k,
-        "activity": activity.raw().to_vec(),
-        "recommendations": items,
-    });
-    // goalrec-lint:allow(hot-path-alloc): the response body is the documented per-request allocation
-    Response::json(200, doc.to_string())
-}
-
 /// Admits an activity against the served id extent (see
 /// [`AppState::num_actions`]): staged-only actions are servable the
 /// moment the append returns.
@@ -606,24 +521,22 @@ fn recommend(
     ctx: &ServeCtx,
     state: &AppState,
     request: &Request,
-    scratch: &mut Scratch,
+    arena: &mut WorkerArena,
     trace: &mut obs::TraceContext,
 ) -> Result<Response, ServerError> {
-    let params = parse_recommend_body(&request.body)?;
-    check_activity(state.num_actions(), &params.activity)?;
+    let params = wire::parse_body(&request.body, &mut arena.ids)?;
+    check_activity(state.num_actions(), &arena.ids)?;
     let served = ctx.strategy(&params.strategy)?;
-    let activity = Activity::from_raw(params.activity.iter().copied());
-    let ranked =
-        served
-            .strategy
-            .rank_into_traced(state.live(), &activity, params.k, scratch, trace);
-    Ok(render_recommendation(
-        state,
-        &params.strategy,
-        params.k,
+    let activity = Activity::from_raw(arena.ids.iter().copied());
+    let ranked = served.strategy.rank_into_traced(
+        state.live(),
         &activity,
-        ranked,
-    ))
+        params.k,
+        &mut arena.scratch,
+        trace,
+    );
+    let body = wire::render(state, &params.strategy, params.k, activity.raw(), ranked);
+    Ok(Response::json(200, body))
 }
 
 /// The paper's rankings as core computes them offline, for checking the
@@ -700,7 +613,8 @@ pub(crate) mod oracle {
     }
 
     /// The bodies [`served_bodies`] must equal: core [`GoalRecommender`]
-    /// on a fresh `GoalModel::build` of `merged`, rendered like the route.
+    /// on a fresh `GoalModel::build` of `merged`, rendered by the
+    /// `serde_json` oracle of the route's writer.
     /// Display names come from `state`'s catalog; the ranking (ids,
     /// scores, order) comes from the fresh build alone.
     pub(crate) fn expected_bodies(
@@ -722,7 +636,7 @@ pub(crate) mod oracle {
                 };
                 let h = Activity::from_raw(activity.iter().copied());
                 let ranked = GoalRecommender::new(Arc::clone(&model), strategy).recommend(&h, k);
-                out.push(render_recommendation(state, name, k, &h, &ranked).body);
+                out.push(wire::oracle::render(state, name, k, h.raw(), &ranked));
             }
         }
         out

@@ -209,16 +209,13 @@ impl AppState {
             .ok_or_else(|| ServerError::Internal("library cache lost a completed init".to_owned()))
     }
 
-    /// Resolves an action id to a display name without forcing the
-    /// library rebuild: real names when the library exists, the same
-    /// synthetic `a{raw}` that [`GoalModel::to_library`] would mint when
-    /// it does not.
-    pub fn action_name(&self, action: ActionId) -> String {
-        match self.catalog.library.get() {
-            Some(lib) => lib.action_name(action),
-            // goalrec-lint:allow(hot-path-alloc): response assembly renders display names per request
-            None => format!("a{}", action.raw()),
-        }
+    /// The display name of `action`, borrowed from the library's
+    /// dictionary, without forcing the library rebuild. `None` when the
+    /// generation has no library yet or the id is beyond its dictionary
+    /// (a staged-only action): the name is then `a{raw}`, the same
+    /// synthetic name [`GoalModel::to_library`] would mint.
+    pub fn resolve_action(&self, action: ActionId) -> Option<&str> {
+        self.catalog.library.get()?.resolve_action(action)
     }
 }
 
