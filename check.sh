@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full verification pipeline: what CI would run.
 #
-#   ./check.sh                build, lint, tests, docs (warnings denied),
-#                             examples, repro smoke, server smokes, and the
-#                             release-mode hot-path guard rails
+#   ./check.sh                build, goalrec-lint, clippy, tests, docs
+#                             (warnings denied), examples, repro smoke,
+#                             server smokes, and the release-mode hot-path
+#                             guard rails
 #
 # End-to-end performance is measured by perfbench/ (see BENCHMARK.json);
 # the guard rails here are in-process timing gates (BestMatch p95,
@@ -19,6 +20,9 @@ cargo build --workspace --all-targets
 
 echo "== static analysis =="
 cargo run -q -p goalrec-lint --bin goalrec-lint -- --baseline lint-baseline.json
+
+echo "== clippy (warnings denied; library crates deny panics and undocumented unsafe) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tests =="
 cargo test --workspace

@@ -27,7 +27,6 @@ impl Activity {
 
     /// Builds an activity from raw ids; sorts and dedups.
     pub fn from_raw<I: IntoIterator<Item = u32>>(ids: I) -> Self {
-        // goalrec-lint:allow(hot-path-alloc): request decode owns its activity buffer — one Vec per request
         let mut v: Vec<u32> = ids.into_iter().collect();
         setops::normalize(&mut v);
         Self(v)

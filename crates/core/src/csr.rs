@@ -103,7 +103,6 @@ impl DerefMut for CsrBacking {
 impl Clone for CsrBacking {
     /// Owned backings deep-copy; mapped backings stay shared views (the
     /// keepalive `Arc` clone is what extends the buffer's lifetime).
-    // goalrec-lint:allow(hot-path-alloc): serving shares one Arc<GoalModel>; backings are only cloned by reload/compaction, never per request
     fn clone(&self) -> Self {
         match self {
             CsrBacking::Owned(b) => CsrBacking::Owned(b.clone()),

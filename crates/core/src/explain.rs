@@ -47,7 +47,6 @@ pub struct Explanation {
 
 impl Explanation {
     /// Number of distinct goals the action advances.
-    // goalrec-lint:allow(hot-path-alloc): explain-side introspection; name-aliases with the model/view `num_goals` accessors the ranking path calls
     pub fn num_goals(&self) -> usize {
         let mut goals: Vec<u32> = self.justifications.iter().map(|j| j.goal.raw()).collect();
         setops::normalize(&mut goals);

@@ -116,7 +116,10 @@ impl Interner {
         if let Some(&id) = self.lookup.get(name) {
             return id;
         }
-        // goalrec-lint:allow(no-panic-paths): the id space is u32 by design (see module docs); interning more than 4B names is out of scope for the paper's datasets
+        #[expect(
+            clippy::expect_used,
+            reason = "the id space is u32 by design (see module docs); interning more than 4B names is out of scope for the paper's datasets"
+        )]
         let id = u32::try_from(self.names.len()).expect("more than u32::MAX interned names");
         self.names.push(name.to_owned());
         self.lookup.insert(name.to_owned(), id);

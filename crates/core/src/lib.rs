@@ -47,6 +47,19 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::dbg_macro,
+        clippy::undocumented_unsafe_blocks,
+        clippy::missing_safety_doc
+    )
+)]
 
 pub mod activity;
 pub mod batch;

@@ -336,8 +336,11 @@ impl StatsReport {
     }
 
     /// Pretty-printed JSON — the exact bytes both consumers emit.
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing a plain struct of names and numbers cannot fail; an error here is a serializer bug, not input"
+    )]
     pub fn to_json_pretty(&self) -> String {
-        // goalrec-lint:allow(no-panic-paths): serializing a plain struct of names and numbers cannot fail; an error here is a serializer bug, not input
         serde_json::to_string_pretty(self).expect("stats serialization is infallible")
     }
 }

@@ -239,9 +239,12 @@ impl FoodMart {
                     .collect::<Vec<_>>(),
             ));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the generator mints ids below the bounds it passes; a failure here is a generator bug, not user input"
+        )]
         let library =
             GoalLibrary::from_id_implementations(cfg.num_products as u32, next_dish.max(1), impls)
-                // goalrec-lint:allow(no-panic-paths): the generator mints ids below the bounds it passes; a failure here is a generator bug, not user input
                 .expect("generator produces valid implementations");
 
         // Users and carts. Noise items follow a steeper popularity curve

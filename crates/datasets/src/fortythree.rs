@@ -161,12 +161,15 @@ impl FortyThings {
                 actions.into_iter().map(ActionId::new).collect::<Vec<_>>(),
             ));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the generator mints ids below the bounds it passes; a failure here is a generator bug, not user input"
+        )]
         let library = GoalLibrary::from_id_implementations(
             cfg.num_actions as u32,
             cfg.num_goals as u32,
             impls,
         )
-        // goalrec-lint:allow(no-panic-paths): the generator mints ids below the bounds it passes; a failure here is a generator bug, not user input
         .expect("generator produces valid implementations");
 
         // Goal → implementation ids (for picking a user's chosen way).

@@ -504,7 +504,6 @@ impl Fields {
 
     /// The schema verdict once the object is read: the goal id, or the
     /// field-named reason, goal before actions.
-    // goalrec-lint:allow(hot-path-alloc): reject path — messages are built only for bad records; name-aliases with the response `finish`
     fn finish(self, bytes: &[u8], actions: &[u32]) -> Result<u32, String> {
         let goal = match self.goal {
             None => return Err("field `goal`: missing".to_owned()),
@@ -619,7 +618,6 @@ impl<'a> Cursor<'a> {
     /// One record at `depth`: the goal id (action ids in `actions`) or
     /// the field-named reason it is not a record. A value that is not an
     /// object is skipped and named.
-    // goalrec-lint:allow(hot-path-alloc): reject path — the message is built only for a non-object; name-aliases with trace recording
     fn record(
         &mut self,
         depth: usize,
@@ -944,7 +942,6 @@ fn unicode_escape(hex: Option<&[u8]>) -> Option<char> {
 }
 
 /// Decodes the body of a string already checked by [`Cursor::string`].
-// goalrec-lint:allow(hot-path-alloc): only keys written with escapes are decoded; appends are a control-plane route
 fn unescape(raw: &[u8]) -> String {
     let mut out = String::new();
     let mut i = 0;

@@ -136,7 +136,6 @@ impl AppendWal {
 
     /// Removes the log after a successful compaction has folded its
     /// records into the library file. A missing log is not an error.
-    // goalrec-lint:allow(hot-path-alloc): compaction-side WAL truncation; name-aliases with the buffer `clear()` calls on the request read path
     pub fn clear(&self) -> io::Result<()> {
         match std::fs::remove_file(&self.path) {
             Ok(()) => Ok(()),

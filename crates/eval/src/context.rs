@@ -253,7 +253,10 @@ impl FortyThreeEval {
 
 fn build_foodmart(cfg: &EvalConfig) -> FoodmartEval {
     let data = FoodMart::generate(&cfg.foodmart);
-    // goalrec-lint:allow(no-panic-paths): generated eval libraries are never empty, and the context builder has no error channel
+    #[expect(
+        clippy::expect_used,
+        reason = "generated eval libraries are never empty, and the context builder has no error channel"
+    )]
     let model = Arc::new(GoalModel::build(&data.library).expect("non-empty library"));
 
     let n_inputs = cfg
@@ -316,7 +319,10 @@ fn build_foodmart(cfg: &EvalConfig) -> FoodmartEval {
 
 fn build_fortythree(cfg: &EvalConfig) -> FortyThreeEval {
     let data = FortyThings::generate(&cfg.fortythree);
-    // goalrec-lint:allow(no-panic-paths): generated eval libraries are never empty, and the context builder has no error channel
+    #[expect(
+        clippy::expect_used,
+        reason = "generated eval libraries are never empty, and the context builder has no error channel"
+    )]
     let model = Arc::new(GoalModel::build(&data.library).expect("non-empty library"));
 
     let n_inputs = cfg

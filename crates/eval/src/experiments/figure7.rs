@@ -134,7 +134,10 @@ fn measure_library(
 ) {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ (num_impls as u64) ^ (num_actions as u64));
     let library = synthetic_library(num_impls, num_actions, cfg.impl_len, &mut rng);
-    // goalrec-lint:allow(no-panic-paths): synthetic_library always yields at least one implementation, and the scaling driver has no error channel
+    #[expect(
+        clippy::expect_used,
+        reason = "synthetic_library always yields at least one implementation, and the scaling driver has no error channel"
+    )]
     let model = GoalModel::build(&library).expect("non-empty");
     let connectivity = library.stats().connectivity;
     let model_mib = model.memory_bytes() as f64 / (1024.0 * 1024.0);
@@ -173,6 +176,10 @@ fn measure_library(
 
 /// Uniform synthetic library: connectivity ≈ `num_impls × impl_len /
 /// num_actions`, exactly the knob both sweeps turn.
+#[expect(
+    clippy::expect_used,
+    reason = "ids are generated modulo the bounds passed to the library constructor"
+)]
 fn synthetic_library(
     num_impls: usize,
     num_actions: usize,
@@ -195,7 +202,6 @@ fn synthetic_library(
         })
         .collect();
     GoalLibrary::from_id_implementations(num_actions as u32, num_impls as u32, impls)
-        // goalrec-lint:allow(no-panic-paths): ids are generated modulo the bounds passed on the previous line
         .expect("valid synthetic library")
 }
 

@@ -92,7 +92,6 @@ impl StreamFaults {
 }
 
 fn injected(kind: &str) -> io::Error {
-    // goalrec-lint:allow(hot-path-alloc): fault injection — the error is the deliberately injected failure
     io::Error::other(format!("injected fault: {kind}"))
 }
 
@@ -125,7 +124,6 @@ impl StreamFaults {
                 match &event.kind {
                     FaultKind::ReadError => return Action::Fail("read error"),
                     FaultKind::ShortRead => return Action::Short,
-                    // goalrec-lint:allow(hot-path-alloc): fault injection — the stall IS the injected fault
                     FaultKind::Stall(d) => std::thread::sleep(*d),
                     // Write-side kinds are filtered out above.
                     FaultKind::WriteError | FaultKind::TornWrite => {}

@@ -280,7 +280,7 @@ mod tests {
     #[test]
     fn render_parse_roundtrip() {
         let rows = vec![
-            row("hot-path-alloc", "crates/server/src/router.rs", 2),
+            row("metric-name-registry", "crates/server/src/router.rs", 2),
             row("raw-id-cast", "crates/core/src/model.rs", 7),
         ];
         assert_eq!(parse(&render(&rows)).unwrap(), rows);

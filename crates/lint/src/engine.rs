@@ -1,21 +1,19 @@
-//! The lint driver: walks the workspace, lexes every file once, builds the
-//! call graph, runs the per-file and call-graph rules, applies inline
-//! suppressions and the `lint.toml` allowlist, and cross-checks the metric
-//! registry against the README.
+//! The lint driver: walks the workspace, lexes every file once, runs the
+//! per-file rules, applies inline suppressions and the `lint.toml`
+//! allowlist, and cross-checks the metric registry against the README.
 //!
 //! Allowlisted findings are not dropped — they are reported separately in
 //! [`RunResult::allowed`] so the baseline machinery can diff them (new
 //! findings stay visible even for allow-listed rules).
 
-use crate::callgraph;
+use crate::concurrency;
 use crate::config::{parse_config, LintConfig};
-use crate::graph;
 use crate::lexer::{lex, Lexed};
 use crate::rules::{
-    readme_metrics, registry_names, registry_namespaces, source_rules, Finding, HOT_PATH_ALLOC,
+    readme_metrics, registry_names, registry_namespaces, source_rules, Finding,
     METRIC_NAME_REGISTRY, METRIC_REGISTRY_PATH, RULES, SUPPRESSION_FORMAT,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -35,8 +33,7 @@ pub struct RunResult {
 #[derive(Debug, Default)]
 pub struct RunOptions {
     /// When set, only findings in these workspace-relative files are
-    /// reported. The call graph is still built over the whole workspace,
-    /// so reachability through unchanged files is intact.
+    /// reported; the whole workspace is still scanned.
     pub changed_files: Option<BTreeSet<String>>,
 }
 
@@ -68,41 +65,16 @@ pub fn run_workspace_with(root: &Path, opts: &RunOptions) -> Result<RunResult, S
     let readme = read(&root.join("README.md"))?;
     let documented = readme_metrics(&readme);
 
+    // Per-file rules; inline suppressions apply at the finding's site.
     let files = collect_rs_files(root, &crates_dir)?;
-    let mut lexed_files: Vec<(String, Lexed)> = Vec::with_capacity(files.len());
-    for (rel, abs) in &files {
-        lexed_files.push((rel.clone(), lex(&read(abs)?)));
-    }
-
-    // Per-file rules, then the workspace-level call-graph pass.
-    let mut raw: Vec<Finding> = Vec::new();
-    for (rel, lexed) in &lexed_files {
-        raw.extend(source_rules(rel, lexed, &namespaces));
-        callgraph::atomic_ordering(rel, lexed, &config.atomics, &mut raw);
-        callgraph::lock_discipline(rel, lexed, &config.lock_order, &mut raw);
-    }
-    let deps = crate_deps(&crates_dir);
-    let call_graph = graph::build_with_deps(&lexed_files, &deps);
-    let cold_marks = callgraph::hot_path_alloc(&call_graph, &lexed_files, &mut raw);
-
-    // Inline suppressions apply at the finding's site, per file.
-    let mut raw_by_file: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    for f in raw {
-        raw_by_file.entry(f.file.clone()).or_default().push(f);
-    }
     let mut findings = Vec::new();
-    for (rel, lexed) in &lexed_files {
-        let file_raw = raw_by_file.remove(rel.as_str()).unwrap_or_default();
-        let marked: Vec<u32> = cold_marks
-            .iter()
-            .filter(|(file, _)| file == rel)
-            .map(|&(_, line)| line)
-            .collect();
-        findings.extend(apply_suppressions(rel, lexed, file_raw, &marked));
+    for (rel, abs) in &files {
+        let lexed = lex(&read(abs)?);
+        let mut raw = source_rules(rel, &lexed, &namespaces);
+        concurrency::atomic_ordering(rel, &lexed, &config.atomics, &mut raw);
+        concurrency::lock_discipline(rel, &lexed, &config.lock_order, &mut raw);
+        findings.extend(apply_suppressions(rel, &lexed, raw));
     }
-    // Findings in files without a lexed source (shouldn't happen) pass
-    // through unsuppressed.
-    findings.extend(raw_by_file.into_values().flatten());
 
     registry_readme_drift(&registry, &documented, &mut findings);
 
@@ -125,60 +97,6 @@ pub fn run_workspace_with(root: &Path, opts: &RunOptions) -> Result<RunResult, S
         allowed,
         files_scanned: files.len(),
     })
-}
-
-/// Transitive crate→crate dependency map from the workspace manifests.
-/// Dependencies are declared as `goalrec-<dir>` (workspace path deps), so
-/// a line scan of each `crates/<dir>/Cargo.toml` suffices. Crates without
-/// a manifest get no entry and stay unrestricted in call resolution —
-/// that keeps manifest-less test fixtures working.
-fn crate_deps(crates_dir: &Path) -> graph::CrateDeps {
-    let mut direct: graph::CrateDeps = BTreeMap::new();
-    let Ok(entries) = fs::read_dir(crates_dir) else {
-        return direct;
-    };
-    for entry in entries.flatten() {
-        let Ok(name) = entry.file_name().into_string() else {
-            continue;
-        };
-        let Ok(manifest) = fs::read_to_string(entry.path().join("Cargo.toml")) else {
-            continue;
-        };
-        let mut deps = BTreeSet::new();
-        for line in manifest.lines() {
-            let line = line.trim();
-            // Skip the crate's own `name = "goalrec-x"` line; dependency
-            // lines start with the bare `goalrec-` key.
-            let Some(rest) = line.strip_prefix("goalrec-") else {
-                continue;
-            };
-            let dep: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if !dep.is_empty() && dep != name {
-                deps.insert(dep);
-            }
-        }
-        direct.insert(name, deps);
-    }
-    // Transitive closure: small map, iterate to a fixed point.
-    loop {
-        let mut grew = false;
-        let snapshot = direct.clone();
-        for deps in direct.values_mut() {
-            for d in deps.clone() {
-                if let Some(indirect) = snapshot.get(&d) {
-                    for i in indirect {
-                        grew |= deps.insert(i.clone());
-                    }
-                }
-            }
-        }
-        if !grew {
-            return direct;
-        }
-    }
 }
 
 fn load_config(root: &Path) -> Result<LintConfig, String> {
@@ -247,30 +165,14 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<(String, PathBuf)>) -> Result<(),
 /// Drops findings covered by a well-formed inline directive on the same or
 /// the preceding line, and reports malformed directives as findings of
 /// their own (which never suppress anything). A well-formed directive
-/// that suppresses no finding and cold-marks none of the `fn` lines in
-/// `cold_marks` (the cold-marked defs the hot path would otherwise
-/// enter) is reported too: it is stale, and left in place it would
-/// silently excuse whatever lands on its lines next.
-fn apply_suppressions(
-    file: &str,
-    lexed: &Lexed,
-    raw: Vec<Finding>,
-    cold_marks: &[u32],
-) -> Vec<Finding> {
+/// that suppresses no finding is reported too: it is stale, and left in
+/// place it would silently excuse whatever lands on its lines next.
+fn apply_suppressions(file: &str, lexed: &Lexed, raw: Vec<Finding>) -> Vec<Finding> {
     let mut out = Vec::new();
     let well_formed = |s: &crate::lexer::Suppression| {
         !s.justification.is_empty() && s.rules.iter().all(|r| RULES.contains(&r.as_str()))
     };
-    let mut used: Vec<bool> = lexed
-        .suppressions
-        .iter()
-        .map(|s| {
-            s.rules.iter().any(|r| r == HOT_PATH_ALLOC)
-                && cold_marks
-                    .iter()
-                    .any(|&line| s.line == line || s.line + 1 == line)
-        })
-        .collect();
+    let mut used = vec![false; lexed.suppressions.len()];
     for f in raw {
         let mut suppressed = false;
         for (i, s) in lexed.suppressions.iter().enumerate() {
@@ -398,6 +300,7 @@ fn pattern_covers(pattern: &str, name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::RAW_ID_CAST;
 
     fn finding(rule: &'static str, file: &str, line: u32) -> Finding {
         Finding {
@@ -411,19 +314,19 @@ mod tests {
     #[test]
     fn suppression_covers_same_and_next_line() {
         let src = "\
-// goalrec-lint:allow(no-panic-paths): boundary checked above
-x.unwrap();
-y.unwrap(); // goalrec-lint:allow(no-panic-paths): cannot be empty here
+// goalrec-lint:allow(raw-id-cast): boundary checked above
+x as u32;
+y as u32; // goalrec-lint:allow(raw-id-cast): cannot overflow here
 
-z.unwrap();
+z as u32;
 ";
         let lexed = lex(src);
         let raw = vec![
-            finding(crate::rules::NO_PANIC_PATHS, "f.rs", 2),
-            finding(crate::rules::NO_PANIC_PATHS, "f.rs", 3),
-            finding(crate::rules::NO_PANIC_PATHS, "f.rs", 5),
+            finding(RAW_ID_CAST, "f.rs", 2),
+            finding(RAW_ID_CAST, "f.rs", 3),
+            finding(RAW_ID_CAST, "f.rs", 5),
         ];
-        let kept = apply_suppressions("f.rs", &lexed, raw, &[]);
+        let kept = apply_suppressions("f.rs", &lexed, raw);
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].line, 5);
     }
@@ -431,15 +334,15 @@ z.unwrap();
     #[test]
     fn bad_directives_become_findings_and_do_not_suppress() {
         let src = "\
-x.unwrap(); // goalrec-lint:allow(no-panic-paths)
-y.unwrap(); // goalrec-lint:allow(no-such-rule): justified
+x as u32; // goalrec-lint:allow(raw-id-cast)
+y as u32; // goalrec-lint:allow(no-such-rule): justified
 ";
         let lexed = lex(src);
         let raw = vec![
-            finding(crate::rules::NO_PANIC_PATHS, "f.rs", 1),
-            finding(crate::rules::NO_PANIC_PATHS, "f.rs", 2),
+            finding(RAW_ID_CAST, "f.rs", 1),
+            finding(RAW_ID_CAST, "f.rs", 2),
         ];
-        let kept = apply_suppressions("f.rs", &lexed, raw, &[]);
+        let kept = apply_suppressions("f.rs", &lexed, raw);
         // Two directive findings plus the two unsuppressed originals.
         assert_eq!(kept.len(), 4);
         assert_eq!(

@@ -387,7 +387,18 @@ fn skip_char_or_lifetime(cs: &[char], mut i: usize) -> usize {
     }
 }
 
-fn is_punct(t: Option<&Token>, c: char) -> bool {
+/// The identifier `t` holds, if it is one.
+pub(crate) fn ident(t: Option<&Token>) -> Option<&str> {
+    match t {
+        Some(Token {
+            tok: Tok::Ident(s), ..
+        }) => Some(s.as_str()),
+        _ => None,
+    }
+}
+
+/// Whether `t` is the punctuation character `c`.
+pub(crate) fn is_punct(t: Option<&Token>, c: char) -> bool {
     matches!(t, Some(Token { tok: Tok::Punct(p), .. }) if *p == c)
 }
 
@@ -633,23 +644,23 @@ z.load(o);
     #[test]
     fn suppression_parsing() {
         let src = "\
-x.unwrap(); // goalrec-lint:allow(no-panic-paths): fixture boundary, cannot fail
-// goalrec-lint:allow(raw-id-cast, no-panic-paths): two rules
-y.unwrap(); // goalrec-lint:allow(no-panic-paths)
-/// Prose quoting `goalrec-lint:allow(no-panic-paths): why` is no directive.
-//! Nor in module docs: `goalrec-lint:allow(hot-path-alloc): why`.
+x as u32; // goalrec-lint:allow(raw-id-cast): fixture boundary, cannot overflow
+// goalrec-lint:allow(raw-id-cast, metric-name-registry): two rules
+y as u32; // goalrec-lint:allow(raw-id-cast)
+/// Prose quoting `goalrec-lint:allow(raw-id-cast): why` is no directive.
+//! Nor in module docs: `goalrec-lint:allow(lock-discipline): why`.
 ";
         let lexed = lex(src);
         assert_eq!(lexed.suppressions.len(), 3);
         assert_eq!(lexed.suppressions[0].line, 1);
-        assert_eq!(lexed.suppressions[0].rules, vec!["no-panic-paths"]);
+        assert_eq!(lexed.suppressions[0].rules, vec!["raw-id-cast"]);
         assert_eq!(
             lexed.suppressions[0].justification,
-            "fixture boundary, cannot fail"
+            "fixture boundary, cannot overflow"
         );
         assert_eq!(
             lexed.suppressions[1].rules,
-            vec!["raw-id-cast", "no-panic-paths"]
+            vec!["raw-id-cast", "metric-name-registry"]
         );
         assert!(lexed.suppressions[2].justification.is_empty());
     }

@@ -20,8 +20,8 @@ OPTIONS:
     --format FMT           Output format: text (default), json, github
     --json                 Shorthand for --format json
     --changed-files LIST   Comma-separated workspace-relative files; only
-                           findings in them are reported (the call graph is
-                           still built over the whole workspace). Repeatable.
+                           findings in them are reported (the whole
+                           workspace is still scanned). Repeatable.
     --baseline FILE        Diff allow-listed findings against a committed
                            baseline; drift fails the run
     --write-baseline FILE  Write the current allow-listed findings as the

@@ -1,13 +1,14 @@
 //! End-to-end tests over the fixture workspaces in `tests/fixtures/`.
 //!
-//! `ws/` has one known-bad file per rule plus a clean one, a suppression
-//! pair (justified and unjustified), a `lint.toml`-covered cast, and
-//! registry↔README drift in both directions; the expected findings are
-//! asserted exactly (file, line, rule).
+//! `ws/` has known-bad files for the per-file rules plus a clean one, a
+//! suppression pair (justified and unjustified), a directive naming a
+//! retired rule, a `lint.toml`-covered cast, and registry↔README drift
+//! in both directions; the expected findings are asserted exactly (file,
+//! line, rule). The concurrency rules and stale directives have a
+//! fixture workspace each.
 
 use goalrec_lint::rules::{
-    ATOMIC_ORDERING, HOT_PATH_ALLOC, LOCK_DISCIPLINE, METRIC_NAME_REGISTRY, NO_PANIC_PATHS,
-    RAW_ID_CAST, SUPPRESSION_FORMAT,
+    ATOMIC_ORDERING, LOCK_DISCIPLINE, METRIC_NAME_REGISTRY, RAW_ID_CAST, SUPPRESSION_FORMAT,
 };
 use goalrec_lint::run_workspace;
 use std::path::PathBuf;
@@ -30,35 +31,30 @@ fn triples(result: &goalrec_lint::engine::RunResult) -> Vec<(&str, u32, &str)> {
 #[test]
 fn bad_workspace_findings_are_exact() {
     let result = run_workspace(&fixture("ws")).unwrap();
-    let got: Vec<(&str, u32, &str)> = result
-        .findings
-        .iter()
-        .map(|f| (f.file.as_str(), f.line, f.rule))
-        .collect();
     assert_eq!(
-        got,
+        triples(&result),
         vec![
             // README documents model.ghost, which is not registered.
             ("README.md", 9, METRIC_NAME_REGISTRY),
             // The unjustified trailing suppression: the directive itself is
-            // reported and the unwrap it decorates still fires.
-            ("crates/core/src/allowed.rs", 11, NO_PANIC_PATHS),
+            // reported and the literal it decorates still fires.
+            ("crates/core/src/allowed.rs", 11, METRIC_NAME_REGISTRY),
             ("crates/core/src/allowed.rs", 11, SUPPRESSION_FORMAT),
+            // A directive naming a rule the lint no longer has.
+            ("crates/core/src/allowed.rs", 18, SUPPRESSION_FORMAT),
             ("crates/core/src/bad_casts.rs", 6, RAW_ID_CAST),
             ("crates/core/src/bad_metrics.rs", 4, METRIC_NAME_REGISTRY),
-            ("crates/core/src/bad_panics.rs", 4, NO_PANIC_PATHS),
-            ("crates/core/src/bad_panics.rs", 8, NO_PANIC_PATHS),
-            ("crates/core/src/bad_panics.rs", 12, NO_PANIC_PATHS),
             // Registered model.orphan is missing from the README table.
             ("crates/obs/src/names.rs", 5, METRIC_NAME_REGISTRY),
         ]
     );
+    assert!(result.findings[3].message.contains("names no known rule"));
 }
 
 #[test]
 fn suppression_and_allowlist_escapes_work() {
     let result = run_workspace(&fixture("ws")).unwrap();
-    // The justified suppression in allowed.rs swallows its unwrap (line 7)…
+    // The justified suppression in allowed.rs swallows its literal (line 7)…
     assert!(!result
         .findings
         .iter()
@@ -68,12 +64,8 @@ fn suppression_and_allowlist_escapes_work() {
         .findings
         .iter()
         .any(|f| f.file.ends_with("allowed.rs") && f.rule == RAW_ID_CAST));
-    // The clean file and the test-gated unwrap contribute nothing.
+    // The clean file contributes nothing.
     assert!(!result.findings.iter().any(|f| f.file.ends_with("clean.rs")));
-    assert!(!result
-        .findings
-        .iter()
-        .any(|f| f.file.ends_with("bad_panics.rs") && f.line > 18));
 }
 
 #[test]
@@ -111,7 +103,7 @@ fn binary_exit_codes_and_json_are_stable() {
         .unwrap();
     assert_eq!(bad.status.code(), Some(1));
     let json = String::from_utf8(bad.stdout).unwrap();
-    assert!(json.starts_with("{\n  \"count\": 9,"), "got: {json}");
+    assert!(json.starts_with("{\n  \"count\": 7,"), "got: {json}");
     assert!(json.contains(
         "{\"file\": \"crates/core/src/bad_casts.rs\", \"line\": 6, \
          \"rule\": \"raw-id-cast\","
@@ -128,60 +120,18 @@ fn binary_exit_codes_and_json_are_stable() {
 }
 
 #[test]
-fn hot_alloc_reachable_findings_carry_the_trace() {
-    let result = run_workspace(&fixture("hot_alloc_reachable_ws")).unwrap();
-    assert_eq!(
-        triples(&result),
-        vec![
-            ("crates/core/src/hot.rs", 28, HOT_PATH_ALLOC),
-            // The multi-line `.collect()` chain is still one call.
-            ("crates/core/src/hot.rs", 33, HOT_PATH_ALLOC),
-            ("crates/core/src/hot.rs", 38, HOT_PATH_ALLOC),
-        ]
-    );
-    // Every finding explains how the root reaches the site. `Wide`'s
-    // qualified `<Greedy as Strategy>::rank_into` call also reaches
-    // `scratch`, but each definition is reported once, from one path.
-    assert!(result.findings[0].message.contains(
-        "trace: rank_into (crates/core/src/hot.rs:12) → scratch (crates/core/src/hot.rs:27)"
-    ));
-    assert!(result.findings[1]
-        .message
-        .contains("`.collect()` allocates"));
-    assert!(result.findings[2]
-        .message
-        .contains("→ nap (crates/core/src/hot.rs:37)"));
-    assert!(result.findings[2]
-        .message
-        .contains("`thread::sleep` blocks"));
-}
-
-#[test]
-fn hot_alloc_clean_workspace_reports_nothing() {
-    // The root writes only into caller-provided scratch; the allocating
-    // `report` helper exists but no root reaches it.
-    let result = run_workspace(&fixture("hot_alloc_clean_ws")).unwrap();
-    assert!(result.findings.is_empty(), "got: {:?}", result.findings);
-}
-
-#[test]
 fn stale_directives_are_findings_of_their_own() {
     let result = run_workspace(&fixture("stale_allow_ws")).unwrap();
     assert_eq!(
         triples(&result),
-        vec![
-            // A cold-mark on a function no root calls.
-            ("crates/core/src/directives.rs", 24, SUPPRESSION_FORMAT),
-            // A site suppression with nothing to suppress.
-            ("crates/core/src/directives.rs", 35, SUPPRESSION_FORMAT),
-            // The used cold-mark (line 18), the used suppression (line 30)
-            // and the doc prose quoting the syntax (line 39) are clean.
-        ]
+        // A suppression with nothing to suppress. The used suppression
+        // (line 5) and the doc prose quoting the syntax (line 14) are
+        // clean.
+        vec![("crates/core/src/directives.rs", 10, SUPPRESSION_FORMAT)]
     );
     assert!(result.findings[0]
         .message
-        .contains("suppression of hot-path-alloc excuses no finding"));
-    assert!(result.findings[1].message.contains("no-panic-paths"));
+        .contains("suppression of metric-name-registry excuses no finding"));
 }
 
 #[test]
@@ -219,7 +169,7 @@ fn changed_files_mode_narrows_the_report() {
     let root = fixture("ws");
 
     // Only bad_casts.rs is "changed": the cast finding survives, the
-    // panics findings elsewhere do not.
+    // metric findings elsewhere do not.
     let out = Command::new(bin)
         .args([
             "--root",
@@ -232,7 +182,7 @@ fn changed_files_mode_narrows_the_report() {
     assert_eq!(out.status.code(), Some(1));
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("bad_casts.rs:6"), "got: {text}");
-    assert!(!text.contains("bad_panics.rs"), "got: {text}");
+    assert!(!text.contains("bad_metrics.rs"), "got: {text}");
 
     // A clean changed file exits 0 even though the workspace has findings.
     let clean = Command::new(bin)

@@ -41,6 +41,20 @@
 //! few atomic adds; hot call sites cache the `Arc` handles returned by
 //! [`counter`]/[`gauge`]/[`histogram`] to skip the lookup entirely.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::dbg_macro,
+        clippy::undocumented_unsafe_blocks,
+        clippy::missing_safety_doc
+    )
+)]
+
 mod histogram;
 pub mod names;
 mod registry;

@@ -132,7 +132,6 @@ impl Registry {
     }
 
     /// A point-in-time, serializable copy of every metric, sorted by name.
-    // goalrec-lint:allow(hot-path-alloc): scrape-side introspection; name-aliases with TraceContext::snapshot
     pub fn snapshot(&self) -> MetricsReport {
         let counters = self
             .counters

@@ -110,8 +110,11 @@ impl MetricsReport {
     }
 
     /// Compact JSON encoding of the report.
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing a plain struct of names and numbers cannot fail; an error here is a serializer bug, not input"
+    )]
     pub fn to_json(&self) -> String {
-        // goalrec-lint:allow(no-panic-paths): serializing a plain struct of names and numbers cannot fail; an error here is a serializer bug, not input
         serde_json::to_string_pretty(self).expect("report serialization is infallible")
     }
 }

@@ -152,7 +152,6 @@ impl TailSampler {
 
     /// Retained traces matching the filters, slowest first, deduplicated
     /// by trace id (a trace can sit in both a slow set and the ring).
-    // goalrec-lint:allow(hot-path-alloc): debug-side introspection; name-aliases with TraceContext::snapshot
     pub fn snapshot(
         &self,
         route: Option<&str>,

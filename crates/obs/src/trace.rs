@@ -23,6 +23,7 @@
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -50,10 +51,14 @@ impl TraceId {
         }
     }
 
-    /// The 16-hex-digit wire form (header value, JSON field).
+    /// The 16-hex-digit wire form (header value, JSON field), in one
+    /// allocation whatever the id: `format!` would grow its buffer once
+    /// more for ids whose zero padding is written separately.
     pub fn to_hex(self) -> String {
-        // goalrec-lint:allow(hot-path-alloc): trace epilogue — renders the response header id for traced requests only
-        format!("{:016x}", self.0)
+        let mut out = String::with_capacity(16);
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{:016x}", self.0);
+        out
     }
 }
 

@@ -112,7 +112,6 @@ impl InflightRegistry {
     }
 
     /// Registers one worker's slot.
-    // goalrec-lint:allow(hot-path-alloc): runs once per worker thread at startup, not per request
     pub(crate) fn register(&self, worker: usize) -> Arc<InflightSlot> {
         let slot = Arc::new(InflightSlot {
             worker: worker as u64,

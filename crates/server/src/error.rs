@@ -2,9 +2,10 @@
 //!
 //! Everything that can go wrong — transport faults, protocol violations,
 //! admission rejections, bad request payloads — is a [`ServerError`]
-//! variant. The `goalrec-lint` `no-panic-paths` rule holds this crate to
-//! the same invariant as the model crates: a malformed request or a broken
-//! socket must never abort the process. [`ServerError::status`] maps each
+//! variant. The crate's clippy attribute (`clippy::unwrap_used`,
+//! `expect_used`, `panic`, … outside tests) holds it to the same invariant
+//! as the model crates: a malformed request or a broken socket must never
+//! abort the process. [`ServerError::status`] maps each
 //! variant to the HTTP status it is answered with; transport-level faults
 //! map to `None` because no response can reach the peer anymore.
 
@@ -101,7 +102,6 @@ impl ServerError {
             }
             _ => ServerError::Io {
                 context,
-                // goalrec-lint:allow(hot-path-alloc): IO error path — the detail string is built only on failure
                 detail: e.to_string(),
             },
         }

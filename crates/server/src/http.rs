@@ -183,20 +183,17 @@ pub fn read_request<R: Read>(
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) => (m.to_owned(), t.to_owned(), v.to_owned()),
         _ => {
-            // goalrec-lint:allow(hot-path-alloc): reject path — message built only for malformed requests
             return Err(ServerError::BadRequest(format!(
                 "malformed request line '{line}'"
             )));
         }
     };
     if version != "HTTP/1.1" && version != "HTTP/1.0" {
-        // goalrec-lint:allow(hot-path-alloc): reject path — message built only for malformed requests
         return Err(ServerError::BadRequest(format!(
             "unsupported protocol version '{version}'"
         )));
     }
 
-    // goalrec-lint:allow(hot-path-alloc): request decode — the header vector is the request's own storage
     let mut headers: Vec<(String, String)> = Vec::new();
     let mut header_bytes = 0usize;
     loop {
@@ -209,7 +206,6 @@ pub fn read_request<R: Read>(
             return Err(ServerError::HeadersTooLarge(limits.max_header_bytes));
         }
         let Some((name, value)) = line.split_once(':') else {
-            // goalrec-lint:allow(hot-path-alloc): reject path — message built only for malformed requests
             return Err(ServerError::BadRequest(format!(
                 "malformed header line '{line}'"
             )));
@@ -219,11 +215,9 @@ pub fn read_request<R: Read>(
 
     let mut request = Request {
         method,
-        // goalrec-lint:allow(hot-path-alloc): zero-capacity placeholders — String::new/Vec::new defer allocation
         path: String::new(),
         query: None,
         headers,
-        // goalrec-lint:allow(hot-path-alloc): zero-capacity placeholder, replaced by take_exact's buffer
         body: Vec::new(),
         keep_alive: version == "HTTP/1.1",
     };
@@ -252,7 +246,6 @@ pub fn read_request<R: Read>(
     if let Some(raw) = request.header("content-length") {
         let len: usize = raw
             .parse()
-            // goalrec-lint:allow(hot-path-alloc): reject path — message built only for malformed requests
             .map_err(|_| ServerError::BadRequest(format!("invalid Content-Length '{raw}'")))?;
         if len > limits.max_body_bytes {
             return Err(ServerError::BodyTooLarge(limits.max_body_bytes));
@@ -310,7 +303,6 @@ impl Response {
             status,
             content_type: "application/json",
             body: body.into(),
-            // goalrec-lint:allow(hot-path-alloc): zero-capacity placeholder — allocates only if headers are added
             extra_headers: Vec::new(),
             close: false,
         }
@@ -331,11 +323,9 @@ impl Response {
     pub fn from_error(err: &ServerError) -> Option<Self> {
         let status = err.status()?;
         let doc = serde_json::json!({
-            // goalrec-lint:allow(hot-path-alloc): error path — the envelope renders only for failed requests
             "error": err.to_string(),
             "status": status,
         });
-        // goalrec-lint:allow(hot-path-alloc): error path — the envelope renders only for failed requests
         let mut resp = Response::json(status, doc.to_string());
         if status == 503 {
             resp.extra_headers.push(("retry-after", "1".to_owned()));

@@ -27,11 +27,25 @@
 //!   before exiting. No admitted request is dropped.
 //!
 //! Everything is instrumented through `goalrec-obs` (`server.*` metrics)
-//! and every failure is a typed [`ServerError`] — the crate is held to the
-//! `goalrec-lint` `no-panic-paths` invariant like the model crates.
+//! and every failure is a typed [`ServerError`] — like the model crates,
+//! the crate denies `unwrap`/`expect`/`panic!` outside tests through the
+//! clippy attribute below.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::dbg_macro,
+        clippy::undocumented_unsafe_blocks,
+        clippy::missing_safety_doc
+    )
+)]
 
 pub mod args;
 mod debug;

@@ -17,6 +17,20 @@
 //! ([`goalrec_server::parse_args`]) into the same
 //! [`goalrec_server::run_blocking`] entry point.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::dbg_macro,
+        clippy::undocumented_unsafe_blocks,
+        clippy::missing_safety_doc
+    )
+)]
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let served = goalrec_server::parse_args(&argv)

@@ -233,7 +233,6 @@ fn respond(
 }
 
 /// One single-line JSON access-log record on stderr.
-// goalrec-lint:allow(hot-path-alloc): sampled access log — writes one stderr line every Nth traced request
 fn access_log(snap: &obs::CompletedTrace) {
     let handler_us = snap
         .spans()

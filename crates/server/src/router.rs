@@ -215,7 +215,6 @@ pub struct WorkerArena {
 impl WorkerArena {
     /// An empty arena; buffers grow to their steady-state high-water mark
     /// over the first requests and are reused from then on.
-    // goalrec-lint:allow(hot-path-alloc): worker startup — arenas are built once per worker thread, not per request
     pub fn new() -> Self {
         WorkerArena {
             scratch: Scratch::new(),
@@ -275,18 +274,15 @@ pub fn handle(
         | (_, "/v1/stats")
         | (_, "/debug/traces")
         | (_, "/debug/requests") => Err(ServerError::MethodNotAllowed {
-            // goalrec-lint:allow(hot-path-alloc): reject path — the error response owns the offending path
             path: request.path.clone(),
             allowed: "GET",
         }),
         (_, "/v1/recommend") | (_, "/v1/admin/reload") | (_, "/v1/admin/library/append") => {
             Err(ServerError::MethodNotAllowed {
-                // goalrec-lint:allow(hot-path-alloc): reject path — the error response owns the offending path
                 path: request.path.clone(),
                 allowed: "POST",
             })
         }
-        // goalrec-lint:allow(hot-path-alloc): reject path — the error response owns the offending path
         _ => Err(ServerError::NotFound(request.path.clone())),
     }
 }
@@ -302,7 +298,6 @@ fn query_param<'q>(query: &'q str, key: &str) -> Option<&'q str> {
 
 /// `GET /metrics`: the metrics snapshot, JSON by default and Prometheus
 /// text when `?format=prometheus`.
-// goalrec-lint:allow(hot-path-alloc): control-plane route — scrapes render a fresh snapshot per request
 fn metrics(request: &Request) -> Response {
     let prometheus = request
         .query
@@ -319,7 +314,6 @@ fn metrics(request: &Request) -> Response {
 /// `GET /healthz`: liveness JSON. Also refreshes the `server.model_age_ms`
 /// and `server.trace.tail_occupancy` gauges, so scrapes that only read
 /// `/metrics` see the same numbers the health probe reports.
-// goalrec-lint:allow(hot-path-alloc): control-plane route — probes assemble their JSON per request
 fn healthz(ctx: &ServeCtx, state: &AppState) -> Response {
     let model_age_ms = u64::try_from(state.model_age().as_millis()).unwrap_or(u64::MAX);
     let occupancy = ctx.tail().occupancy();
@@ -338,7 +332,6 @@ fn healthz(ctx: &ServeCtx, state: &AppState) -> Response {
 
 /// `GET /v1/stats`: the [`StatsReport`] JSON prefixed with serving-side
 /// fields (`uptime_ms`, tail-sampler occupancy, staged delta size).
-// goalrec-lint:allow(hot-path-alloc): control-plane route — the stats report is rebuilt per request
 fn stats(ctx: &ServeCtx, state: &AppState) -> Response {
     let report = StatsReport::new(state.stats().clone(), Some(obs::snapshot()));
     let text = report.to_json_pretty();
@@ -367,7 +360,6 @@ fn stats(ctx: &ServeCtx, state: &AppState) -> Response {
 
 /// `GET /debug/traces`: the retained tail traces, slowest first, with
 /// optional `route=`, `strategy=` and `min_us=` query filters.
-// goalrec-lint:allow(hot-path-alloc): control-plane route — trace introspection copies the retained tail
 fn debug_traces(ctx: &ServeCtx, request: &Request) -> Response {
     let query = request.query.as_deref().unwrap_or("");
     let route = query_param(query, "route").filter(|v| !v.is_empty());
@@ -389,7 +381,6 @@ fn debug_traces(ctx: &ServeCtx, request: &Request) -> Response {
 
 /// `GET /debug/requests`: a point-in-time snapshot of every request a
 /// worker is currently inside, with age and current span.
-// goalrec-lint:allow(hot-path-alloc): control-plane route — in-flight introspection snapshots per request
 fn debug_requests(ctx: &ServeCtx) -> Response {
     let rows = ctx.inflight().snapshot_rows();
     let doc = serde_json::json!({
@@ -419,7 +410,6 @@ fn parse_reload_body(body: &[u8]) -> Result<Option<PathBuf>, ServerError> {
     }
 }
 
-// goalrec-lint:allow(hot-path-alloc): control-plane route — reload swaps whole model generations by design
 fn admin_reload(ctx: &ServeCtx, request: &Request) -> Result<Response, ServerError> {
     let Some(handle) = ctx.reload() else {
         return Err(ServerError::ReloadFailed(
@@ -478,7 +468,6 @@ fn parse_append_body(body: &[u8], cap: usize) -> Result<Vec<(u32, Vec<u32>)>, Se
 /// delta. The supervisor WAL-logs the batch before acknowledging, so a
 /// `200` means the entries survive a crash; `delta_size` in the response
 /// is the staged total after this batch.
-// goalrec-lint:allow(hot-path-alloc): control-plane route — appends stage new library rows by design
 fn admin_append(ctx: &ServeCtx, request: &Request) -> Result<Response, ServerError> {
     let Some(handle) = ctx.reload() else {
         return Err(ServerError::ReloadFailed(

@@ -54,7 +54,6 @@ pub(crate) fn parse_body<'a>(
 }
 
 /// The `400` for a refused body.
-// goalrec-lint:allow(hot-path-alloc): reject path — the message is built only for a refused body
 fn refusal(e: RecommendError) -> ServerError {
     ServerError::BadRequest(match e {
         RecommendError::NotUtf8 => "body is not valid UTF-8".to_owned(),
