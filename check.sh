@@ -3,15 +3,18 @@
 #
 #   ./check.sh                build, goalrec-lint, clippy, tests, docs
 #                             (warnings denied), examples, repro smoke,
-#                             server smokes, and the release-mode hot-path
-#                             guard rails
+#                             and in release the chaos test and the
+#                             hot-path guard rails
 #
 # End-to-end performance is measured by perfbench/ (see BENCHMARK.json);
 # the guard rails here are in-process timing gates (BestMatch p95,
 # Breadth/Focus p95, GRLB v2 cold start, keep-alive floor, idle live
-# plane) in crates/bench/src/loadgen.rs's
-# `guard_rails` module.
-# Reports go under target/, so a run leaves every tracked file as it was.
+# plane) in crates/bench/tests/guard_rails.rs. The server binary's signal
+# handling (SIGHUP reload, SIGTERM drain) is tested by the workspace tests
+# (crates/server/tests/serve_binary.rs).
+# Reports go under target/ (the chaos test's trace dump lands in
+# target/tmp/DEBUG_traces.json), so a run leaves every tracked file as it
+# was.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -45,13 +48,10 @@ echo "== repro smoke (test scale) =="
 cargo run -q --release -p goalrec-bench --bin repro -- stats table6 --scale test --json target \
     > /dev/null
 
-echo "== server smoke (healthz + recommend + SIGTERM drain) =="
-cargo run -q --release -p goalrec-bench --bin loadgen -- --smoke
-
-echo "== chaos-reload smoke (faulted reloads roll back under live traffic) =="
-cargo run -q --release -p goalrec-bench --bin loadgen -- --chaos-smoke
+echo "== chaos (release: faulted reloads and compactions roll back under live traffic) =="
+cargo test --release -p goalrec-server --test chaos -- --test-threads=1
 
 echo "== hot-path guard rails (release, one timing gate at a time) =="
-cargo test --release -p goalrec-bench --bin loadgen -- --test-threads=1
+cargo test --release -p goalrec-bench --test guard_rails -- --test-threads=1
 
 echo "OK"

@@ -109,22 +109,17 @@ impl AlsWr {
 
     /// Folds in an unseen activity: the user-factor solve with item factors
     /// held fixed.
-    pub fn fold_in(&self, activity: &Activity) -> Vec<f64> {
+    pub(crate) fn fold_in(&self, activity: &Activity) -> Vec<f64> {
         solve_side(activity.raw(), &self.item_factors, &self.gram, &self.cfg)
     }
 
     /// Predicted affinity of a folded-in user for one action.
-    pub fn score(&self, user_factor: &[f64], action: ActionId) -> f64 {
+    pub(crate) fn score(&self, user_factor: &[f64], action: ActionId) -> f64 {
         dot(user_factor, self.item_factors.row(action.index()))
     }
 
-    /// Latent dimensionality.
-    pub fn num_factors(&self) -> usize {
-        self.cfg.num_factors
-    }
-
     /// Number of actions in the model.
-    pub fn num_actions(&self) -> usize {
+    pub(crate) fn num_actions(&self) -> usize {
         self.item_factors.rows()
     }
 }
@@ -291,7 +286,6 @@ mod tests {
     #[test]
     fn accessors() {
         let model = AlsWr::train(&clustered_training(), quick_cfg());
-        assert_eq!(model.num_factors(), 8);
         assert_eq!(model.num_actions(), 10);
         assert_eq!(model.name(), "CF-MF");
     }

@@ -180,11 +180,6 @@ impl Apriori {
         });
         Self { rules }
     }
-
-    /// The mined rules, confidence-descending.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
-    }
 }
 
 /// Calls `f` on every sorted `size`-combination of `items` (which must be
@@ -280,7 +275,7 @@ mod tests {
         let ap = mined();
         // 0→1 should exist with confidence 1.0 (always together).
         let r = ap
-            .rules()
+            .rules
             .iter()
             .find(|r| r.antecedent == vec![0] && r.consequent == 1)
             .expect("rule 0→1 missing");
@@ -288,7 +283,7 @@ mod tests {
         assert_eq!(r.support, 8);
         // {0,1}→2 has confidence 0.5.
         let r2 = ap
-            .rules()
+            .rules
             .iter()
             .find(|r| r.antecedent == vec![0, 1] && r.consequent == 2)
             .expect("rule {0,1}→2 missing");
@@ -298,8 +293,8 @@ mod tests {
     #[test]
     fn no_rules_for_isolated_items() {
         let ap = mined();
-        assert!(ap.rules().iter().all(|r| r.consequent != 3));
-        assert!(ap.rules().iter().all(|r| !r.antecedent.contains(&3)));
+        assert!(ap.rules.iter().all(|r| r.consequent != 3));
+        assert!(ap.rules.iter().all(|r| !r.antecedent.contains(&3)));
     }
 
     #[test]
@@ -342,7 +337,7 @@ mod tests {
                 max_itemset_size: 3,
             },
         );
-        assert!(strict.rules().is_empty());
+        assert!(strict.rules.is_empty());
         assert!(strict.recommend(&Activity::from_raw([0]), 5).is_empty());
     }
 
@@ -358,6 +353,6 @@ mod tests {
     fn deterministic_rule_order() {
         let a = mined();
         let b = mined();
-        assert_eq!(a.rules(), b.rules());
+        assert_eq!(a.rules, b.rules);
     }
 }

@@ -22,7 +22,11 @@ pub struct CfKnn {
 impl CfKnn {
     /// Creates a kNN recommender over a training corpus with a
     /// neighbourhood of `n` users.
-    pub fn new(training: TrainingSet, neighbourhood: usize, similarity: SetSimilarity) -> Self {
+    pub(crate) fn new(
+        training: TrainingSet,
+        neighbourhood: usize,
+        similarity: SetSimilarity,
+    ) -> Self {
         assert!(neighbourhood > 0, "neighbourhood must be positive");
         Self {
             training,
@@ -38,7 +42,7 @@ impl CfKnn {
 
     /// The `n` most similar training users (index, similarity), similarity
     /// descending, ties by index; zero-similarity users are excluded.
-    pub fn neighbours(&self, activity: &Activity) -> Vec<(usize, f64)> {
+    pub(crate) fn neighbours(&self, activity: &Activity) -> Vec<(usize, f64)> {
         let mut sims: Vec<(usize, f64)> = self
             .training
             .users

@@ -29,17 +29,12 @@ impl ItemFeatures {
     }
 
     /// Number of actions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.vectors.len()
     }
 
-    /// Whether no action has features.
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
-    }
-
     /// The sparse vector of one action.
-    pub fn vector(&self, a: ActionId) -> &[(u32, f64)] {
+    pub(crate) fn vector(&self, a: ActionId) -> &[(u32, f64)] {
         &self.vectors[a.index()]
     }
 
@@ -83,7 +78,7 @@ impl ContentBased {
     /// The dense-as-map user profile: mean of the activity's vectors.
     /// A `BTreeMap` keeps every float accumulation in dimension order, so
     /// scores are bit-for-bit reproducible across runs.
-    pub fn profile(&self, activity: &Activity) -> BTreeMap<u32, f64> {
+    pub(crate) fn profile(&self, activity: &Activity) -> BTreeMap<u32, f64> {
         let mut p: BTreeMap<u32, f64> = BTreeMap::new();
         for a in activity.iter() {
             if a.index() >= self.features.len() {
@@ -222,7 +217,6 @@ mod tests {
     fn accessors() {
         let f = features();
         assert_eq!(f.len(), 6);
-        assert!(!f.is_empty());
         assert_eq!(f.vector(ActionId::new(2)).len(), 2);
         assert_eq!(ContentBased::new(f).name(), "Content");
     }

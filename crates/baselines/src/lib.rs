@@ -1,18 +1,17 @@
 //! # goalrec-baselines
 //!
 //! The state-of-the-art recommenders the paper compares against (§6),
-//! implemented from scratch, plus two reference points:
+//! implemented from scratch, plus a reference point:
 //!
-//! * [`cf_knn`] — user-based nearest-neighbour CF with Tanimoto
+//! * [`CfKnn`] — user-based nearest-neighbour CF with Tanimoto
 //!   neighbourhoods (the paper's "CF KNN" \[20\]);
-//! * [`item_knn`] — item-based kNN, the standard production variant;
-//! * [`als`] — ALS-WR matrix factorisation with implicit-feedback
+//! * [`AlsWr`] — ALS-WR matrix factorisation with implicit-feedback
 //!   confidence weighting (the paper's "CF MF" \[8\]; the authors used
 //!   Mahout, we implement the algorithm directly);
-//! * [`content`] — content-based filtering over domain features (the
+//! * [`ContentBased`] — content-based filtering over domain features (the
 //!   paper's "Content" \[3\]);
-//! * [`apriori`] — association-rule mining, the §2 comparator;
-//! * [`popularity`] — most-popular reference for the Table 3 correlation
+//! * [`Apriori`] — association-rule mining, the §2 comparator;
+//! * [`Popularity`] — most-popular reference for the Table 3 correlation
 //!   study.
 //!
 //! All recommenders implement [`goalrec_core::Recommender`], so the
@@ -35,21 +34,18 @@
     )
 )]
 
-pub mod als;
-pub mod apriori;
-pub mod cf_knn;
-pub mod content;
-pub mod item_knn;
-pub mod linalg;
-pub mod popularity;
-pub mod similarity;
-pub mod training;
+pub(crate) mod als;
+pub(crate) mod apriori;
+pub(crate) mod cf_knn;
+pub(crate) mod content;
+pub(crate) mod linalg;
+pub(crate) mod popularity;
+pub(crate) mod similarity;
+pub(crate) mod training;
 
 pub use als::{AlsConfig, AlsWr};
 pub use apriori::{Apriori, AprioriConfig, Rule};
 pub use cf_knn::CfKnn;
 pub use content::{ContentBased, ItemFeatures};
-pub use item_knn::ItemKnn;
 pub use popularity::Popularity;
-pub use similarity::SetSimilarity;
 pub use training::TrainingSet;

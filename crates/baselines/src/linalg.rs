@@ -7,7 +7,7 @@
 
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
@@ -15,7 +15,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// Creates a zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
@@ -23,60 +23,29 @@ impl Matrix {
         }
     }
 
-    /// Creates the `n×n` identity.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Creates a matrix from rows; panics on ragged input.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |row| row.len());
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "ragged rows");
-            data.extend_from_slice(row);
-        }
-        Self {
-            rows: r,
-            cols: c,
-            data,
-        }
-    }
-
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Immutable view of row `i`.
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Mutable view of row `i`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// `self · v` for a column vector `v`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols);
-        (0..self.rows).map(|i| dot(self.row(i), v)).collect()
     }
 
     /// Adds `alpha · x xᵀ` (symmetric rank-1 update); `self` must be square
     /// with dimension `x.len()`.
-    pub fn syr(&mut self, alpha: f64, x: &[f64]) {
+    pub(crate) fn syr(&mut self, alpha: f64, x: &[f64]) {
         assert_eq!(self.rows, self.cols);
         assert_eq!(x.len(), self.rows);
         for i in 0..self.rows {
@@ -89,7 +58,7 @@ impl Matrix {
     }
 
     /// Adds `alpha` to the diagonal (ridge/regularisation term).
-    pub fn add_diagonal(&mut self, alpha: f64) {
+    pub(crate) fn add_diagonal(&mut self, alpha: f64) {
         assert_eq!(self.rows, self.cols);
         for i in 0..self.rows {
             self[(i, i)] += alpha;
@@ -113,7 +82,7 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 
 /// Dot product of two equal-length slices.
 #[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
@@ -123,7 +92,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// Returns `None` when `A` is not positive definite (a non-positive pivot
 /// appears), which callers treat as a degenerate update and skip.
-pub fn cholesky_solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
+pub(crate) fn cholesky_solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
     let n = a.rows();
     assert_eq!(a.cols(), n);
     assert_eq!(b.len(), n);
@@ -174,6 +143,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A matrix from equal-length rows.
+    fn from_rows(rows: &[&[f64]]) -> Matrix {
+        Matrix {
+            rows: rows.len(),
+            cols: rows[0].len(),
+            data: rows.concat(),
+        }
+    }
+
     #[test]
     fn index_and_rows() {
         let mut m = Matrix::zeros(2, 3);
@@ -183,24 +161,6 @@ mod tests {
         assert_eq!(m.row(1), &[0.0, 0.0, 7.0]);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
-    }
-
-    #[test]
-    fn identity_matvec_is_noop() {
-        let m = Matrix::identity(3);
-        assert_eq!(m.matvec(&[1.0, 2.0, 3.0]), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn from_rows_and_matvec() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn from_rows_rejects_ragged() {
-        Matrix::from_rows(&[&[1.0], &[1.0, 2.0]]);
     }
 
     #[test]
@@ -225,7 +185,7 @@ mod tests {
     #[test]
     fn cholesky_solves_known_system() {
         // A = [[4, 2], [2, 3]], b = [10, 8] → x = [1.75, 1.5].
-        let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
+        let a = from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
         let x = cholesky_solve(&a, &[10.0, 8.0]).unwrap();
         assert!((x[0] - 1.75).abs() < 1e-10);
         assert!((x[1] - 1.5).abs() < 1e-10);
@@ -233,9 +193,9 @@ mod tests {
 
     #[test]
     fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_rows(&[&[0.0, 0.0], &[0.0, 1.0]]);
+        let a = from_rows(&[&[0.0, 0.0], &[0.0, 1.0]]);
         assert!(cholesky_solve(&a, &[1.0, 1.0]).is_none());
-        let neg = Matrix::from_rows(&[&[-1.0]]);
+        let neg = from_rows(&[&[-1.0]]);
         assert!(cholesky_solve(&neg, &[1.0]).is_none());
     }
 
@@ -252,7 +212,7 @@ mod tests {
             entries in proptest::collection::vec(-2.0f64..2.0, 9),
             b in proptest::collection::vec(-5.0f64..5.0, 3)
         ) {
-            let bmat = Matrix::from_rows(&[&entries[0..3], &entries[3..6], &entries[6..9]]);
+            let bmat = from_rows(&[&entries[0..3], &entries[3..6], &entries[6..9]]);
             let mut a = Matrix::zeros(3, 3);
             // A = B Bᵀ + 0.1 I (SPD by construction).
             for i in 0..3 {
@@ -262,8 +222,8 @@ mod tests {
             }
             a.add_diagonal(0.1);
             let x = cholesky_solve(&a, &b).expect("SPD must decompose");
-            let ax = a.matvec(&x);
-            for (got, want) in ax.iter().zip(&b) {
+            for (i, want) in b.iter().enumerate() {
+                let got = dot(a.row(i), &x);
                 prop_assert!((got - want).abs() < 1e-6, "residual too large");
             }
         }

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// Similarity measure between two action *sets* (sorted id slices).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum SetSimilarity {
+pub(crate) enum SetSimilarity {
     /// `|a∩b| / |a∪b|` — the paper's choice for implicit feedback.
     #[default]
     Tanimoto,
@@ -22,7 +22,7 @@ pub enum SetSimilarity {
 
 impl SetSimilarity {
     /// Computes the similarity of two sorted sets. Empty inputs score 0.
-    pub fn compute(self, a: &[u32], b: &[u32]) -> f64 {
+    pub(crate) fn compute(self, a: &[u32], b: &[u32]) -> f64 {
         if a.is_empty() || b.is_empty() {
             return 0.0;
         }
@@ -31,15 +31,6 @@ impl SetSimilarity {
             SetSimilarity::Tanimoto => inter / (a.len() as f64 + b.len() as f64 - inter),
             SetSimilarity::Cosine => inter / ((a.len() as f64) * (b.len() as f64)).sqrt(),
             SetSimilarity::Overlap => inter / a.len().min(b.len()) as f64,
-        }
-    }
-
-    /// Display name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SetSimilarity::Tanimoto => "tanimoto",
-            SetSimilarity::Cosine => "cosine",
-            SetSimilarity::Overlap => "overlap",
         }
     }
 }
@@ -89,7 +80,7 @@ mod tests {
             let b: Vec<u32> = b.into_iter().collect();
             for s in [SetSimilarity::Tanimoto, SetSimilarity::Cosine, SetSimilarity::Overlap] {
                 let v = s.compute(&a, &b);
-                prop_assert!((0.0..=1.0 + 1e-12).contains(&v), "{} out of range: {v}", s.name());
+                prop_assert!((0.0..=1.0 + 1e-12).contains(&v), "{s:?} out of range: {v}");
                 prop_assert!((v - s.compute(&b, &a)).abs() < 1e-12);
             }
         }

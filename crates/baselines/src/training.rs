@@ -30,7 +30,7 @@ impl TrainingSet {
     }
 
     /// Number of training users.
-    pub fn num_users(&self) -> usize {
+    pub(crate) fn num_users(&self) -> usize {
         self.users.len()
     }
 

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 /// Parsed command line: positional arguments and `--flag value` /
 /// `--flag` pairs.
 #[derive(Debug, Default)]
-pub struct Args {
+pub(crate) struct Args {
     positional: Vec<String>,
     flags: HashMap<String, String>,
 }
@@ -14,7 +14,7 @@ impl Args {
     /// Parses argv. `--name value` stores a value; a `--name` followed by
     /// another flag (or nothing) stores an empty string; `-k` is accepted
     /// as a short alias with a value.
-    pub fn parse(argv: &[String]) -> Self {
+    pub(crate) fn parse(argv: &[String]) -> Self {
         let mut out = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -37,22 +37,22 @@ impl Args {
     }
 
     /// Positional argument by index.
-    pub fn positional(&self, i: usize) -> Option<&str> {
+    pub(crate) fn positional(&self, i: usize) -> Option<&str> {
         self.positional.get(i).map(String::as_str)
     }
 
     /// Flag value (empty string for bare flags).
-    pub fn flag(&self, name: &str) -> Option<&str> {
+    pub(crate) fn flag(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(String::as_str)
     }
 
     /// Whether a bare or valued flag is present.
-    pub fn has(&self, name: &str) -> bool {
+    pub(crate) fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)
     }
 
     /// The first flag (by name) not in `known`, if any.
-    pub fn unknown_flag(&self, known: &[&str]) -> Option<&str> {
+    pub(crate) fn unknown_flag(&self, known: &[&str]) -> Option<&str> {
         self.flags
             .keys()
             .map(String::as_str)
@@ -61,14 +61,14 @@ impl Args {
     }
 
     /// Required flag, with a readable error.
-    pub fn required(&self, name: &str) -> Result<&str, String> {
+    pub(crate) fn required(&self, name: &str) -> Result<&str, String> {
         self.flag(name)
             .filter(|v| !v.is_empty())
             .ok_or_else(|| format!("missing required --{name} <value>"))
     }
 
     /// Parsed numeric flag with a default.
-    pub fn num(&self, name: &str, default: usize) -> Result<usize, String> {
+    pub(crate) fn num(&self, name: &str, default: usize) -> Result<usize, String> {
         match self.flag(name) {
             None => Ok(default),
             Some(v) => v

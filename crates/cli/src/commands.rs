@@ -76,7 +76,7 @@ fn usage() -> String {
 }
 
 /// Dispatches a parsed command line.
-pub fn dispatch(argv: &[String]) -> CmdResult {
+pub(crate) fn dispatch(argv: &[String]) -> CmdResult {
     let args = Args::parse(argv);
     let Some(command) = args.positional(0) else {
         return Err(usage());

@@ -58,17 +58,6 @@ impl Activity {
         setops::contains(&self.0, a.raw())
     }
 
-    /// Adds an action, keeping the set representation.
-    pub fn insert(&mut self, a: ActionId) -> bool {
-        match self.0.binary_search(&a.raw()) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.0.insert(pos, a.raw());
-                true
-            }
-        }
-    }
-
     /// Returns a new activity extended with `extra` actions — models the
     /// user *following* a recommendation list, which is how the usefulness
     /// experiment (§6.1.1 C.1.3) measures post-recommendation completeness.
@@ -114,13 +103,10 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_insert() {
-        let mut h = Activity::from_raw([1, 5]);
+    fn contains() {
+        let h = Activity::from_raw([1, 5]);
         assert!(h.contains(ActionId::new(5)));
         assert!(!h.contains(ActionId::new(3)));
-        assert!(h.insert(ActionId::new(3)));
-        assert!(!h.insert(ActionId::new(3)));
-        assert_eq!(h.raw(), &[1, 3, 5]);
     }
 
     #[test]
@@ -155,12 +141,5 @@ mod tests {
             prop_assert!(crate::setops::is_strictly_sorted(h.raw()));
         }
 
-        #[test]
-        fn prop_insert_then_contains(v in proptest::collection::vec(0u32..1000, 0..50), x in 0u32..1000) {
-            let mut h = Activity::from_raw(v);
-            h.insert(ActionId::new(x));
-            prop_assert!(h.contains(ActionId::new(x)));
-            prop_assert!(crate::setops::is_strictly_sorted(h.raw()));
-        }
     }
 }

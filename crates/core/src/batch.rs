@@ -7,7 +7,7 @@
 //! the per-request timings of Fig. 7.
 //!
 //! Each rayon worker thread reuses its own [`crate::Scratch`] arena via
-//! the thread-local in [`crate::scratch::with_thread_scratch`] — the goal
+//! the thread-local in `crate::scratch::with_thread_scratch` — the goal
 //! recommenders route `recommend` through it — so a batch run performs no
 //! per-request scoreboard/buffer allocations after each worker's first
 //! request.

@@ -28,12 +28,7 @@ pub struct Justification {
     pub still_missing: Vec<ActionId>,
 }
 
-impl Justification {
-    /// Whether performing the action fully completes this implementation.
-    pub fn completes_goal(&self) -> bool {
-        self.still_missing.is_empty()
-    }
-}
+impl Justification {}
 
 /// An explanation for one recommended action.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,19 +40,7 @@ pub struct Explanation {
     pub justifications: Vec<Justification>,
 }
 
-impl Explanation {
-    /// Number of distinct goals the action advances.
-    pub fn num_goals(&self) -> usize {
-        let mut goals: Vec<u32> = self.justifications.iter().map(|j| j.goal.raw()).collect();
-        setops::normalize(&mut goals);
-        goals.len()
-    }
-
-    /// The justifications that would fully complete a goal.
-    pub fn completing(&self) -> impl Iterator<Item = &Justification> {
-        self.justifications.iter().filter(|j| j.completes_goal())
-    }
-}
+impl Explanation {}
 
 /// Explains a recommended action against an activity.
 ///
@@ -77,7 +60,7 @@ impl Explanation {
 ///
 /// let ex = explain(&model, &cart, lib.action_id("pickles").unwrap(), 0);
 /// assert_eq!(ex.justifications.len(), 1);
-/// assert!(ex.justifications[0].completes_goal());
+/// assert!(ex.justifications[0].still_missing.is_empty());
 /// ```
 pub fn explain(
     model: &GoalModel,
@@ -153,9 +136,7 @@ mod tests {
         assert_eq!(j.goal, lib.goal_id("g1").unwrap());
         assert_eq!(j.completeness_before, 0.5);
         assert_eq!(j.completeness_after, 1.0);
-        assert!(j.completes_goal());
-        assert_eq!(ex.completing().count(), 1);
-        assert_eq!(ex.num_goals(), 1);
+        assert!(j.still_missing.is_empty());
     }
 
     #[test]
@@ -171,7 +152,6 @@ mod tests {
         assert!((j.completeness_before - 1.0 / 3.0).abs() < 1e-12);
         assert!((j.completeness_after - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(j.still_missing, vec![lib.action_id("e").unwrap()]);
-        assert!(!j.completes_goal());
     }
 
     #[test]
@@ -191,8 +171,7 @@ mod tests {
             .justifications
             .windows(2)
             .all(|w| { w[0].completeness_after >= w[1].completeness_after }));
-        assert_eq!(ex.num_goals(), 2);
-        assert_eq!(ex.completing().count(), 3);
+        assert!(ex.justifications.iter().all(|j| j.still_missing.is_empty()));
     }
 
     #[test]
@@ -214,6 +193,5 @@ mod tests {
         let h = Activity::from_actions([lib.action_id("b").unwrap()]);
         let ex = explain(&m, &h, lib.action_id("f").unwrap(), 0);
         assert!(ex.justifications.is_empty());
-        assert_eq!(ex.num_goals(), 0);
     }
 }

@@ -89,21 +89,15 @@ id_type!(
 /// This is the paper's `A-idx` / `G-idx` dictionary structure. Identifiers
 /// are handed out densely in insertion order, so they double as indices into
 /// the posting-list tables of [`crate::GoalModel`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Interner {
     names: Vec<String>,
-    #[serde(skip)]
     lookup: HashMap<String, u32>,
 }
 
 impl Interner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates an empty interner with room for `capacity` names.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
             names: Vec::with_capacity(capacity),
             lookup: HashMap::with_capacity(capacity),
@@ -112,7 +106,7 @@ impl Interner {
 
     /// Interns `name`, returning its identifier. Repeated calls with the
     /// same name return the same identifier.
-    pub fn intern(&mut self, name: &str) -> u32 {
+    pub(crate) fn intern(&mut self, name: &str) -> u32 {
         if let Some(&id) = self.lookup.get(name) {
             return id;
         }
@@ -127,23 +121,18 @@ impl Interner {
     }
 
     /// Looks up an already-interned name.
-    pub fn get(&self, name: &str) -> Option<u32> {
+    pub(crate) fn get(&self, name: &str) -> Option<u32> {
         self.lookup.get(name).copied()
     }
 
     /// Resolves an identifier back to its name.
-    pub fn resolve(&self, id: u32) -> Option<&str> {
+    pub(crate) fn resolve(&self, id: u32) -> Option<&str> {
         self.names.get(id as usize).map(String::as_str)
     }
 
     /// Number of interned names.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.names.len()
-    }
-
-    /// Whether no name has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
     }
 
     /// Iterates over `(id, name)` pairs in identifier order.
@@ -152,17 +141,6 @@ impl Interner {
             .iter()
             .enumerate()
             .map(|(i, n)| (i as u32, n.as_str()))
-    }
-
-    /// Rebuilds the reverse lookup table. Needed after deserialisation,
-    /// because the lookup map is not serialised.
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i as u32))
-            .collect();
     }
 }
 
@@ -194,7 +172,7 @@ mod tests {
 
     #[test]
     fn intern_is_idempotent() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let pickles = i.intern("pickles");
         let nutmeg = i.intern("nutmeg");
         assert_ne!(pickles, nutmeg);
@@ -204,7 +182,7 @@ mod tests {
 
     #[test]
     fn intern_resolve_roundtrip() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let id = i.intern("olivier salad");
         assert_eq!(i.resolve(id), Some("olivier salad"));
         assert_eq!(i.get("olivier salad"), Some(id));
@@ -214,7 +192,7 @@ mod tests {
 
     #[test]
     fn intern_ids_are_dense() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         for n in 0..100u32 {
             assert_eq!(i.intern(&format!("name-{n}")), n);
         }
@@ -223,23 +201,8 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_lookup_restores_get() {
-        let mut i = Interner::new();
-        i.intern("x");
-        i.intern("y");
-        let json = serde_json::to_string(&i).unwrap();
-        let mut back: Interner = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.get("x"), None); // lookup not serialised
-        back.rebuild_lookup();
-        assert_eq!(back.get("x"), Some(0));
-        assert_eq!(back.get("y"), Some(1));
-        assert_eq!(back.resolve(1), Some("y"));
-    }
-
-    #[test]
     fn empty_interner() {
-        let i = Interner::new();
-        assert!(i.is_empty());
+        let i = Interner::default();
         assert_eq!(i.len(), 0);
     }
 }

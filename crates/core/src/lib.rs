@@ -42,7 +42,7 @@
 //! |---|---|
 //! | Actions, goals, implementations (§3) | [`ids`], [`library`] |
 //! | Index structures & spaces (§4) | [`model`], [`setops`] |
-//! | Focus / Breadth / Best Match (§5) | [`strategies`] (Best Match's sums: `profile`), [`distance`] |
+//! | Focus / Breadth / Best Match (§5) | [`strategies`] (Best Match's sums: `profile`), `distance` |
 //! | Ranking & facade | [`topk`], [`recommend`], [`batch`] |
 
 #![warn(missing_docs)]
@@ -64,18 +64,18 @@
 pub mod activity;
 pub mod batch;
 pub(crate) mod csr;
-pub mod distance;
-pub mod error;
-pub mod explain;
+pub(crate) mod distance;
+pub(crate) mod error;
+pub(crate) mod explain;
 pub mod ids;
 pub mod library;
-pub mod live;
+pub(crate) mod live;
 pub mod model;
 pub(crate) mod overlap;
 pub(crate) mod profile;
 pub mod recommend;
-pub mod rerank;
-pub mod scratch;
+pub(crate) mod rerank;
+pub(crate) mod scratch;
 pub mod setops;
 pub mod strategies;
 pub mod topk;

@@ -25,7 +25,7 @@ pub struct Implementation {
 
 impl Implementation {
     /// Creates an implementation, normalising `actions` to a sorted set.
-    pub fn new(goal: GoalId, mut actions: Vec<ActionId>) -> Self {
+    pub(crate) fn new(goal: GoalId, mut actions: Vec<ActionId>) -> Self {
         actions.sort_unstable();
         actions.dedup();
         Self { goal, actions }
@@ -54,7 +54,7 @@ fn cast_ids(ids: &[ActionId]) -> &[u32] {
 }
 
 /// An immutable goal implementation library with interned names.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GoalLibrary {
     implementations: Vec<Implementation>,
     actions: Interner,
@@ -132,12 +132,6 @@ impl GoalLibrary {
     /// Looks up a goal id by name.
     pub fn goal_id(&self, name: &str) -> Option<GoalId> {
         self.goals.get(name).map(GoalId::new)
-    }
-
-    /// Restores internal lookup tables after deserialisation.
-    pub fn rebuild_lookups(&mut self) {
-        self.actions.rebuild_lookup();
-        self.goals.rebuild_lookup();
     }
 
     /// Constructs a library directly from id-space implementations. Action
@@ -219,28 +213,6 @@ impl LibraryBuilder {
         let id = ImplId::new(self.implementations.len() as u32);
         self.implementations.push(imp);
         Ok(id)
-    }
-
-    /// Pre-interns an action name without attaching it to an implementation.
-    /// Useful to reserve ids for actions known to the application but absent
-    /// from the library (e.g. products no recipe uses).
-    pub fn intern_action(&mut self, name: &str) -> ActionId {
-        ActionId::new(self.actions.intern(name))
-    }
-
-    /// Pre-interns a goal name.
-    pub fn intern_goal(&mut self, name: &str) -> GoalId {
-        GoalId::new(self.goals.intern(name))
-    }
-
-    /// Number of implementations added so far.
-    pub fn len(&self) -> usize {
-        self.implementations.len()
-    }
-
-    /// Whether no implementation has been added yet.
-    pub fn is_empty(&self) -> bool {
-        self.implementations.is_empty()
     }
 
     /// Finalises the library. Fails on an empty builder.
@@ -460,17 +432,6 @@ mod tests {
         assert_eq!(s.max_impl_len, 3);
         // goals: g0 has 2 impls, others 1 → 5/4
         assert!((s.avg_impls_per_goal - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_structure() {
-        let lib = example_library();
-        let json = serde_json::to_string(&lib).unwrap();
-        let mut back: GoalLibrary = serde_json::from_str(&json).unwrap();
-        back.rebuild_lookups();
-        assert_eq!(back.len(), lib.len());
-        assert_eq!(back.action_id("a1"), lib.action_id("a1"));
-        assert_eq!(back.implementations(), lib.implementations());
     }
 
     #[test]

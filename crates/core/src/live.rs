@@ -94,7 +94,7 @@ impl AssocView for GoalModel {
 
 /// Implementation space of an activity over any view:
 /// `IS(H) = ∪_{a∈H} IS(a)`, into a caller-owned buffer (cleared first).
-pub fn implementation_space_into<V: AssocView + ?Sized>(
+pub(crate) fn implementation_space_into<V: AssocView + ?Sized>(
     view: &V,
     activity: &[u32],
     out: &mut Vec<u32>,
@@ -113,7 +113,11 @@ pub fn implementation_space_into<V: AssocView + ?Sized>(
 
 /// The distinct goals of a pre-computed implementation set over any
 /// view, into a caller-owned buffer (cleared first).
-pub fn goals_of_impls_into<V: AssocView + ?Sized>(view: &V, impls: &[u32], out: &mut Vec<u32>) {
+pub(crate) fn goals_of_impls_into<V: AssocView + ?Sized>(
+    view: &V,
+    impls: &[u32],
+    out: &mut Vec<u32>,
+) {
     out.clear();
     out.extend(impls.iter().map(|&p| view.impl_goal(ImplId::new(p)).raw()));
     setops::normalize(out);
@@ -121,7 +125,7 @@ pub fn goals_of_impls_into<V: AssocView + ?Sized>(view: &V, impls: &[u32], out: 
 
 /// Action space of an activity over any view from a pre-computed
 /// `IS(H)`, into a caller-owned buffer (cleared first).
-pub fn action_space_into<V: AssocView + ?Sized>(
+pub(crate) fn action_space_into<V: AssocView + ?Sized>(
     view: &V,
     activity: &[u32],
     impl_space: &[u32],
@@ -212,12 +216,12 @@ impl DeltaSegment {
     }
 
     /// First implementation id owned by the segment.
-    pub fn first_impl(&self) -> u32 {
+    pub(crate) fn first_impl(&self) -> u32 {
         self.first_impl
     }
 
     /// One past the last assigned implementation id.
-    pub fn next_impl(&self) -> u32 {
+    pub(crate) fn next_impl(&self) -> u32 {
         self.first_impl + u32::try_from(self.impl_actions.len()).unwrap_or(u32::MAX)
     }
 
@@ -232,17 +236,17 @@ impl DeltaSegment {
     }
 
     /// Merged action-space extent.
-    pub fn num_actions(&self) -> usize {
+    pub(crate) fn num_actions(&self) -> usize {
         self.num_actions
     }
 
     /// Merged goal-space extent.
-    pub fn num_goals(&self) -> usize {
+    pub(crate) fn num_goals(&self) -> usize {
         self.num_goals
     }
 
     /// Staged postings of action `a` (global ids; empty on a miss).
-    pub fn action_impls(&self, a: ActionId) -> &[u32] {
+    pub(crate) fn action_impls(&self, a: ActionId) -> &[u32] {
         self.action_impls
             .get(&a.raw())
             .map(Vec::as_slice)
@@ -250,7 +254,7 @@ impl DeltaSegment {
     }
 
     /// Staged implementations of goal `g` (global ids; empty on a miss).
-    pub fn goal_impls(&self, g: GoalId) -> &[u32] {
+    pub(crate) fn goal_impls(&self, g: GoalId) -> &[u32] {
         self.goal_impls
             .get(&g.raw())
             .map(Vec::as_slice)
@@ -258,35 +262,22 @@ impl DeltaSegment {
     }
 
     /// The activity of staged implementation `p` (global id).
-    pub fn impl_actions(&self, p: ImplId) -> &[u32] {
+    pub(crate) fn impl_actions(&self, p: ImplId) -> &[u32] {
         &self.impl_actions[self.local(p)]
     }
 
     /// The goal of staged implementation `p` (global id).
-    pub fn impl_goal(&self, p: ImplId) -> GoalId {
+    pub(crate) fn impl_goal(&self, p: ImplId) -> GoalId {
         GoalId::new(self.impl_goal[self.local(p)])
     }
 
     /// Iterates the staged implementations in id order as
     /// `(goal, actions)` — the merge/persistence order.
-    pub fn staged(&self) -> impl Iterator<Item = (GoalId, &[u32])> + '_ {
+    pub(crate) fn staged(&self) -> impl Iterator<Item = (GoalId, &[u32])> + '_ {
         self.impl_actions
             .iter()
             .zip(&self.impl_goal)
             .map(|(acts, &g)| (GoalId::new(g), acts.as_slice()))
-    }
-
-    /// Approximate heap footprint of the segment in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        let posting = std::mem::size_of::<u32>();
-        let staged: usize = self.impl_actions.iter().map(|r| r.len() * posting).sum();
-        let inverted: usize = self
-            .goal_impls
-            .values()
-            .chain(self.action_impls.values())
-            .map(|r| r.len() * posting)
-            .sum();
-        staged + inverted + self.impl_goal.len() * posting
     }
 }
 
@@ -327,7 +318,7 @@ impl<'a> LiveRef<'a> {
     /// input. Implementations appear in global id order (base first,
     /// then staged ones), so a model built from it assigns every
     /// implementation its overlay id.
-    pub fn to_library(&self) -> Result<GoalLibrary> {
+    pub(crate) fn to_library(self) -> Result<GoalLibrary> {
         let mut impls: Vec<(GoalId, Vec<ActionId>)> = Vec::with_capacity(self.num_impls());
         let base = self.base;
         for p in 0..base.num_impls() {
@@ -549,14 +540,5 @@ mod tests {
         assert!(LiveRef::overlay(&m, &d).unstaged().is_some());
         d.append(GoalId::new(0), ids(&[0, 6])).unwrap();
         assert!(LiveRef::overlay(&m, &d).unstaged().is_none());
-    }
-
-    #[test]
-    fn memory_accounting_positive() {
-        let m = base();
-        let mut d = DeltaSegment::for_base(&m);
-        assert_eq!(d.memory_bytes(), 0);
-        d.append(GoalId::new(0), ids(&[0, 6])).unwrap();
-        assert!(d.memory_bytes() > 0);
     }
 }

@@ -86,7 +86,7 @@ impl GoalModel {
     /// `mmap`'d file in place.
     ///
     /// The arrays are fully bound-checked before the model is returned
-    /// ([`GoalModel::check_structure`]: CSR shapes, offset monotonicity,
+    /// (`GoalModel::check_structure`: CSR shapes, offset monotonicity,
     /// per-row strict sortedness, id ranges, posting cardinalities), so a
     /// garbage file yields [`Error::CorruptModel`] and a model that passed
     /// can never index out of bounds. The `O(postings · log)` cross-index
@@ -243,7 +243,7 @@ impl GoalModel {
     /// Implementation space of an activity: `IS(H) = ∪_{a∈H} IS(a)`,
     /// i.e. every implementation associated with the user activity
     /// (`A ∩ H ≠ ∅`). The allocation-free forms the strategies run are
-    /// the generic [`live::implementation_space_into`] and its siblings.
+    /// the generic `live::implementation_space_into` and its siblings.
     pub fn implementation_space(&self, activity: &[u32]) -> Vec<u32> {
         let mut out = Vec::new();
         live::implementation_space_into(self, activity, &mut out);
@@ -367,7 +367,7 @@ impl GoalModel {
     /// runs on every load: a file that passes serves safely; whether its
     /// inverse indexes also *agree* with the forward index is what the
     /// full [`GoalModel::validate`] additionally proves.
-    pub fn check_structure(&self) -> Result<()> {
+    pub(crate) fn check_structure(&self) -> Result<()> {
         let corrupt = |detail: String| Err(Error::CorruptModel { detail });
         // CSR shape first: every content check below slices rows, which is
         // only safe once the offset arrays are known to be well-formed.

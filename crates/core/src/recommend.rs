@@ -72,7 +72,7 @@ impl ObservedStrategy {
     }
 
     /// The wrapped strategy's display name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.strategy.name()
     }
 
@@ -145,11 +145,6 @@ impl GoalRecommender {
             model,
             strategy: ObservedStrategy::new(strategy),
         }
-    }
-
-    /// The underlying model.
-    pub fn model(&self) -> &GoalModel {
-        &self.model
     }
 
     /// Like [`Recommender::recommend`], but ranks into a caller-owned
@@ -245,7 +240,7 @@ mod tests {
     fn from_library_builds_model() {
         let rec =
             GoalRecommender::from_library(&library(), Box::new(BestMatch::default())).unwrap();
-        assert_eq!(rec.model().num_impls(), 5);
+        assert_eq!(rec.model.num_impls(), 5);
         assert!(!rec.recommend(&Activity::from_raw([0]), 3).is_empty());
     }
 
@@ -336,7 +331,7 @@ mod tests {
         let mut scratch = Scratch::new();
         let mut trace = obs::TraceContext::disabled();
         let _ = rec.recommend_live_into_traced(
-            LiveRef::solid(rec.model()),
+            LiveRef::solid(&rec.model),
             &Activity::from_raw([0]),
             3,
             &mut scratch,

@@ -82,7 +82,7 @@ impl PhaseMarks {
 
 /// Reusable per-thread working memory for one recommend request.
 ///
-/// See the [module docs](self) for the lifecycle. All buffers grow to the
+/// See the module docs for the lifecycle. All buffers grow to the
 /// high-water mark of the requests they serve and then stay allocated.
 #[derive(Default)]
 pub struct Scratch {
@@ -165,14 +165,6 @@ impl Scratch {
     pub fn out(&self) -> &[Scored] {
         &self.out
     }
-
-    /// Every `(score, impl_id)` pair the last Focus ranking on this arena
-    /// scored; its length is Focus's candidate count. Only the prefix the
-    /// fill loop read is in rank order (score descending, ascending-id
-    /// tie-break); the rest follow in no order.
-    pub fn scored_impls(&self) -> &[(f64, u32)] {
-        self.scored_impls.as_slice()
-    }
 }
 
 thread_local! {
@@ -185,7 +177,7 @@ thread_local! {
 /// each request a rayon batch worker processes) reuse the same buffers. If
 /// the thread-local is already borrowed — only possible if `f` re-enters —
 /// a temporary arena is used instead of panicking.
-pub fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     TLS_SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),
         Err(_) => f(&mut Scratch::new()),

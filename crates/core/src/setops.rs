@@ -17,7 +17,7 @@
 const GALLOP_RATIO: usize = 16;
 
 /// Returns `true` if `s` is strictly increasing (sorted and duplicate-free).
-pub fn is_strictly_sorted(s: &[u32]) -> bool {
+pub(crate) fn is_strictly_sorted(s: &[u32]) -> bool {
     s.windows(2).all(|w| w[0] < w[1])
 }
 
@@ -83,7 +83,7 @@ pub fn difference_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 }
 
 /// Materialises `a ∪ b` as a strictly increasing sequence.
-pub fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
+pub(crate) fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -110,7 +110,7 @@ pub fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
 
 /// Binary-search membership test.
 #[inline]
-pub fn contains(sorted: &[u32], x: u32) -> bool {
+pub(crate) fn contains(sorted: &[u32], x: u32) -> bool {
     sorted.binary_search(&x).is_ok()
 }
 

@@ -37,11 +37,6 @@ impl BestMatch {
         Self { metric }
     }
 
-    /// The configured metric.
-    pub fn metric(&self) -> DistanceMetric {
-        self.metric
-    }
-
     /// The [`Strategy::rank_into`] body, generic over the view so the
     /// same pass serves both a compiled model and a live overlay.
     fn rank_view_into<V: AssocView + ?Sized>(
@@ -98,12 +93,8 @@ mod tests {
     use crate::strategies::testutil::example_model;
 
     #[test]
-    fn metric_accessor_and_default() {
-        assert_eq!(BestMatch::default().metric(), DistanceMetric::Cosine);
-        assert_eq!(
-            BestMatch::new(DistanceMetric::Manhattan).metric(),
-            DistanceMetric::Manhattan
-        );
+    fn default_metric_is_cosine() {
+        assert_eq!(BestMatch::default().metric, DistanceMetric::Cosine);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl Focus {
         Self { variant }
     }
 
-    /// The configured measure.
-    pub fn variant(&self) -> FocusVariant {
-        self.variant
-    }
-
     /// The implementation-ranking half of [`Strategy::rank_into`]: scores
     /// every implementation of every goal in `GS(H)` (§5.1 considers the
     /// action sets of implementations `(g, A)` with `g ∈ GS(H)`, a superset
@@ -72,7 +67,7 @@ impl Focus {
     /// few more \[implementations\] to complete the recommendation list").
     /// Implementations already complete (`A ⊆ H`) have no action left to
     /// recommend and are skipped. The scores land in
-    /// [`Scratch::scored_impls`], ranked on demand (score descending,
+    /// `Scratch::scored_impls`, ranked on demand (score descending,
     /// ascending implementation id on ties).
     fn rank_impls_into<V: AssocView + ?Sized>(
         &self,
@@ -186,10 +181,6 @@ mod tests {
     fn names() {
         assert_eq!(Focus::new(FocusVariant::Completeness).name(), "Focus_cmp");
         assert_eq!(Focus::new(FocusVariant::Closeness).name(), "Focus_cl");
-        assert_eq!(
-            Focus::new(FocusVariant::Closeness).variant(),
-            FocusVariant::Closeness
-        );
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub(crate) mod testutil {
     /// impls p1..p5 → 0..4 with
     /// p1=(g1,{a1,a2}) p2=(g1,{a1,a3}) p3=(g2,{a1,a4,a5})
     /// p4=(g3,{a4,a6}) p5=(g5,{a1,a2,a6}).
-    pub fn example_model() -> GoalModel {
+    pub(crate) fn example_model() -> GoalModel {
         let mut b = LibraryBuilder::new();
         b.add_impl("g1", ["a1", "a2"]).unwrap();
         b.add_impl("g1", ["a1", "a3"]).unwrap();

@@ -76,14 +76,14 @@ impl Ord for HeapItem {
 
 /// Bounded top-k accumulator.
 #[derive(Default)]
-pub struct TopK {
+pub(crate) struct TopK {
     k: usize,
     heap: BinaryHeap<HeapItem>,
 }
 
 impl TopK {
     /// Creates an accumulator keeping the best `k` items.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         Self {
             k,
             heap: BinaryHeap::with_capacity(k.saturating_add(1)),
@@ -91,7 +91,7 @@ impl TopK {
     }
 
     /// Offers one candidate.
-    pub fn push(&mut self, item: Scored) {
+    pub(crate) fn push(&mut self, item: Scored) {
         if self.k == 0 {
             return;
         }
@@ -109,7 +109,7 @@ impl TopK {
     }
 
     /// Finalises into a list sorted best-first.
-    pub fn into_sorted(self) -> Vec<Scored> {
+    pub(crate) fn into_sorted(self) -> Vec<Scored> {
         let mut v: Vec<Scored> = self.heap.into_iter().map(|h| h.0).collect();
         // rank_cmp is a total order with an id tie-break, so the unstable
         // sort is deterministic and avoids the temporary buffer a stable
@@ -122,7 +122,7 @@ impl TopK {
     /// backing allocation. Part of the allocation-free hot path: a
     /// [`crate::Scratch`]-owned `TopK` is reset per request instead of
     /// being rebuilt.
-    pub fn reset(&mut self, k: usize) {
+    pub(crate) fn reset(&mut self, k: usize) {
         self.k = k;
         self.heap.clear();
         let want = k.saturating_add(1);
@@ -133,20 +133,10 @@ impl TopK {
 
     /// Drains the kept items into `out` (cleared first), sorted best-first,
     /// leaving the accumulator empty but its allocation intact.
-    pub fn drain_sorted_into(&mut self, out: &mut Vec<Scored>) {
+    pub(crate) fn drain_sorted_into(&mut self, out: &mut Vec<Scored>) {
         out.clear();
         out.extend(self.heap.drain().map(|h| h.0));
         out.sort_unstable_by(rank_cmp);
-    }
-
-    /// Number of items currently held (≤ k).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether nothing has been kept.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -217,12 +207,6 @@ impl LazyRanking {
     /// Number of entries, ranked or not.
     pub(crate) fn len(&self) -> usize {
         self.items.len()
-    }
-
-    /// Every entry: the prefix [`LazyRanking::get`] has reached in rank
-    /// order, then the rest in no particular order.
-    pub(crate) fn as_slice(&self) -> &[(f64, u32)] {
-        &self.items
     }
 
     /// The entry at rank `i` (0 = best), sorting further into the list
@@ -296,12 +280,12 @@ mod tests {
     #[test]
     fn accumulator_len_tracking() {
         let mut t = TopK::new(2);
-        assert!(t.is_empty());
+        assert!(t.heap.is_empty());
         t.push(s(1, 1.0));
         t.push(s(2, 2.0));
         t.push(s(3, 3.0));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.heap.len(), 2);
+        assert!(!t.heap.is_empty());
     }
 
     #[test]
@@ -312,7 +296,7 @@ mod tests {
         t.drain_sorted_into(&mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].action, ActionId::new(1));
-        assert!(t.is_empty());
+        assert!(t.heap.is_empty());
         // Re-arm with a different k; results match a fresh accumulator.
         t.reset(2);
         for it in [s(1, 0.5), s(2, 0.9), s(3, 0.1), s(4, 0.7)] {
@@ -324,7 +308,7 @@ mod tests {
         // reset(0) keeps nothing.
         t.reset(0);
         t.push(s(5, 5.0));
-        assert!(t.is_empty());
+        assert!(t.heap.is_empty());
     }
 
     #[test]
@@ -359,7 +343,7 @@ mod tests {
             assert!(lazy.sorted > i && lazy.sorted <= lazy.len());
         }
         assert_eq!(lazy.get(want.len()), None);
-        assert_eq!(lazy.as_slice(), &want[..]);
+        assert_eq!(lazy.items, &want[..]);
     }
 
     #[test]
@@ -401,12 +385,12 @@ mod tests {
             items.iter().rev().for_each(|&it| lazy.push(it));
             for &i in &reads {
                 prop_assert_eq!(lazy.get(i), want.get(i).copied());
-                prop_assert_eq!(&lazy.as_slice()[..lazy.sorted], &want[..lazy.sorted]);
+                prop_assert_eq!(&lazy.items[..lazy.sorted], &want[..lazy.sorted]);
             }
             for i in 0..=want.len() {
                 prop_assert_eq!(lazy.get(i), want.get(i).copied());
             }
-            prop_assert_eq!(lazy.as_slice(), &want[..]);
+            prop_assert_eq!(lazy.items, &want[..]);
         }
 
         #[test]

@@ -144,7 +144,7 @@ impl FoodMartConfig {
 }
 
 /// The generated grocery world.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FoodMart {
     /// The recipe library (goal = dish, actions = ingredient purchases).
     pub library: GoalLibrary,

@@ -93,7 +93,7 @@ impl FortyThingsConfig {
 }
 
 /// The generated life-goal world.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FortyThings {
     /// The goal implementation library.
     pub library: GoalLibrary,

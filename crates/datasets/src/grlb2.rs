@@ -7,7 +7,7 @@
 //! and every process serving the file shares one physical copy through
 //! the page cache.
 //! Version 2 is the only version read: a GRLB file stamped with any other
-//! version is the typed [`UnsupportedVersion`] error. Layout (all
+//! version is the typed `UnsupportedVersion` error. Layout (all
 //! integers little-endian):
 //!
 //! ```text
@@ -58,7 +58,7 @@ const VERSION: u32 = 2;
 /// [`crate::io::read_library_file`], so boot, reload, `compile` and
 /// `stats` all name the found version and the way to a servable file.
 #[derive(Debug)]
-pub struct UnsupportedVersion {
+pub(crate) struct UnsupportedVersion {
     /// The file that was read.
     pub path: PathBuf,
     /// The version stamped in its header.
@@ -121,10 +121,10 @@ fn check_version(path: &Path, version: u32) -> io::Result<()> {
 }
 
 /// Fixed header size; the first section starts here.
-pub const HEADER_LEN: usize = 256;
+pub(crate) const HEADER_LEN: usize = 256;
 /// Every section offset is a multiple of this (cache-line, and a fortiori
 /// `u32`, alignment — also what keeps mapped `&[u32]` views aligned).
-pub const SECTION_ALIGN: u64 = 64;
+pub(crate) const SECTION_ALIGN: u64 = 64;
 const NUM_SECTIONS: usize = 8;
 /// Byte range of the header covered by the header checksum.
 const HEADER_FNV_AT: usize = 240;
@@ -485,7 +485,7 @@ fn write_v2(
 }
 
 /// Writes a compiled model as a v2 file (empty `impl-global` section),
-/// crash-safely via [`crate::io::atomic_write`].
+/// crash-safely via `crate::io::atomic_write`.
 pub fn write_model_v2(model: &GoalModel, path: &Path) -> io::Result<()> {
     let s = model.flat_sections();
     write_v2(
@@ -858,7 +858,11 @@ mod tests {
         )
         .unwrap();
         let err = read_model_v2(&path).unwrap_err();
-        assert!(crate::io::is_empty_library(&err), "{err}");
+        assert!(
+            err.get_ref()
+                .is_some_and(|e| e.is::<crate::io::EmptyLibraryError>()),
+            "{err}"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! Two robustness properties hold for everything in this module:
 //!
-//! * **Crash safety** — every writer goes through [`atomic_write`]: bytes
+//! * **Crash safety** — every writer goes through `atomic_write`: bytes
 //!   land in a same-directory temp file, are fsynced, and only then
 //!   atomically renamed over the target. A crash, full disk, or injected
 //!   torn write never leaves a half-written file where a good one stood.
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// of a confusing downstream model-build failure. Retrieve it through
 /// [`is_empty_library`].
 #[derive(Debug)]
-pub struct EmptyLibraryError {
+pub(crate) struct EmptyLibraryError {
     /// The file that held no implementations.
     pub path: PathBuf,
 }
@@ -49,12 +49,6 @@ impl fmt::Display for EmptyLibraryError {
 }
 
 impl std::error::Error for EmptyLibraryError {}
-
-/// Whether `err` is the typed empty-library error raised by
-/// [`read_library_file`].
-pub fn is_empty_library(err: &io::Error) -> bool {
-    err.get_ref().is_some_and(|e| e.is::<EmptyLibraryError>())
-}
 
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -83,7 +77,7 @@ fn tmp_sibling(path: &Path) -> PathBuf {
 ///
 /// The writer handed to `write` is fault-wrapped against the *target*
 /// path, so chaos plans name the file being persisted, not the temp name.
-pub fn atomic_write(
+pub(crate) fn atomic_write(
     path: &Path,
     write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
 ) -> io::Result<()> {
@@ -169,12 +163,11 @@ impl LibraryFile {
 /// command load through it (or through [`read_library_auto`]).
 ///
 /// A GRLB file stamped with any version other than 2 is the typed
-/// [`crate::grlb2::UnsupportedVersion`] error, which names the version
+/// `crate::grlb2::UnsupportedVersion` error, which names the version
 /// and `goalrec compile`. A file with zero implementations is the typed
-/// [`EmptyLibraryError`] (see [`is_empty_library`]). JSONL failures
-/// report the offending line and either the byte column (not JSON) or
-/// the field (not a record). The file is streamed line by line, never
-/// held whole in memory.
+/// `EmptyLibraryError`. JSONL failures report the offending line and
+/// either the byte column (not JSON) or the field (not a record). The
+/// file is streamed line by line, never held whole in memory.
 pub fn read_library_file(path: &Path) -> io::Result<LibraryFile> {
     let mut file = goalrec_faults::read_wrap(path, File::open(path)?);
     let mut head = Vec::with_capacity(8);
@@ -288,11 +281,11 @@ mod tests {
         std::fs::write(&path, "\n  \n").unwrap();
         let err = read_library_auto(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(is_empty_library(&err), "expected typed EmptyLibraryError");
+        assert!(
+            err.get_ref().is_some_and(|e| e.is::<EmptyLibraryError>()),
+            "expected typed EmptyLibraryError"
+        );
         assert!(err.to_string().contains("empty library"), "{err}");
-        // A normal InvalidData error is *not* classified as empty.
-        let plain = io::Error::new(io::ErrorKind::InvalidData, "other");
-        assert!(!is_empty_library(&plain));
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //!
 //! * [`foodmart`] — the grocery scenario: high-connectivity recipe library
 //!   plus customer carts.
-//! * [`fortythree`] — the 43Things life-goal scenario: low-connectivity,
+//! * `fortythree` — the 43Things life-goal scenario: low-connectivity,
 //!   family-local library plus user goal activities.
-//! * [`split`] — the 30 %-visible / 70 %-hidden evaluation protocol.
-//! * [`zipf`] — the skewed samplers both generators share.
+//! * `split` — the 30 %-visible / 70 %-hidden evaluation protocol.
+//! * `zipf` — the skewed samplers both generators share.
 //! * [`io`] — JSON-lines library persistence and the one library-file
 //!   loader, over [`record`]'s streaming record parser; [`grlb2`] — the aligned, sectioned `GRLB` v2 model format
 //!   that serves in place via [`mmap`].
@@ -36,17 +36,16 @@
 )]
 
 pub mod foodmart;
-pub mod fortythree;
+pub(crate) mod fortythree;
 pub mod grlb2;
 pub mod io;
 pub mod mmap;
 pub mod record;
-pub mod split;
+pub(crate) mod split;
 pub mod wal;
-pub mod zipf;
+pub(crate) mod zipf;
 
 pub use foodmart::{FoodMart, FoodMartConfig};
 pub use fortythree::{FortyThings, FortyThingsConfig};
 pub use split::{hide_split, hide_split_all, SplitActivity};
 pub use wal::AppendWal;
-pub use zipf::Zipf;

@@ -3,10 +3,10 @@
 //!
 //! The GRLB v2 reader ([`crate::grlb2`]) wants the file's `u32` sections
 //! *in place*, not parsed — that is the whole point of the format. This
-//! module supplies the buffer: [`ModelBytes`] is either a page-aligned
+//! module supplies the buffer: `ModelBytes` is either a page-aligned
 //! read-only file mapping (Unix, little-endian targets) or one flat heap
 //! buffer the file was read into (everything else, plus tests that set
-//! `GOALREC_NO_MMAP=1`). Either way, [`ModelBytes::section`] hands out
+//! `GOALREC_NO_MMAP=1`). Either way, `ModelBytes::section` hands out
 //! [`CsrBacking`] views that borrow the buffer and keep it alive through a
 //! shared handle — the last view to drop releases the buffer, which for a
 //! mapping is the `munmap` (the unmap-after-last-snapshot rule).
@@ -28,13 +28,13 @@ mod ffi {
     use std::os::raw::{c_int, c_void};
 
     /// `PROT_READ` — pages are readable, nothing else.
-    pub const PROT_READ: c_int = 1;
+    pub(crate) const PROT_READ: c_int = 1;
     /// `MAP_PRIVATE` — copy-on-write private mapping; we never write, so
     /// this simply means the file cannot be modified through us.
-    pub const MAP_PRIVATE: c_int = 2;
+    pub(crate) const MAP_PRIVATE: c_int = 2;
 
     extern "C" {
-        pub fn mmap(
+        pub(crate) fn mmap(
             addr: *mut c_void,
             length: usize,
             prot: c_int,
@@ -42,7 +42,7 @@ mod ffi {
             fd: c_int,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, length: usize) -> c_int;
+        pub(crate) fn munmap(addr: *mut c_void, length: usize) -> c_int;
     }
 }
 
@@ -51,7 +51,7 @@ mod ffi {
 /// valid until the last view (and therefore the last in-flight request
 /// snapshot) is gone.
 #[cfg(all(unix, target_endian = "little"))]
-pub struct Mapping {
+pub(crate) struct Mapping {
     ptr: *const u8,
     len: usize,
 }
@@ -81,7 +81,7 @@ impl Drop for Mapping {
 /// The bytes of one model file, either mapped in place or heap-resident.
 /// Both variants expose the same section accessors; `grlb2` never branches
 /// on which one it got.
-pub enum ModelBytes {
+pub(crate) enum ModelBytes {
     /// A live `mmap` of the file.
     #[cfg(all(unix, target_endian = "little"))]
     Mapped(Arc<Mapping>),
@@ -109,7 +109,7 @@ impl ModelBytes {
     /// and knows the exact file length; mapping a file whose length
     /// changed since is rejected.
     #[cfg(all(unix, target_endian = "little"))]
-    pub fn map_file(path: &Path, expected_len: u64) -> io::Result<Self> {
+    pub(crate) fn map_file(path: &Path, expected_len: u64) -> io::Result<Self> {
         use std::os::unix::io::AsRawFd;
         let file = std::fs::File::open(path)?;
         let len = file.metadata()?.len();
@@ -148,7 +148,11 @@ impl ModelBytes {
     /// right after the already-consumed 256-byte header) and reassembles
     /// the full file image as one word buffer, header included, so section
     /// offsets stay absolute.
-    pub fn read_heap(header: &[u8], rest: &mut dyn Read, expected_len: u64) -> io::Result<Self> {
+    pub(crate) fn read_heap(
+        header: &[u8],
+        rest: &mut dyn Read,
+        expected_len: u64,
+    ) -> io::Result<Self> {
         let mut bytes = Vec::with_capacity(expected_len as usize);
         bytes.extend_from_slice(header);
         rest.read_to_end(&mut bytes)?;
@@ -172,7 +176,7 @@ impl ModelBytes {
     }
 
     /// Whether the bytes are a live file mapping (vs the heap fallback).
-    pub fn is_mapped(&self) -> bool {
+    pub(crate) fn is_mapped(&self) -> bool {
         match self {
             #[cfg(all(unix, target_endian = "little"))]
             ModelBytes::Mapped(_) => true,
@@ -181,7 +185,7 @@ impl ModelBytes {
     }
 
     /// The whole file image as bytes — what the checksum passes hash.
-    pub fn as_bytes(&self) -> &[u8] {
+    pub(crate) fn as_bytes(&self) -> &[u8] {
         match self {
             #[cfg(all(unix, target_endian = "little"))]
             ModelBytes::Mapped(m) => {
@@ -199,7 +203,7 @@ impl ModelBytes {
     }
 
     /// Total length in bytes.
-    pub fn len_bytes(&self) -> usize {
+    pub(crate) fn len_bytes(&self) -> usize {
         self.as_bytes().len()
     }
 
@@ -211,7 +215,7 @@ impl ModelBytes {
     /// range is in bounds and `byte_offset` is 64-byte aligned — which on
     /// a page-aligned mapping (or a `u32`-aligned heap buffer) makes the
     /// view correctly aligned for `u32`.
-    pub fn section(&self, byte_offset: usize, words: usize) -> CsrBacking {
+    pub(crate) fn section(&self, byte_offset: usize, words: usize) -> CsrBacking {
         debug_assert!(byte_offset.is_multiple_of(4));
         debug_assert!(byte_offset + words * 4 <= self.len_bytes());
         match self {

@@ -44,7 +44,7 @@ pub const MAX_DEPTH: usize = 128;
 
 /// One implementation record: a goal id and its action ids, in the
 /// order written.
-pub type Record = (u32, Vec<u32>);
+pub(crate) type Record = (u32, Vec<u32>);
 
 /// Why bytes are not JSON.
 #[derive(Debug, Clone, PartialEq, Eq)]

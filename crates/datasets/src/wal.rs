@@ -72,12 +72,6 @@ impl AppendWal {
         &self.path
     }
 
-    /// Whether the log file currently exists (i.e. there may be
-    /// un-compacted appends to replay).
-    pub fn exists(&self) -> bool {
-        self.path.exists()
-    }
-
     /// Durably appends a batch of accepted implementations: one JSONL
     /// record per entry, flushed and fsynced before returning, through the
     /// fault-injection layer (plans match the WAL path). On error the tail
@@ -162,19 +156,19 @@ mod tests {
         let wal = AppendWal::for_library(&lib);
         assert_eq!(wal.path(), tmp("lib.jsonl.wal"));
         wal.clear().unwrap();
-        assert!(!wal.exists());
+        assert!(!wal.path().exists());
         assert!(wal.replay().unwrap().is_empty(), "missing file is empty");
 
         wal.append_batch(&[(3, vec![1, 2]), (0, vec![7])]).unwrap();
         wal.append_batch(&[(5, vec![9])]).unwrap();
-        assert!(wal.exists());
+        assert!(wal.path().exists());
         assert_eq!(
             wal.replay().unwrap(),
             vec![(3, vec![1, 2]), (0, vec![7]), (5, vec![9])]
         );
 
         wal.clear().unwrap();
-        assert!(!wal.exists());
+        assert!(!wal.path().exists());
         wal.clear().unwrap(); // idempotent
     }
 

@@ -11,7 +11,7 @@ use rand::Rng;
 
 /// A Zipf distribution over `0..n` (rank 0 is the most popular item).
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
@@ -21,7 +21,7 @@ impl Zipf {
     ///
     /// # Panics
     /// Panics if `n == 0` or `s` is negative/non-finite.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one item");
         assert!(
             s >= 0.0 && s.is_finite(),
@@ -45,17 +45,12 @@ impl Zipf {
     }
 
     /// Number of items.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cdf.len()
     }
 
-    /// Whether the support is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Samples one rank in `0..n`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
@@ -65,7 +60,7 @@ impl Zipf {
     ///
     /// # Panics
     /// Panics if `k > n`.
-    pub fn sample_distinct<R: Rng + ?Sized>(&self, rng: &mut R, k: usize) -> Vec<usize> {
+    pub(crate) fn sample_distinct<R: Rng + ?Sized>(&self, rng: &mut R, k: usize) -> Vec<usize> {
         let n = self.len();
         assert!(k <= n, "cannot draw {k} distinct items from {n}");
         if k == n {
@@ -97,7 +92,7 @@ impl Zipf {
 /// Samples an integer from a discrete distribution given by `weights`.
 /// Linear scan — intended for small supports such as cart-count or
 /// goal-count distributions.
-pub fn sample_weighted<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
+pub(crate) fn sample_weighted<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0, "weights must sum to a positive value");
     let mut u: f64 = rng.gen::<f64>() * total;
@@ -209,6 +204,5 @@ mod tests {
     fn len_accessors() {
         let z = Zipf::new(9, 1.0);
         assert_eq!(z.len(), 9);
-        assert!(!z.is_empty());
     }
 }

@@ -20,28 +20,17 @@ use goalrec_datasets::{
 use std::sync::Arc;
 
 /// Canonical method names, in the order the paper's tables list them.
-pub mod method {
-    /// Best Match (§5.3).
-    pub const BEST_MATCH: &str = "BestMatch";
+pub(crate) mod method {
     /// Focus with the completeness measure (§5.1).
-    pub const FOCUS_CMP: &str = "Focus_cmp";
-    /// Focus with the closeness measure (§5.1).
-    pub const FOCUS_CL: &str = "Focus_cl";
-    /// Breadth (§5.2).
-    pub const BREADTH: &str = "Breadth";
+    pub(crate) const FOCUS_CMP: &str = "Focus_cmp";
     /// Content-based filtering.
-    pub const CONTENT: &str = "Content";
+    pub(crate) const CONTENT: &str = "Content";
     /// Collaborative filtering, user kNN.
-    pub const CF_KNN: &str = "CF-kNN";
+    pub(crate) const CF_KNN: &str = "CF-kNN";
     /// Collaborative filtering, ALS-WR matrix factorisation.
-    pub const CF_MF: &str = "CF-MF";
-    /// Association rules (§2 comparator).
-    pub const APRIORI: &str = "Apriori";
+    pub(crate) const CF_MF: &str = "CF-MF";
     /// Popularity reference.
-    pub const POPULARITY: &str = "Popularity";
-
-    /// The four goal-based mechanisms.
-    pub const GOAL_BASED: [&str; 4] = [BEST_MATCH, FOCUS_CMP, FOCUS_CL, BREADTH];
+    pub(crate) const POPULARITY: &str = "Popularity";
 }
 
 /// Configuration of one full evaluation run.
@@ -228,26 +217,6 @@ impl EvalContext {
             foodmart,
             fortythree,
         }
-    }
-}
-
-impl FoodmartEval {
-    /// Lists of one method by canonical name.
-    pub fn lists(&self, name: &str) -> Option<&[Vec<ActionId>]> {
-        self.methods
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| m.lists.as_slice())
-    }
-}
-
-impl FortyThreeEval {
-    /// Lists of one method by canonical name.
-    pub fn lists(&self, name: &str) -> Option<&[Vec<ActionId>]> {
-        self.methods
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| m.lists.as_slice())
     }
 }
 
@@ -441,9 +410,18 @@ mod tests {
     #[test]
     fn goal_based_flags() {
         let c = ctx();
-        for m in &c.foodmart.methods {
-            assert_eq!(m.goal_based, method::GOAL_BASED.contains(&m.name.as_str()));
-        }
+        let mut goal_based: Vec<&str> = c
+            .foodmart
+            .methods
+            .iter()
+            .filter(|m| m.goal_based)
+            .map(|m| m.name.as_str())
+            .collect();
+        goal_based.sort_unstable();
+        assert_eq!(
+            goal_based,
+            ["BestMatch", "Breadth", "Focus_cl", "Focus_cmp"]
+        );
     }
 
     #[test]
@@ -466,14 +444,6 @@ mod tests {
                 assert!(!input.contains(*a));
             }
         }
-    }
-
-    #[test]
-    fn lists_lookup_by_name() {
-        let c = ctx();
-        assert!(c.foodmart.lists(method::BREADTH).is_some());
-        assert!(c.foodmart.lists("NoSuchMethod").is_none());
-        assert!(c.fortythree.lists(method::CF_KNN).is_some());
     }
 
     #[test]

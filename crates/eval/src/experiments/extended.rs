@@ -217,7 +217,7 @@ mod tests {
             .unwrap()
             .diversity
             .unwrap();
-        for m in method::GOAL_BASED {
+        for m in ["BestMatch", "Focus_cmp", "Focus_cl", "Breadth"] {
             let d = fm
                 .rows
                 .iter()

@@ -18,7 +18,7 @@
 //! (Focus's design target) and the mean number of goals completed by the
 //! horizon (Breadth's design target).
 
-use crate::context::{EvalConfig, EvalContext};
+use crate::context::EvalContext;
 use crate::report::{f3, TextTable};
 use goalrec_core::{ActionId, Activity, GoalRecommender, ImplId, Recommender};
 use rayon::prelude::*;
@@ -205,16 +205,10 @@ impl fmt::Display for Sessions {
     }
 }
 
-/// Convenience: run with defaults on a fresh test-scale context (used by
-/// the `repro` harness at test scale).
-pub fn run_default(cfg: &EvalConfig) -> Sessions {
-    let ctx = EvalContext::build(cfg.clone());
-    run(&ctx, &SessionConfig::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::EvalConfig;
 
     fn sessions() -> Sessions {
         let ctx = EvalContext::build(EvalConfig::test_scale());

@@ -13,7 +13,7 @@ use std::fmt;
 
 /// How many of the most popular actions enter the correlation (the paper
 /// uses 20).
-pub const TOP_N_POPULAR: usize = 20;
+pub(crate) const TOP_N_POPULAR: usize = 20;
 
 /// One method's correlations on both datasets.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -90,7 +90,7 @@ mod tests {
         let ctx = EvalContext::build(EvalConfig::test_scale());
         let t = run(&ctx);
         let names: Vec<&str> = t.rows.iter().map(|r| r.method.as_str()).collect();
-        assert!(names.contains(&method::BREADTH));
+        assert!(names.contains(&"Breadth"));
         assert!(names.contains(&method::CF_KNN));
         // Content has a FoodMart value and no 43Things value.
         let content = t.rows.iter().find(|r| r.method == method::CONTENT).unwrap();

@@ -160,7 +160,7 @@ mod tests {
                 .usefulness
                 .avg_avg
         };
-        let best_goal = crate::context::method::GOAL_BASED
+        let best_goal = ["BestMatch", "Focus_cmp", "Focus_cl", "Breadth"]
             .iter()
             .map(|m| get(m))
             .fold(f64::NEG_INFINITY, f64::max);

@@ -77,7 +77,7 @@ mod tests {
                 .avg_avg
         };
         let content = get(method::CONTENT);
-        for m in crate::context::method::GOAL_BASED {
+        for m in ["BestMatch", "Focus_cmp", "Focus_cl", "Breadth"] {
             assert!(
                 content > get(m),
                 "Content {content} should exceed {m} {}",

@@ -21,15 +21,6 @@ pub struct Table6Dataset {
     pub matrix: Vec<Vec<f64>>,
 }
 
-impl Table6Dataset {
-    /// Overlap of two methods by name.
-    pub fn overlap(&self, a: &str, b: &str) -> Option<f64> {
-        let i = self.methods.iter().position(|m| m == a)?;
-        let j = self.methods.iter().position(|m| m == b)?;
-        Some(self.matrix[i][j])
-    }
-}
-
 /// Full Table 6 result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table6 {
@@ -87,7 +78,7 @@ impl fmt::Display for Table6 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{method, EvalConfig};
+    use crate::context::EvalConfig;
 
     #[test]
     fn matrix_is_symmetric_with_unit_diagonal() {
@@ -119,7 +110,8 @@ mod tests {
         let ctx = EvalContext::build(EvalConfig::test_scale());
         let t = run(&ctx);
         for ds in &t.datasets {
-            let bm_br = ds.overlap(method::BEST_MATCH, method::BREADTH).unwrap();
+            let at = |name: &str| ds.methods.iter().position(|m| m == name).unwrap();
+            let bm_br = ds.matrix[at("BestMatch")][at("Breadth")];
             assert!(
                 bm_br > 0.3,
                 "{}: BestMatch×Breadth overlap only {bm_br}",

@@ -27,9 +27,9 @@
     )
 )]
 
-pub mod context;
+pub(crate) mod context;
 pub mod experiments;
 pub mod metrics;
-pub mod report;
+pub(crate) mod report;
 
 pub use context::{EvalConfig, EvalContext};

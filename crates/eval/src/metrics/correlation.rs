@@ -11,7 +11,7 @@ use goalrec_core::ActionId;
 /// Pearson correlation coefficient of two equal-length samples. Returns
 /// 0.0 when either sample has zero variance (the conventional degenerate
 /// value for this study).
-pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
+pub(crate) fn pearson(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "paired samples required");
     let n = x.len();
     if n < 2 {
@@ -41,7 +41,7 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
 /// given recommendation lists.
 ///
 /// `activity_counts[a]` is how many input activities contain action `a`.
-pub fn popularity_correlation(
+pub(crate) fn popularity_correlation(
     activity_counts: &[u32],
     lists: &[Vec<ActionId>],
     top_n: usize,

@@ -45,23 +45,15 @@ impl FrequencyHistogram {
             max_frequency,
         }
     }
-
-    /// Fraction of actions with frequency at most `bound` (sums the buckets
-    /// whose upper bound is ≤ `bound`).
-    pub fn fraction_below(&self, bound: f64) -> f64 {
-        self.bounds
-            .iter()
-            .zip(&self.fractions)
-            .filter(|&(&b, _)| b <= bound + 1e-12)
-            .map(|(_, &f)| f)
-            .sum()
-    }
 }
 
 /// Per-action frequency across recommendation lists:
 /// `count(lists containing a) / num_lists`, for actions appearing at least
 /// once. This is Figure 5's distribution.
-pub fn list_frequencies(lists: &[Vec<ActionId>], num_actions: usize) -> Vec<(ActionId, f64)> {
+pub(crate) fn list_frequencies(
+    lists: &[Vec<ActionId>],
+    num_actions: usize,
+) -> Vec<(ActionId, f64)> {
     let mut counts = vec![0u32; num_actions];
     for list in lists {
         for a in list {
@@ -81,7 +73,7 @@ pub fn list_frequencies(lists: &[Vec<ActionId>], num_actions: usize) -> Vec<(Act
 
 /// Figure 5 histogram: distribution of list frequencies of retrieved
 /// actions.
-pub fn figure5_histogram(
+pub(crate) fn figure5_histogram(
     lists: &[Vec<ActionId>],
     num_actions: usize,
     num_buckets: usize,
@@ -95,7 +87,7 @@ pub fn figure5_histogram(
 
 /// Figure 6 histogram: distribution, over the *retrieved* actions, of their
 /// frequency in the implementation set (`|IS(a)| / |L|`).
-pub fn figure6_histogram(
+pub(crate) fn figure6_histogram(
     model: &GoalModel,
     lists: &[Vec<ActionId>],
     num_buckets: usize,
@@ -122,7 +114,7 @@ pub fn figure6_histogram(
 /// 0 = every recommended action appears equally often across the lists,
 /// → 1 = a handful of actions monopolise the slots. A scalar companion to
 /// the Figure 5 histogram.
-pub fn recommendation_gini(lists: &[Vec<ActionId>], num_actions: usize) -> f64 {
+pub(crate) fn recommendation_gini(lists: &[Vec<ActionId>], num_actions: usize) -> f64 {
     let mut counts = vec![0u64; num_actions];
     for list in lists {
         for a in list {
@@ -176,7 +168,7 @@ mod tests {
         assert_eq!(h.bounds, vec![0.2, 0.4, 0.6, 0.8, 1.0]);
         assert_eq!(h.num_actions, 4);
         assert!((h.fractions.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((h.fraction_below(0.2) - 0.5).abs() < 1e-12);
+        assert!((h.fractions[0] - 0.5).abs() < 1e-12);
         assert_eq!(h.max_frequency, 0.9);
     }
 
@@ -192,7 +184,7 @@ mod tests {
         let h = FrequencyHistogram::from_frequencies(&[], 5);
         assert_eq!(h.num_actions, 0);
         assert_eq!(h.max_frequency, 0.0);
-        assert_eq!(h.fraction_below(1.0), 0.0);
+        assert!(h.fractions.iter().all(|&f| f == 0.0));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Evaluation metrics used by the §6 experiments.
 
 pub mod completeness;
-pub mod correlation;
-pub mod frequency;
-pub mod novelty;
-pub mod overlap;
-pub mod pairwise;
+pub(crate) mod correlation;
+pub(crate) mod frequency;
+pub(crate) mod novelty;
+pub(crate) mod overlap;
+pub(crate) mod pairwise;
 pub mod ranking;
 pub mod tpr;

@@ -13,7 +13,7 @@ use goalrec_core::ActionId;
 /// `−log₂(count(a) / num_users)`, averaged over all recommended slots.
 /// Higher = more novel. Actions never seen in training contribute the
 /// maximum (`log₂ num_users`).
-pub fn novelty(lists: &[Vec<ActionId>], activity_counts: &[u32], num_users: usize) -> f64 {
+pub(crate) fn novelty(lists: &[Vec<ActionId>], activity_counts: &[u32], num_users: usize) -> f64 {
     let n_users = num_users.max(1) as f64;
     let max_info = n_users.log2();
     let mut total = 0.0;
@@ -34,7 +34,7 @@ pub fn novelty(lists: &[Vec<ActionId>], activity_counts: &[u32], num_users: usiz
 
 /// Intra-list diversity: `1 −` mean pairwise feature similarity within a
 /// list, averaged over lists with ≥ 2 items. Higher = more diverse.
-pub fn intra_list_diversity(features: &ItemFeatures, lists: &[Vec<ActionId>]) -> f64 {
+pub(crate) fn intra_list_diversity(features: &ItemFeatures, lists: &[Vec<ActionId>]) -> f64 {
     let mut total = 0.0;
     let mut n = 0usize;
     for list in lists {
@@ -57,7 +57,7 @@ pub fn intra_list_diversity(features: &ItemFeatures, lists: &[Vec<ActionId>]) ->
 
 /// Catalogue coverage: fraction of the action universe recommended at
 /// least once across all lists (aggregate diversity).
-pub fn catalogue_coverage(lists: &[Vec<ActionId>], num_actions: usize) -> f64 {
+pub(crate) fn catalogue_coverage(lists: &[Vec<ActionId>], num_actions: usize) -> f64 {
     let mut seen = vec![false; num_actions];
     for list in lists {
         for a in list {
@@ -73,7 +73,7 @@ pub fn catalogue_coverage(lists: &[Vec<ActionId>], num_actions: usize) -> f64 {
 /// the per-input ground truth), the fraction that a popularity primer
 /// would *not* have recommended — relevant surprises. `primitive[i]` is
 /// the popularity baseline's list for input `i`.
-pub fn serendipity(
+pub(crate) fn serendipity(
     lists: &[Vec<ActionId>],
     primitive: &[Vec<ActionId>],
     truths: &[Vec<ActionId>],

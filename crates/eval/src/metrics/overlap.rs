@@ -9,7 +9,7 @@ use goalrec_core::ActionId;
 /// Overlap of two single lists: `|a ∩ b| / max(|a|, |b|)` (0 when both are
 /// empty). Using the longer list as denominator keeps the measure honest
 /// when one method returns a short list.
-pub fn list_overlap(a: &[ActionId], b: &[ActionId]) -> f64 {
+pub(crate) fn list_overlap(a: &[ActionId], b: &[ActionId]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 0.0;
     }
@@ -22,7 +22,7 @@ pub fn list_overlap(a: &[ActionId], b: &[ActionId]) -> f64 {
 ///
 /// # Panics
 /// Panics if the two methods produced a different number of lists.
-pub fn mean_overlap(a: &[Vec<ActionId>], b: &[Vec<ActionId>]) -> f64 {
+pub(crate) fn mean_overlap(a: &[Vec<ActionId>], b: &[Vec<ActionId>]) -> f64 {
     assert_eq!(a.len(), b.len(), "methods must rank the same inputs");
     if a.is_empty() {
         return 0.0;

@@ -23,7 +23,10 @@ pub struct PairwiseSimilarity {
 
 /// Computes the Table 5 statistic; lists with fewer than two actions are
 /// skipped (no pairs).
-pub fn pairwise_similarity(features: &ItemFeatures, lists: &[Vec<ActionId>]) -> PairwiseSimilarity {
+pub(crate) fn pairwise_similarity(
+    features: &ItemFeatures,
+    lists: &[Vec<ActionId>],
+) -> PairwiseSimilarity {
     let mut n = 0usize;
     let (mut s_avg, mut s_max, mut s_min) = (0.0, 0.0, 0.0);
     for list in lists {

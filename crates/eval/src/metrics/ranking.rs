@@ -20,7 +20,7 @@ pub fn precision_at_k(list: &[ActionId], truth_sorted: &[ActionId], k: usize) ->
 }
 
 /// Recall@k: hits / |truth|; 0 for empty truth.
-pub fn recall_at_k(list: &[ActionId], truth_sorted: &[ActionId], k: usize) -> f64 {
+pub(crate) fn recall_at_k(list: &[ActionId], truth_sorted: &[ActionId], k: usize) -> f64 {
     if truth_sorted.is_empty() {
         return 0.0;
     }
@@ -51,23 +51,6 @@ pub fn ndcg_at_k(list: &[ActionId], truth_sorted: &[ActionId], k: usize) -> f64 
     } else {
         dcg / idcg
     }
-}
-
-/// Average precision@k (for MAP: average this over queries).
-pub fn average_precision_at_k(list: &[ActionId], truth_sorted: &[ActionId], k: usize) -> f64 {
-    if truth_sorted.is_empty() {
-        return 0.0;
-    }
-    let cut = list.len().min(k);
-    let mut hits = 0usize;
-    let mut sum = 0.0;
-    for (i, a) in list[..cut].iter().enumerate() {
-        if truth_sorted.binary_search(a).is_ok() {
-            hits += 1;
-            sum += hits as f64 / (i + 1) as f64;
-        }
-    }
-    sum / truth_sorted.len().min(k) as f64
 }
 
 /// Mean of a per-query metric over a batch, skipping empty truths.
@@ -126,14 +109,6 @@ mod tests {
         let late = ndcg_at_k(&ids(&[9, 8, 1]), &truth, 3);
         assert!(early > late);
         assert_eq!(early, 1.0);
-    }
-
-    #[test]
-    fn average_precision_known_value() {
-        // Hits at positions 1 and 3 of [1,9,2], truth {1,2}:
-        // AP = (1/1 + 2/3) / 2.
-        let ap = average_precision_at_k(&ids(&[1, 9, 2]), &ids(&[1, 2]), 3);
-        assert!((ap - (1.0 + 2.0 / 3.0) / 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use goalrec_core::ActionId;
 
 /// TPR of one list against a sorted ground-truth action set:
 /// `|list ∩ truth| / |list|`; 0 for an empty list.
-pub fn list_tpr(list: &[ActionId], truth_sorted: &[ActionId]) -> f64 {
+pub(crate) fn list_tpr(list: &[ActionId], truth_sorted: &[ActionId]) -> f64 {
     if list.is_empty() {
         return 0.0;
     }

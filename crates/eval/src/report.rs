@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 /// A simple fixed-width text table.
 #[derive(Debug, Clone)]
-pub struct TextTable {
+pub(crate) struct TextTable {
     title: String,
     header: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -16,7 +16,7 @@ pub struct TextTable {
 
 impl TextTable {
     /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, header: &[&str]) -> Self {
         Self {
             title: title.into(),
             header: header.iter().map(|s| s.to_string()).collect(),
@@ -25,14 +25,14 @@ impl TextTable {
     }
 
     /// Appends one row; must match the header width.
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
         self
     }
 
     /// Renders the table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -63,7 +63,7 @@ impl TextTable {
 /// A horizontal ASCII bar chart — used to render the paper's figures
 /// (3 and 4) as figures, not just tables.
 #[derive(Debug, Clone)]
-pub struct BarChart {
+pub(crate) struct BarChart {
     title: String,
     bars: Vec<(String, f64)>,
     width: usize,
@@ -71,7 +71,7 @@ pub struct BarChart {
 
 impl BarChart {
     /// Creates a chart; `width` is the maximum bar length in characters.
-    pub fn new(title: impl Into<String>, width: usize) -> Self {
+    pub(crate) fn new(title: impl Into<String>, width: usize) -> Self {
         assert!(width > 0);
         Self {
             title: title.into(),
@@ -81,13 +81,13 @@ impl BarChart {
     }
 
     /// Appends one labelled bar. Negative values are clamped to zero.
-    pub fn bar(&mut self, label: impl Into<String>, value: f64) -> &mut Self {
+    pub(crate) fn bar(&mut self, label: impl Into<String>, value: f64) -> &mut Self {
         self.bars.push((label.into(), value.max(0.0)));
         self
     }
 
     /// Renders the chart; bars are scaled to the maximum value.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.title);
         let max = self
@@ -111,12 +111,12 @@ impl BarChart {
 }
 
 /// Formats a fraction as a percentage with two decimals.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)
 }
 
 /// Formats a float with three decimals.
-pub fn f3(x: f64) -> String {
+pub(crate) fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 

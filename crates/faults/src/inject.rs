@@ -22,9 +22,9 @@ static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
 pub fn arm(plan: FaultPlan) {
     let mut slot = PLAN.lock().unwrap_or_else(PoisonError::into_inner);
     *slot = Some(plan);
-    // ordering: Release pairs with the Acquire loads in is_armed and
-    // plan_for; the PLAN mutex separately synchronizes the plan contents,
-    // so the flag only needs to order itself after the install above.
+    // ordering: Release pairs with the Acquire load in plan_for; the PLAN
+    // mutex separately synchronizes the plan contents, so the flag only
+    // needs to order itself after the install above.
     ARMED.store(true, Ordering::Release);
 }
 
@@ -35,12 +35,6 @@ pub fn disarm() {
     // ordering: Release, mirroring arm — a disarm observed via Acquire
     // happens-after the plan was cleared under the mutex.
     ARMED.store(false, Ordering::Release);
-}
-
-/// Whether any plan is currently armed (regardless of path filters).
-pub fn is_armed() -> bool {
-    // ordering: Acquire pairs with the Release stores in arm/disarm.
-    ARMED.load(Ordering::Acquire)
 }
 
 /// Runs `f` with `plan` armed, disarming afterwards even on early return.
@@ -199,13 +193,6 @@ pub struct FaultyRead<R> {
     faults: Option<Box<StreamFaults>>,
 }
 
-impl<R> FaultyRead<R> {
-    /// The wrapped reader.
-    pub fn get_ref(&self) -> &R {
-        &self.inner
-    }
-}
-
 impl<R: Read> Read for FaultyRead<R> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let Some(faults) = self.faults.as_deref_mut() else {
@@ -303,11 +290,40 @@ pub fn write_wrap<W: Write>(path: &Path, inner: W) -> FaultyWrite<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultPlan;
+    use crate::plan::{FaultKind, FaultPlan, Trigger};
     use std::time::{Duration, Instant};
 
     fn path() -> &'static Path {
         Path::new("/virtual/test.grlb")
+    }
+
+    /// A pseudo-random single-event plan derived from `seed`. `len_hint`
+    /// bounds the byte offsets so the fault lands inside a stream of
+    /// roughly that size.
+    fn seeded_plan(seed: u64, len_hint: u64) -> FaultPlan {
+        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+        let mut next = move |m: u64| {
+            // splitmix64: full-period, seed-deterministic.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % m.max(1)
+        };
+        let offset = next(len_hint.max(1));
+        let kind = match next(5) {
+            0 => FaultKind::ReadError,
+            1 => FaultKind::WriteError,
+            2 => FaultKind::ShortRead,
+            3 => FaultKind::TornWrite,
+            _ => FaultKind::Stall(Duration::from_millis(1 + next(20))),
+        };
+        let trigger = if next(2) == 0 {
+            Trigger::ByteOffset(offset)
+        } else {
+            Trigger::OpCount(1 + next(8))
+        };
+        FaultPlan::new().with(kind, trigger)
     }
 
     /// Serializes tests that arm the process-global plan.
@@ -424,9 +440,8 @@ mod tests {
     fn disarm_restores_passthrough() {
         let _g = lock();
         arm(FaultPlan::parse("read-error@op=1").unwrap());
-        assert!(is_armed());
+        assert!(read_wrap(path(), &b"ok"[..]).read(&mut [0u8; 4]).is_err());
         disarm();
-        assert!(!is_armed());
         let mut r = read_wrap(path(), &b"ok"[..]);
         assert_eq!(r.read(&mut [0u8; 4]).unwrap(), 2);
     }
@@ -435,7 +450,7 @@ mod tests {
     fn seeded_plans_never_hang_or_panic_the_stream() {
         let _g = lock();
         for seed in 0..32u64 {
-            with_plan(FaultPlan::seeded(seed, 64), || {
+            with_plan(seeded_plan(seed, 64), || {
                 let data = vec![3u8; 64];
                 let mut r = read_wrap(path(), &data[..]);
                 let mut out = Vec::new();

@@ -4,11 +4,11 @@
 //!
 //! Production code opens its files through [`read_wrap`]/[`write_wrap`];
 //! by default these are passthrough wrappers costing one `Option` check
-//! per call. A chaos driver (a test, `loadgen --chaos-smoke`) arms a
-//! [`FaultPlan`] — a schedule of IO errors, short reads, latency stalls
-//! and torn writes at chosen byte offsets or operation counts — and every
-//! stream subsequently opened on a matching path misbehaves exactly as
-//! scheduled:
+//! per call. A chaos driver (a test, such as the server's chaos test)
+//! arms a [`FaultPlan`] — a schedule of IO errors, short reads, latency
+//! stalls and torn writes at chosen byte offsets or operation counts — and
+//! every stream subsequently opened on a matching path misbehaves exactly
+//! as scheduled:
 //!
 //! ```
 //! use goalrec_faults::{FaultPlan, with_plan, read_wrap};
@@ -25,10 +25,9 @@
 //! ```
 //!
 //! Everything is deterministic: the same plan against the same byte
-//! stream fires at the same offsets, and [`FaultPlan::seeded`] derives a
-//! reproducible pseudo-random plan from a seed. The crate depends on
-//! nothing and injects nothing unless armed, so shipping it in the
-//! serving path is free.
+//! stream fires at the same offsets. The crate depends on nothing and
+//! injects nothing unless armed, so shipping it in the serving path is
+//! free.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -49,7 +48,5 @@
 mod inject;
 mod plan;
 
-pub use inject::{
-    arm, disarm, is_armed, read_wrap, with_plan, write_wrap, FaultyRead, FaultyWrite,
-};
+pub use inject::{arm, disarm, read_wrap, with_plan, write_wrap, FaultyRead, FaultyWrite};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, PlanParseError, Trigger};

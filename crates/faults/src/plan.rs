@@ -41,7 +41,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Whether this kind fires on the read side of a stream.
-    pub fn is_read_side(&self) -> bool {
+    pub(crate) fn is_read_side(&self) -> bool {
         matches!(
             self,
             FaultKind::ReadError | FaultKind::ShortRead | FaultKind::Stall(_)
@@ -104,7 +104,7 @@ impl FaultPlan {
     }
 
     /// Whether this plan applies to a stream opened at `path`.
-    pub fn matches(&self, path: &str) -> bool {
+    pub(crate) fn matches(&self, path: &str) -> bool {
         match &self.path_filter {
             Some(filter) => path.contains(filter.as_str()),
             None => true,
@@ -146,35 +146,6 @@ impl FaultPlan {
             plan.events.push(FaultEvent { kind, trigger });
         }
         Ok(plan)
-    }
-
-    /// A deterministic pseudo-random single-event plan: the same seed
-    /// always yields the same fault. `len_hint` bounds the byte offsets so
-    /// the fault lands inside a stream of roughly that size.
-    pub fn seeded(seed: u64, len_hint: u64) -> Self {
-        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-        let mut next = move |m: u64| {
-            // splitmix64: full-period, seed-deterministic.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) % m.max(1)
-        };
-        let offset = next(len_hint.max(1));
-        let kind = match next(5) {
-            0 => FaultKind::ReadError,
-            1 => FaultKind::WriteError,
-            2 => FaultKind::ShortRead,
-            3 => FaultKind::TornWrite,
-            _ => FaultKind::Stall(Duration::from_millis(1 + next(20))),
-        };
-        let trigger = if next(2) == 0 {
-            Trigger::ByteOffset(offset)
-        } else {
-            Trigger::OpCount(1 + next(8))
-        };
-        FaultPlan::new().with(kind, trigger)
     }
 }
 
@@ -324,18 +295,5 @@ mod tests {
         assert!(plan.matches("/tmp/lib.grlb"));
         assert!(!plan.matches("/tmp/lib.jsonl"));
         assert!(FaultPlan::new().matches("/anything"));
-    }
-
-    #[test]
-    fn seeded_plans_are_deterministic() {
-        for seed in 0..64u64 {
-            assert_eq!(FaultPlan::seeded(seed, 1024), FaultPlan::seeded(seed, 1024));
-            assert_eq!(FaultPlan::seeded(seed, 1024).events.len(), 1);
-        }
-        // Different seeds explore different faults.
-        let distinct: std::collections::HashSet<String> = (0..64u64)
-            .map(|s| FaultPlan::seeded(s, 1024).to_string())
-            .collect();
-        assert!(distinct.len() > 8, "only {} distinct plans", distinct.len());
     }
 }

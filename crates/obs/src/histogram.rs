@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: value 0 plus one bucket per u64 bit position.
-pub const NUM_BUCKETS: usize = 65;
+pub(crate) const NUM_BUCKETS: usize = 65;
 
 /// What a histogram's values measure, for report rendering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -44,7 +44,7 @@ impl Histogram {
     }
 
     /// The measured unit.
-    pub fn unit(&self) -> Unit {
+    pub(crate) fn unit(&self) -> Unit {
         self.unit
     }
 
@@ -87,7 +87,7 @@ impl Histogram {
 
     /// Records a duration as nanoseconds (saturating at `u64::MAX`).
     #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
+    pub(crate) fn record_duration(&self, d: std::time::Duration) {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
@@ -99,7 +99,7 @@ impl Histogram {
 
     /// Number of values recorded into bucket `i` (`i < NUM_BUCKETS`),
     /// for cumulative exposition formats.
-    pub fn bucket_count(&self, i: usize) -> u64 {
+    pub(crate) fn bucket_count(&self, i: usize) -> u64 {
         // ordering: Relaxed — statistics read, no cross-field consistency.
         self.buckets[i].load(Ordering::Relaxed)
     }
@@ -128,7 +128,7 @@ impl Histogram {
     }
 
     /// Arithmetic mean of recorded values, 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         let n = self.count();
         if n == 0 {
             0.0
@@ -157,20 +157,6 @@ impl Histogram {
             }
         }
         self.max()
-    }
-
-    /// Zeroes all state in place; concurrent recorders stay valid.
-    pub fn reset(&self) {
-        // ordering: Relaxed — reset races benignly with recorders; a value
-        // recorded mid-reset may survive partially, which the statistical
-        // contract (bucket-resolution estimates) already absorbs.
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed); // ordering: as above
-        }
-        self.count.store(0, Ordering::Relaxed); // ordering: as above
-        self.sum.store(0, Ordering::Relaxed); // ordering: as above
-        self.min.store(u64::MAX, Ordering::Relaxed); // ordering: as above
-        self.max.store(0, Ordering::Relaxed); // ordering: as above
     }
 }
 
@@ -219,17 +205,5 @@ mod tests {
         assert_eq!(Histogram::bucket_index(p99), Histogram::bucket_index(990));
         // p100 clamps to the observed max exactly.
         assert_eq!(h.quantile(1.0), 1000);
-    }
-
-    #[test]
-    fn reset_zeroes_in_place() {
-        let h = Histogram::new(Unit::Count);
-        h.record(5);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.min(), 0);
-        h.record(2);
-        assert_eq!(h.count(), 1);
     }
 }

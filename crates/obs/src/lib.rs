@@ -59,9 +59,9 @@ mod histogram;
 pub mod names;
 mod registry;
 mod report;
-pub mod tail;
+pub(crate) mod tail;
 mod timer;
-pub mod trace;
+pub(crate) mod trace;
 
 pub use histogram::{Histogram, Unit};
 pub use registry::{Counter, Gauge, Registry};
@@ -105,14 +105,6 @@ pub fn snapshot() -> MetricsReport {
 /// Prometheus text exposition of every metric in the global registry.
 pub fn render_prometheus() -> String {
     global().render_prometheus()
-}
-
-/// Zeroes every metric in the global registry in place.
-///
-/// Cached handles stay valid and keep recording into the same metrics;
-/// use this to isolate one run's measurements (tests, benchmarks).
-pub fn reset() {
-    global().reset()
 }
 
 #[cfg(test)]

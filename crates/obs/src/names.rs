@@ -9,9 +9,6 @@
 //!   literals to the recording functions;
 //! * the README "Observability" table and this registry must list exactly
 //!   the same names (drift is reported either way).
-//!
-//! Keep [`ALL`] in sync when adding a name: the lint's README cross-check
-//! and the unit tests below read it.
 
 // ---------------------------------------------------------------------
 // Model construction (`GoalModel::build`).
@@ -45,11 +42,11 @@ pub const MODEL_MEMORY_BYTES: &str = "model.memory_bytes";
 // ---------------------------------------------------------------------
 
 /// Pattern — counter: requests served by one strategy.
-pub const STRATEGY_REQUESTS: &str = "strategy.<name>.requests";
+pub(crate) const STRATEGY_REQUESTS: &str = "strategy.<name>.requests";
 /// Pattern — histogram (ns): per-request latency of one strategy.
-pub const STRATEGY_LATENCY: &str = "strategy.<name>.latency";
+pub(crate) const STRATEGY_LATENCY: &str = "strategy.<name>.latency";
 /// Pattern — histogram: pre-truncation candidate-set size per request.
-pub const STRATEGY_CANDIDATES: &str = "strategy.<name>.candidates";
+pub(crate) const STRATEGY_CANDIDATES: &str = "strategy.<name>.candidates";
 
 /// `strategy.<name>.requests` for a concrete strategy name.
 pub fn strategy_requests(name: &str) -> String {
@@ -77,7 +74,7 @@ pub const BATCH_LATENCY: &str = "batch.latency";
 /// Gauge: requests per second of the most recent batch run.
 pub const BATCH_THROUGHPUT_RPS: &str = "batch.throughput_rps";
 /// Pattern — histogram (ns): one method's batch wall clock.
-pub const BATCH_METHOD_WALL: &str = "batch.<method>.wall";
+pub(crate) const BATCH_METHOD_WALL: &str = "batch.<method>.wall";
 
 /// `batch.<method>.wall` for a concrete method name.
 pub fn batch_method_wall(method: &str) -> String {
@@ -101,7 +98,7 @@ pub const SERVER_LATENCY: &str = "server.latency";
 /// Gauge: requests currently being parsed, routed, or written.
 pub const SERVER_INFLIGHT: &str = "server.inflight";
 /// Pattern — counter: requests dispatched to one route.
-pub const SERVER_ROUTE_REQUESTS: &str = "server.route.<route>.requests";
+pub(crate) const SERVER_ROUTE_REQUESTS: &str = "server.route.<route>.requests";
 /// Counter: hot-reload attempts (admin endpoint or `SIGHUP`).
 pub const SERVER_RELOAD_ATTEMPTS: &str = "server.reload.attempts";
 /// Counter: hot-reload attempts that failed and rolled back.
@@ -116,7 +113,7 @@ pub const SERVER_MODEL_GENERATION: &str = "server.model_generation";
 /// every `/healthz` probe).
 pub const SERVER_MODEL_AGE_MS: &str = "server.model_age_ms";
 /// Counter: completed traces offered to the tail sampler.
-pub const SERVER_TRACE_SAMPLED: &str = "server.trace.sampled";
+pub(crate) const SERVER_TRACE_SAMPLED: &str = "server.trace.sampled";
 /// Gauge: completed traces currently retained by the tail sampler
 /// (slow sets + uniform ring), refreshed on every `/healthz` probe.
 pub const SERVER_TRACE_TAIL_OCCUPANCY: &str = "server.trace.tail_occupancy";
@@ -194,70 +191,12 @@ pub const EVAL_CONTEXT_FOODMART: &str = "eval.context.foodmart";
 /// Histogram (ns): 43Things side of the context build.
 pub const EVAL_CONTEXT_FORTYTHREE: &str = "eval.context.fortythree";
 /// Pattern — histogram (ns): one experiment's wall clock in `repro`.
-pub const EVAL_EXPERIMENT_WALL: &str = "eval.<experiment>.wall";
+pub(crate) const EVAL_EXPERIMENT_WALL: &str = "eval.<experiment>.wall";
 
 /// `eval.<experiment>.wall` for a concrete experiment name.
 pub fn eval_experiment_wall(experiment: &str) -> String {
     expand(EVAL_EXPERIMENT_WALL, experiment)
 }
-
-/// Every registered metric name and pattern, in README table order.
-pub const ALL: &[&str] = &[
-    MODEL_BUILDS,
-    MODEL_BUILD_TOTAL,
-    MODEL_BUILD_A_IDX,
-    MODEL_BUILD_G_IDX,
-    MODEL_BUILD_GI_A_IDX,
-    MODEL_BUILD_GI_G_IDX,
-    MODEL_BUILD_A_GI_IDX,
-    MODEL_IMPLS,
-    MODEL_ACTIONS,
-    MODEL_GOALS,
-    MODEL_MEMORY_BYTES,
-    STRATEGY_REQUESTS,
-    STRATEGY_LATENCY,
-    STRATEGY_CANDIDATES,
-    BATCH_REQUESTS,
-    BATCH_LATENCY,
-    BATCH_THROUGHPUT_RPS,
-    BATCH_METHOD_WALL,
-    SERVER_REQUESTS,
-    SERVER_REJECTED,
-    SERVER_TIMEOUTS,
-    SERVER_CONNECTIONS,
-    SERVER_LATENCY,
-    SERVER_INFLIGHT,
-    SERVER_ROUTE_REQUESTS,
-    SERVER_RELOAD_ATTEMPTS,
-    SERVER_RELOAD_FAILURES,
-    SERVER_RELOAD_LATENCY,
-    SERVER_MODEL_GENERATION,
-    SERVER_MODEL_AGE_MS,
-    SERVER_TRACE_SAMPLED,
-    SERVER_TRACE_TAIL_OCCUPANCY,
-    LIBRARY_APPENDS,
-    LIBRARY_DELTA_SIZE,
-    LIBRARY_COMPACTIONS,
-    LIBRARY_COMPACTION_FAILURES,
-    LIBRARY_COMPACTION_LATENCY,
-    SPAN_QUEUE_WAIT,
-    SPAN_PARSE,
-    SPAN_HANDLE,
-    SPAN_RANK,
-    SPAN_RANK_CANDIDATES,
-    SPAN_RANK_TOPK,
-    SPAN_WRITE,
-    SPAN_RELOAD_LOAD,
-    SPAN_RELOAD_VALIDATE,
-    SPAN_MODEL_BUILD,
-    SPAN_COMPACT_MERGE,
-    SPAN_COMPACT_PERSIST,
-    SPAN_COMPACT_SWAP,
-    EVAL_CONTEXT_BUILD,
-    EVAL_CONTEXT_FOODMART,
-    EVAL_CONTEXT_FORTYTHREE,
-    EVAL_EXPERIMENT_WALL,
-];
 
 /// Substitutes the single `<placeholder>` segment of a pattern constant.
 ///
@@ -280,18 +219,31 @@ fn expand(pattern: &str, value: &str) -> String {
 mod tests {
     use super::*;
 
+    /// Every registered name and pattern: the value of each string
+    /// constant declared above the tests.
+    fn registered() -> Vec<&'static str> {
+        let source = include_str!("names.rs");
+        let declarations = &source[..source.find("#[cfg(test)]").unwrap()];
+        declarations
+            .lines()
+            .filter(|l| l.contains(" const ") && l.contains(": &str = \""))
+            .filter_map(|l| l.split('"').nth(1))
+            .collect()
+    }
+
     #[test]
     fn all_is_duplicate_free_and_complete() {
+        let names = registered();
         let mut seen = std::collections::HashSet::new();
-        for name in ALL {
+        for name in &names {
             assert!(seen.insert(*name), "duplicate registry entry {name}");
         }
-        assert_eq!(ALL.len(), 54);
+        assert_eq!(names.len(), 54);
     }
 
     #[test]
     fn names_follow_the_dotted_lowercase_scheme() {
-        for name in ALL {
+        for name in registered() {
             assert!(name.contains('.'), "{name} has no namespace");
             for segment in name.split('.') {
                 assert!(!segment.is_empty(), "{name} has an empty segment");

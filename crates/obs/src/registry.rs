@@ -30,12 +30,6 @@ impl Counter {
         // ordering: Relaxed — scrape-side read of a pure statistic.
         self.0.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        // ordering: Relaxed — races with concurrent increments benignly;
-        // an increment landing mid-reset survives or vanishes whole.
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A last-value-wins `f64` metric (stored as bit pattern in an atomic).
@@ -55,12 +49,6 @@ impl Gauge {
     pub fn get(&self) -> f64 {
         // ordering: Relaxed — scrape-side read of a last-value-wins gauge.
         f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    fn reset(&self) {
-        // ordering: Relaxed — races with concurrent sets benignly; one of
-        // the complete values wins.
-        self.0.store(0f64.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -224,35 +212,6 @@ impl Registry {
         }
         out
     }
-
-    /// Zeroes every registered metric in place. Outstanding handles stay
-    /// bound to their metrics and keep recording.
-    pub fn reset(&self) {
-        for c in self
-            .counters
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            c.reset();
-        }
-        for g in self
-            .gauges
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            g.reset();
-        }
-        for h in self
-            .histograms
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            h.reset();
-        }
-    }
 }
 
 /// Maps a dotted registry name onto the Prometheus grammar.
@@ -272,7 +231,7 @@ fn prom_name(name: &str) -> String {
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
 /// The process-global registry.
-pub fn global() -> &'static Registry {
+pub(crate) fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
@@ -327,16 +286,5 @@ mod tests {
         );
         assert!(text.contains("goalrec_sizes_sum 6"), "{text}");
         assert!(text.contains("goalrec_sizes_count 3"), "{text}");
-    }
-
-    #[test]
-    fn reset_keeps_registrations() {
-        let r = Registry::new();
-        let c = r.counter("keep");
-        c.inc_by(9);
-        r.reset();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        assert_eq!(r.snapshot().counter("keep"), Some(1));
     }
 }

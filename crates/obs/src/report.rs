@@ -51,7 +51,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Summarizes a live histogram.
-    pub fn of(name: &str, h: &Histogram) -> Self {
+    pub(crate) fn of(name: &str, h: &Histogram) -> Self {
         let quantile = |q| {
             if h.count() == 0 {
                 None

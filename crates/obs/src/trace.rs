@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Spans one trace can hold; later spans are dropped (and counted).
-pub const MAX_SPANS: usize = 16;
+pub(crate) const MAX_SPANS: usize = 16;
 
 /// A 64-bit trace identifier, rendered as 16 lowercase hex digits.
 ///
@@ -233,11 +233,6 @@ impl TraceContext {
         self.queue_wait_ns = ns;
     }
 
-    /// The recorded admission-queue wait, nanoseconds.
-    pub fn queue_wait_ns(&self) -> u64 {
-        self.queue_wait_ns
-    }
-
     /// Nanoseconds since the trace's start instant.
     #[inline]
     pub fn elapsed_ns(&self) -> u64 {
@@ -406,17 +401,6 @@ impl CompletedTrace {
         &self.spans[..self.len as usize]
     }
 
-    /// Sum of the top-level (non-child) span durations, nanoseconds.
-    /// For a fully instrumented request this is within clock-read jitter
-    /// of [`CompletedTrace::total_ns`].
-    pub fn top_level_span_sum_ns(&self) -> u64 {
-        self.spans()
-            .iter()
-            .filter(|s| !s.child)
-            .map(|s| s.dur_ns)
-            .fold(0u64, u64::saturating_add)
-    }
-
     /// Whether a span with this name was recorded.
     pub fn has_span(&self, name: &str) -> bool {
         self.spans().iter().any(|s| s.name == name)
@@ -502,8 +486,18 @@ mod tests {
         assert!(snap.has_span(crate::names::SPAN_HANDLE));
         assert!(snap.spans()[0].dur_ns >= 1_000_000);
         // Child spans are excluded from the top-level sum.
-        assert_eq!(snap.top_level_span_sum_ns(), snap.spans()[0].dur_ns);
+        assert_eq!(top_level_sum(&snap), snap.spans()[0].dur_ns);
         assert!(snap.total_ns >= snap.spans()[0].dur_ns);
+    }
+
+    /// Sum of the top-level (non-child) span durations, nanoseconds.
+    fn top_level_sum(trace: &CompletedTrace) -> u64 {
+        trace
+            .spans()
+            .iter()
+            .filter(|s| !s.child)
+            .map(|s| s.dur_ns)
+            .sum()
     }
 
     #[test]
@@ -527,7 +521,7 @@ mod tests {
         let total = t.finish(200);
 
         let snap = t.snapshot();
-        assert_eq!(snap.top_level_span_sum_ns(), total);
+        assert_eq!(top_level_sum(&snap), total);
         assert!(total >= 15_000_000, "the stalls land inside the spans");
         let top: Vec<&Span> = snap.spans().iter().filter(|s| !s.child).collect();
         for pair in top.windows(2) {

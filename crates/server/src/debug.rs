@@ -34,7 +34,7 @@ fn stage_name(stage: u8) -> &'static str {
 
 /// One worker's current request, written with relaxed atomic stores on
 /// the hot path and read by `/debug/requests` snapshots.
-pub struct InflightSlot {
+pub(crate) struct InflightSlot {
     worker: u64,
     active: AtomicBool,
     trace_id: AtomicU64,
@@ -85,7 +85,7 @@ impl InflightSlot {
 
 /// All workers' slots plus the common time epoch their ages are measured
 /// against.
-pub struct InflightRegistry {
+pub(crate) struct InflightRegistry {
     epoch: Instant,
     slots: Mutex<Vec<Arc<InflightSlot>>>,
 }

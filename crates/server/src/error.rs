@@ -72,7 +72,7 @@ pub enum ServerError {
 impl ServerError {
     /// The HTTP status this error is answered with, or `None` when the
     /// transport is gone and no answer can be written.
-    pub fn status(&self) -> Option<u16> {
+    pub(crate) fn status(&self) -> Option<u16> {
         match self {
             ServerError::Bind { .. } | ServerError::Io { .. } | ServerError::ConnectionClosed => {
                 None
@@ -93,7 +93,7 @@ impl ServerError {
     }
 
     /// Maps an I/O error raised while touching a connection.
-    pub fn from_io(context: &'static str, e: &std::io::Error) -> Self {
+    pub(crate) fn from_io(context: &'static str, e: &std::io::Error) -> Self {
         use std::io::ErrorKind::*;
         match e.kind() {
             TimedOut | WouldBlock => ServerError::Timeout,

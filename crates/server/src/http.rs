@@ -56,7 +56,7 @@ pub struct Request {
 
 impl Request {
     /// First value of a header by lower-case name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n == name)
@@ -87,18 +87,18 @@ impl<R: Read> HttpReader<R> {
     }
 
     /// The wrapped transport.
-    pub fn get_mut(&mut self) -> &mut R {
+    pub(crate) fn get_mut(&mut self) -> &mut R {
         &mut self.inner
     }
 
     /// Whether unparsed bytes are already buffered.
-    pub fn has_buffered(&self) -> bool {
+    pub(crate) fn has_buffered(&self) -> bool {
         self.pos < self.buf.len()
     }
 
     /// Reads once from the transport into the buffer. Returns the number
     /// of new bytes; `0` means the peer closed its write side.
-    pub fn fill_once(&mut self) -> Result<usize, ServerError> {
+    pub(crate) fn fill_once(&mut self) -> Result<usize, ServerError> {
         if self.pos > 0 && self.pos == self.buf.len() {
             self.buf.clear();
             self.pos = 0;
@@ -243,10 +243,28 @@ pub fn read_request<R: Read>(
             "transfer-encoding is not supported; send a Content-Length body".to_owned(),
         ));
     }
-    if let Some(raw) = request.header("content-length") {
-        let len: usize = raw
-            .parse()
-            .map_err(|_| ServerError::BadRequest(format!("invalid Content-Length '{raw}'")))?;
+    // Framing is `1*DIGIT` in one agreed value (RFC 9110 §8.6): a sign, a
+    // list or two differing headers would let a proxy in front of the
+    // server frame the body differently than the server does.
+    let mut lengths = request
+        .headers
+        .iter()
+        .filter(|(n, _)| n == "content-length")
+        .map(|(_, v)| v.as_str());
+    if let Some(raw) = lengths.next() {
+        if let Some(other) = lengths.find(|v| *v != raw) {
+            return Err(ServerError::BadRequest(format!(
+                "conflicting Content-Length headers '{raw}' and '{other}'"
+            )));
+        }
+        if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(ServerError::BadRequest(format!(
+                "invalid Content-Length '{raw}': expected decimal digits only"
+            )));
+        }
+        let len: usize = raw.parse().map_err(|_| {
+            ServerError::BadRequest(format!("invalid Content-Length '{raw}': too large"))
+        })?;
         if len > limits.max_body_bytes {
             return Err(ServerError::BodyTooLarge(limits.max_body_bytes));
         }
@@ -256,7 +274,7 @@ pub fn read_request<R: Read>(
 }
 
 /// Standard reason phrase for the statuses the server emits.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -298,7 +316,7 @@ pub struct Response {
 impl Response {
     /// A JSON response; `body` is JSON text, as a `String` or as the
     /// bytes of one.
-    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Self {
+    pub(crate) fn json(status: u16, body: impl Into<Vec<u8>>) -> Self {
         Response {
             status,
             content_type: "application/json",
@@ -309,7 +327,7 @@ impl Response {
     }
 
     /// A plain-text response.
-    pub fn text(status: u16, body: String) -> Self {
+    pub(crate) fn text(status: u16, body: String) -> Self {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
@@ -320,7 +338,7 @@ impl Response {
     }
 
     /// The JSON error envelope for a failed request.
-    pub fn from_error(err: &ServerError) -> Option<Self> {
+    pub(crate) fn from_error(err: &ServerError) -> Option<Self> {
         let status = err.status()?;
         let doc = serde_json::json!({
             "error": err.to_string(),
@@ -497,6 +515,33 @@ mod tests {
             read_request(&mut r, &limits),
             Err(ServerError::BodyTooLarge(8))
         ));
+    }
+
+    #[test]
+    fn content_length_is_digits_only_and_agreed() {
+        let cause = |raw: &[u8]| match parse_one(raw) {
+            Err(ServerError::BadRequest(cause)) => cause,
+            other => panic!("{raw:?} gave {other:?}"),
+        };
+        let signed = cause(b"POST / HTTP/1.1\r\ncontent-length: +3\r\n\r\nabc");
+        assert!(
+            signed.contains("'+3'") && signed.contains("digits"),
+            "{signed}"
+        );
+        let list = cause(b"POST / HTTP/1.1\r\ncontent-length: 3, 3\r\n\r\nabc");
+        assert!(list.contains("digits"), "{list}");
+        let twice =
+            cause(b"POST / HTTP/1.1\r\ncontent-length: 3\r\ncontent-length: 5\r\n\r\nabcde");
+        assert!(
+            twice.contains("conflicting") && twice.contains("'5'"),
+            "{twice}"
+        );
+        // The same value twice frames the body one way only.
+        let req =
+            parse_one(b"POST / HTTP/1.1\r\ncontent-length: 3\r\nContent-Length: 3\r\n\r\nabc")
+                .unwrap()
+                .unwrap();
+        assert_eq!(req.body, b"abc");
     }
 
     #[test]

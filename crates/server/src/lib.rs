@@ -12,10 +12,10 @@
 //! ```
 //!
 //! * **One serving state** — one swappable [`AppState`] snapshot (one
-//!   model plus its staged append overlay) behind a [`StateCell`].
+//!   model plus its staged append overlay) behind a `StateCell`.
 //!   Recommends rank through core's strategies on the worker's own
 //!   arena; reloads, appends and compactions publish successor snapshots
-//!   (see [`state`] and [`reload`]).
+//!   (see `state` and [`reload`]).
 //! * **Admission control** — the queue capacity bounds accepted-but-unserved
 //!   connections; beyond it the accept loop answers `503` immediately
 //!   instead of letting latency collapse.
@@ -47,25 +47,26 @@
     )
 )]
 
-pub mod args;
+pub(crate) mod args;
 mod debug;
-pub mod error;
+pub(crate) mod error;
 pub mod http;
 mod pool;
-pub mod queue;
+pub(crate) mod queue;
 pub mod reload;
 pub mod router;
 pub mod shutdown;
-pub mod state;
+pub(crate) mod state;
 mod wire;
 
 pub use args::{parse_args, USAGE};
 pub use error::ServerError;
-pub use http::{Limits, Request, Response};
-pub use reload::ReloadHandle;
+pub(crate) use http::{Limits, Response};
+pub(crate) use reload::ReloadHandle;
 pub use router::{ServeCtx, WorkerArena, STRATEGY_NAMES};
-pub use shutdown::Shutdown;
-pub use state::{AppState, StateCell};
+pub(crate) use shutdown::Shutdown;
+pub use state::AppState;
+pub(crate) use state::StateCell;
 
 use goalrec_obs as obs;
 use pool::{Conn, ConnPolicy, ServerMetrics};
@@ -172,11 +173,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// A clone of the shutdown token, e.g. to trip it from another thread.
-    pub fn shutdown_token(&self) -> Shutdown {
-        self.shutdown.clone()
-    }
-
     /// The reload supervisor, e.g. to trigger a programmatic hot reload.
     pub fn reload_handle(&self) -> ReloadHandle {
         self.reload.clone()
@@ -191,7 +187,7 @@ impl ServerHandle {
 
     /// Blocks until the shutdown token trips (signal or another thread),
     /// then drains exactly like [`ServerHandle::shutdown`].
-    pub fn wait(mut self) {
+    pub(crate) fn wait(mut self) {
         self.shutdown.wait();
         self.join_threads();
     }
@@ -229,7 +225,7 @@ pub fn start(
 
 /// [`start`], but wired to a caller-provided shutdown token — pass one
 /// from [`Shutdown::watching_signals`] to drain on `SIGTERM`/`SIGINT`.
-pub fn start_with_shutdown(
+pub(crate) fn start_with_shutdown(
     library: goalrec_core::GoalLibrary,
     config: ServerConfig,
     shutdown: Shutdown,

@@ -76,7 +76,7 @@ pub(crate) struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ServerMetrics {
             requests: obs::counter(names::SERVER_REQUESTS),
             rejected: obs::counter(names::SERVER_REJECTED),

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 /// Outcome of a non-blocking push.
 #[derive(Debug, PartialEq, Eq)]
-pub enum TryPush<T> {
+pub(crate) enum TryPush<T> {
     /// The item was admitted.
     Admitted,
     /// The queue is at capacity; the item comes back to the caller.
@@ -32,7 +32,7 @@ pub enum TryPush<T> {
 
 /// Outcome of a blocking pop with timeout.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Pop<T> {
+pub(crate) enum Pop<T> {
     /// An item was dequeued.
     Item(T),
     /// The timeout elapsed with the queue open but empty.
@@ -47,7 +47,7 @@ struct State<T> {
 }
 
 /// A bounded multi-producer multi-consumer queue.
-pub struct Bounded<T> {
+pub(crate) struct Bounded<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
     capacity: usize,
@@ -57,7 +57,7 @@ impl<T> Bounded<T> {
     /// Creates a queue admitting at most `capacity` items at once.
     /// A zero capacity is promoted to one — a queue that can never admit
     /// anything would deadlock the accept loop.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Bounded {
             state: Mutex::new(State {
                 items: VecDeque::with_capacity(capacity.max(1)),
@@ -72,23 +72,8 @@ impl<T> Bounded<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The admission capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Admits an item without blocking.
-    pub fn try_push(&self, item: T) -> TryPush<T> {
+    pub(crate) fn try_push(&self, item: T) -> TryPush<T> {
         let mut st = self.lock();
         if st.closed {
             return TryPush::Closed(item);
@@ -103,7 +88,7 @@ impl<T> Bounded<T> {
     }
 
     /// Dequeues an item, waiting up to `timeout` for one to arrive.
-    pub fn pop(&self, timeout: Duration) -> Pop<T> {
+    pub(crate) fn pop(&self, timeout: Duration) -> Pop<T> {
         let mut st = self.lock();
         let deadline = std::time::Instant::now() + timeout;
         loop {
@@ -130,7 +115,7 @@ impl<T> Bounded<T> {
 
     /// Closes the queue: producers are refused from now on, consumers
     /// drain the remainder and then observe [`Pop::Closed`].
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.lock().closed = true;
         self.not_empty.notify_all();
     }
@@ -147,7 +132,7 @@ mod tests {
         assert_eq!(q.try_push(1), TryPush::Admitted);
         assert_eq!(q.try_push(2), TryPush::Admitted);
         assert_eq!(q.try_push(3), TryPush::Full(3));
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.lock().items.len(), 2);
         assert_eq!(q.pop(Duration::from_millis(1)), Pop::Item(1));
         assert_eq!(q.try_push(3), TryPush::Admitted);
         assert_eq!(q.pop(Duration::from_millis(1)), Pop::Item(2));
@@ -158,7 +143,7 @@ mod tests {
     #[test]
     fn zero_capacity_is_promoted_to_one() {
         let q = Bounded::new(0);
-        assert_eq!(q.capacity(), 1);
+        assert_eq!(q.capacity, 1);
         assert_eq!(q.try_push(9), TryPush::Admitted);
         assert_eq!(q.try_push(10), TryPush::Full(10));
     }

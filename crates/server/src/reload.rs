@@ -1,6 +1,6 @@
 //! Hot model reload with rollback.
 //!
-//! The serving state is a [`StateCell`]: one `RwLock` around an
+//! The serving state is a `StateCell`: one `RwLock` around an
 //! `Arc<AppState>` snapshot. Workers `load()` one `Arc`
 //! clone per request, so a request that started on generation *n*
 //! finishes on generation *n* even if a swap lands mid-flight; the old
@@ -92,7 +92,9 @@ enum JobKind {
     /// before acknowledgement).
     Append { entries: Vec<WalEntry> },
     /// Merge base ⊕ delta into a new compiled generation now, regardless
-    /// of the auto-compaction thresholds.
+    /// of the auto-compaction thresholds (the unit tests' synchronous
+    /// entry into the compactor).
+    #[cfg(test)]
     Compact,
 }
 
@@ -114,7 +116,7 @@ pub struct ReloadHandle {
 impl ReloadHandle {
     /// The library file the server was started from, if it was started
     /// from a file — the target of `SIGHUP` and path-less admin reloads.
-    pub fn default_path(&self) -> Option<&Path> {
+    pub(crate) fn default_path(&self) -> Option<&Path> {
         self.default_path.as_deref()
     }
 
@@ -140,7 +142,7 @@ impl ReloadHandle {
     /// supervisor has WAL-logged and published them; returns the staged
     /// total after this batch. A `200` from the append route therefore
     /// means the entries survive a crash.
-    pub fn append_blocking(&self, entries: Vec<WalEntry>) -> ReloadResult {
+    pub(crate) fn append_blocking(&self, entries: Vec<WalEntry>) -> ReloadResult {
         self.submit(JobKind::Append { entries })
     }
 
@@ -148,7 +150,8 @@ impl ReloadHandle {
     /// generation on success (unchanged if there was nothing staged), the
     /// error — with the old generation still serving and the delta intact
     /// — on failure.
-    pub fn compact_blocking(&self) -> ReloadResult {
+    #[cfg(test)]
+    pub(crate) fn compact_blocking(&self) -> ReloadResult {
         self.submit(JobKind::Compact)
     }
 
@@ -413,6 +416,7 @@ fn reloader_loop(
                     JobKind::Append { entries } => {
                         attempt_append(&cell, entries, &mut live, &metrics)
                     }
+                    #[cfg(test)]
                     JobKind::Compact => attempt_compact(&cell, &mut live, &metrics, &tail),
                 };
                 if let Some(done) = job.done {

@@ -101,7 +101,7 @@ const ROUTES: [&str; 9] = [
 /// How many implementations one `POST /v1/admin/library/append` body may
 /// stage by default; larger batches are answered `413` so a runaway
 /// client cannot balloon the delta in one request.
-pub const DEFAULT_APPEND_CAP: usize = 1024;
+pub(crate) const DEFAULT_APPEND_CAP: usize = 1024;
 
 /// Everything the routing layer needs: the serving state, the reload
 /// supervisor (absent in contexts that never reload, e.g. unit tests),
@@ -126,7 +126,7 @@ pub struct ServeCtx {
 impl ServeCtx {
     /// Wires the serving state to an optional reload supervisor, with a
     /// default-configured tail sampler and a fresh in-flight registry.
-    pub fn new(cell: Arc<StateCell>, reload: Option<ReloadHandle>) -> Self {
+    pub(crate) fn new(cell: Arc<StateCell>, reload: Option<ReloadHandle>) -> Self {
         ServeCtx {
             cell,
             reload,
@@ -140,7 +140,7 @@ impl ServeCtx {
     }
 
     /// Overrides the per-request append cap (`--append-max-entries`).
-    pub fn with_append_cap(mut self, cap: usize) -> Self {
+    pub(crate) fn with_append_cap(mut self, cap: usize) -> Self {
         self.append_cap = cap.max(1);
         self
     }
@@ -157,7 +157,7 @@ impl ServeCtx {
 
     /// Replaces the tail sampler — the server shares one between the
     /// request path and the reload supervisor.
-    pub fn with_tail(mut self, tail: Arc<obs::TailSampler>) -> Self {
+    pub(crate) fn with_tail(mut self, tail: Arc<obs::TailSampler>) -> Self {
         self.tail = tail;
         self
     }
@@ -169,17 +169,17 @@ impl ServeCtx {
     }
 
     /// One consistent snapshot of the serving state.
-    pub fn state(&self) -> Arc<AppState> {
+    pub(crate) fn state(&self) -> Arc<AppState> {
         self.cell.load()
     }
 
     /// The reload supervisor, when hot reload is enabled.
-    pub fn reload(&self) -> Option<&ReloadHandle> {
+    pub(crate) fn reload(&self) -> Option<&ReloadHandle> {
         self.reload.as_ref()
     }
 
     /// The tail sampler behind `GET /debug/traces`.
-    pub fn tail(&self) -> &Arc<obs::TailSampler> {
+    pub(crate) fn tail(&self) -> &Arc<obs::TailSampler> {
         &self.tail
     }
 
@@ -189,7 +189,7 @@ impl ServeCtx {
     }
 
     /// Milliseconds since this context was built — the serving uptime.
-    pub fn uptime_ms(&self) -> u64 {
+    pub(crate) fn uptime_ms(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 

@@ -4,7 +4,7 @@
 //! The signal path uses the C `signal(2)` entry point directly — std
 //! already links libc, so this adds no dependency. The handler does the
 //! only async-signal-safe thing possible: store into a process-global
-//! atomic. [`Shutdown::is_set`] reads both its own flag (programmatic
+//! atomic. `Shutdown::is_set` reads both its own flag (programmatic
 //! shutdown, used by tests and `ServerHandle::shutdown`) and the signal
 //! flag, so either path drains the server the same way.
 
@@ -15,18 +15,17 @@ use std::time::Duration;
 
 /// `SIGHUP` — the classic "reload your configuration" signal; here it
 /// asks the server to hot-reload its library file.
-pub const SIGHUP: c_int = 1;
+pub(crate) const SIGHUP: c_int = 1;
 /// `SIGINT` — ctrl-c.
-pub const SIGINT: c_int = 2;
+pub(crate) const SIGINT: c_int = 2;
 /// `SIGTERM` — polite termination, e.g. from an orchestrator.
-pub const SIGTERM: c_int = 15;
+pub(crate) const SIGTERM: c_int = 15;
 
 static SIGNAL_RECEIVED: AtomicBool = AtomicBool::new(false);
 static RELOAD_SIGNALS: AtomicU64 = AtomicU64::new(0);
 
 extern "C" {
     fn signal(signum: c_int, handler: extern "C" fn(c_int)) -> usize;
-    fn raise(signum: c_int) -> c_int;
 }
 
 extern "C" fn on_signal(_signum: c_int) {
@@ -55,17 +54,8 @@ pub fn install_signal_handlers() {
     }
 }
 
-/// Sends `signum` to the current process, exactly like an external
-/// `kill`. Used by the smoke harness to exercise the real signal path.
-pub fn raise_signal(signum: c_int) {
-    // Safety: raising a signal for which a handler is installed.
-    unsafe {
-        raise(signum);
-    }
-}
-
 /// Whether a termination signal has been received by this process.
-pub fn signal_received() -> bool {
+pub(crate) fn signal_received() -> bool {
     // ordering: Acquire pairs with the handler's Release store.
     SIGNAL_RECEIVED.load(Ordering::Acquire)
 }
@@ -73,14 +63,14 @@ pub fn signal_received() -> bool {
 /// How many `SIGHUP` reload requests this process has received. The
 /// reload supervisor compares successive readings, so every delivered
 /// signal triggers exactly one reload attempt.
-pub fn reload_signal_count() -> u64 {
+pub(crate) fn reload_signal_count() -> u64 {
     // ordering: Acquire pairs with the handler's Release increment.
     RELOAD_SIGNALS.load(Ordering::Acquire)
 }
 
 /// A cloneable shutdown token shared by the accept loop and the workers.
 #[derive(Clone, Default)]
-pub struct Shutdown {
+pub(crate) struct Shutdown {
     requested: Arc<AtomicBool>,
     /// When true, `is_set` also honours the process-global signal flag.
     watch_signals: bool,
@@ -88,7 +78,7 @@ pub struct Shutdown {
 
 impl Shutdown {
     /// A token that only reacts to [`Shutdown::request`].
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Shutdown {
             requested: Arc::new(AtomicBool::new(false)),
             watch_signals: false,
@@ -97,7 +87,7 @@ impl Shutdown {
 
     /// A token that additionally trips when `SIGTERM`/`SIGINT` arrives
     /// (callers should pair this with [`install_signal_handlers`]).
-    pub fn watching_signals() -> Self {
+    pub(crate) fn watching_signals() -> Self {
         Shutdown {
             requested: Arc::new(AtomicBool::new(false)),
             watch_signals: true,
@@ -105,7 +95,7 @@ impl Shutdown {
     }
 
     /// Requests shutdown programmatically.
-    pub fn request(&self) {
+    pub(crate) fn request(&self) {
         // ordering: Release pairs with the Acquire load in is_set; shutdown
         // consumers re-check their own queues after observing the flag, so
         // the flag itself is all this store publishes.
@@ -114,13 +104,13 @@ impl Shutdown {
 
     /// Whether shutdown has been requested (or signalled, for tokens from
     /// [`Shutdown::watching_signals`]).
-    pub fn is_set(&self) -> bool {
+    pub(crate) fn is_set(&self) -> bool {
         // ordering: Acquire pairs with the Release store in request.
         self.requested.load(Ordering::Acquire) || (self.watch_signals && signal_received())
     }
 
     /// Blocks until the token trips, polling every 25 ms.
-    pub fn wait(&self) {
+    pub(crate) fn wait(&self) {
         while !self.is_set() {
             std::thread::sleep(Duration::from_millis(25));
         }

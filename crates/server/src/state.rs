@@ -34,7 +34,7 @@ struct Catalog {
 
 /// One coherent snapshot of the served model: the generation's catalog,
 /// its base model and the staged append overlay. Loaded once per request
-/// through [`StateCell::load`].
+/// through `StateCell::load`.
 pub struct AppState {
     catalog: Arc<Catalog>,
     model: Arc<GoalModel>,
@@ -165,19 +165,19 @@ impl AppState {
 
     /// Which reload generation this snapshot is: 1 at startup, +1 per full
     /// reload or compaction. Appends do not bump it.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 
     /// How long ago the base model was built — `/healthz` reports it as
     /// `model_age_ms` so operators can tell a reload actually took.
     /// Append swaps share the base, so they do not reset it.
-    pub fn model_age(&self) -> Duration {
+    pub(crate) fn model_age(&self) -> Duration {
         self.built_at.elapsed()
     }
 
     /// Staged-but-uncompacted implementations.
-    pub fn delta_len(&self) -> usize {
+    pub(crate) fn delta_len(&self) -> usize {
         self.delta.as_ref().map_or(0, DeltaSegment::len)
     }
 
@@ -188,14 +188,14 @@ impl AppState {
     }
 
     /// The precomputed library stats behind `/v1/stats`.
-    pub fn stats(&self) -> &LibraryStats {
+    pub(crate) fn stats(&self) -> &LibraryStats {
         &self.catalog.stats
     }
 
     /// The generation's library, materialised on first use when the
     /// generation was installed straight from a model file. The rebuild
     /// is cached, so at most one caller per generation pays it.
-    pub fn library(&self) -> Result<&Arc<GoalLibrary>, ServerError> {
+    pub(crate) fn library(&self) -> Result<&Arc<GoalLibrary>, ServerError> {
         if let Some(lib) = self.catalog.library.get() {
             return Ok(lib);
         }
@@ -214,20 +214,20 @@ impl AppState {
     /// generation has no library yet or the id is beyond its dictionary
     /// (a staged-only action): the name is then `a{raw}`, the same
     /// synthetic name [`GoalModel::to_library`] would mint.
-    pub fn resolve_action(&self, action: ActionId) -> Option<&str> {
+    pub(crate) fn resolve_action(&self, action: ActionId) -> Option<&str> {
         self.catalog.library.get()?.resolve_action(action)
     }
 }
 
 /// The current [`AppState`] behind a poison-recovering
 /// `RwLock<Arc<…>>`.
-pub struct StateCell {
+pub(crate) struct StateCell {
     slot: RwLock<Arc<AppState>>,
 }
 
 impl StateCell {
     /// Wraps the initial snapshot.
-    pub fn new(initial: AppState) -> Self {
+    pub(crate) fn new(initial: AppState) -> Self {
         StateCell {
             slot: RwLock::new(Arc::new(initial)),
         }
@@ -236,7 +236,7 @@ impl StateCell {
     /// The snapshot serving right now. Callers hold the returned `Arc`
     /// for the duration of one request, so a concurrent swap never
     /// changes the model a request is being answered from.
-    pub fn load(&self) -> Arc<AppState> {
+    pub(crate) fn load(&self) -> Arc<AppState> {
         // A poisoned lock only means some thread panicked while holding
         // it; the Arc inside is still intact, so recover and serve.
         Arc::clone(&self.slot.read().unwrap_or_else(PoisonError::into_inner))

@@ -303,6 +303,14 @@ fn hand_written_cases() {
         ),
         // The body is capped before it is read.
         (b"POST / HTTP/1.1\r\ncontent-length: 25\r\n\r\n", None),
+        // Content-Length is `1*DIGIT`: no sign.
+        (b"POST / HTTP/1.1\r\ncontent-length: +3\r\n\r\nabc", None),
+        // Two differing Content-Length headers are refused, not resolved
+        // first-wins (a request-smuggling shape behind a proxy).
+        (
+            b"POST / HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 3\r\n\r\nab",
+            None,
+        ),
         // A body shorter than declared ends in a closed connection.
         (b"POST / HTTP/1.1\r\ncontent-length: 5\r\n\r\nab", None),
         // Chunked bodies are refused; identity is the absence of one.

@@ -6,9 +6,13 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn library() -> goalrec_core::GoalLibrary {
+    builder().build().unwrap()
+}
+
+fn builder() -> LibraryBuilder {
     let mut b = LibraryBuilder::new();
     b.add_impl("olivier salad", ["potatoes", "carrots", "pickles", "peas"])
         .unwrap();
@@ -18,7 +22,7 @@ fn library() -> goalrec_core::GoalLibrary {
         .unwrap();
     b.add_impl("pea soup", ["peas", "carrots", "onion"])
         .unwrap();
-    b.build().unwrap()
+    b
 }
 
 /// A fresh directory per test, so parallel tests never share files.
@@ -115,6 +119,29 @@ impl Served {
     }
 }
 
+/// Sends `signal` (a `kill` name such as `HUP`) to the server process.
+fn kill(served: &Served, signal: &str) {
+    let status = Command::new("kill")
+        .arg(format!("-{signal}"))
+        .arg(served.child.id().to_string())
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill -{signal} failed");
+}
+
+/// The serving generation as `/healthz` reports it.
+fn generation(served: &Served) -> u64 {
+    let health = served.fetch("GET", "/healthz", "");
+    health
+        .split("\"generation\":")
+        .nth(1)
+        .and_then(|rest| {
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().ok()
+        })
+        .unwrap_or_else(|| panic!("no generation in /healthz: {health}"))
+}
+
 impl Drop for Served {
     fn drop(&mut self) {
         let _ = self.child.kill();
@@ -198,6 +225,76 @@ fn served_candidates_count_what_core_strategies_count() {
         assert!(want > activities.len() as u64, "{wire_name}: {want}");
         assert_eq!(sum, want, "{wire_name}");
     }
+}
+
+/// The binary's own signal wiring: `SIGHUP` reloads the library file it
+/// was started from, and `SIGTERM` drains every admitted request before
+/// the process exits 0.
+#[test]
+fn sighup_reloads_the_file_and_sigterm_drains_admitted_requests() {
+    let d = dir("signals");
+    let jsonl = d.join("lib.jsonl");
+    goalrec_datasets::io::write_library_jsonl(&library(), &jsonl).unwrap();
+    let mut served = Served::start(&jsonl);
+    assert_eq!(generation(&served), 1);
+
+    let mut grown = builder();
+    grown.add_impl("onion soup", ["onion", "butter"]).unwrap();
+    goalrec_datasets::io::write_library_jsonl(&grown.build().unwrap(), &jsonl).unwrap();
+    kill(&served, "HUP");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while generation(&served) != 2 {
+        assert!(
+            Instant::now() < deadline,
+            "SIGHUP did not reload the library"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let body = r#"{"activity": [0], "strategy": "breadth", "k": 5}"#;
+
+    // Eight admitted connections: four send their request before SIGTERM,
+    // four only once the drain has begun. The drain owes every admitted
+    // connection its first request, so all eight must answer 200.
+    let request = format!(
+        "POST /v1/recommend HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\
+         connection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let mut burst: Vec<TcpStream> = (0..8)
+        .map(|_| TcpStream::connect(served.addr).expect("connect"))
+        .collect();
+    for stream in &mut burst[..4] {
+        stream.write_all(request.as_bytes()).expect("write request");
+    }
+    kill(&served, "TERM");
+    std::thread::sleep(Duration::from_millis(100));
+    for stream in &mut burst[4..] {
+        stream.write_all(request.as_bytes()).expect("write request");
+    }
+    for mut stream in burst {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("read response");
+        assert!(
+            raw.starts_with("HTTP/1.1 200"),
+            "dropped in the drain: {raw:?}"
+        );
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = served.child.try_wait().expect("wait for the server") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the server did not exit after SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    };
+    assert_eq!(status.code(), Some(0), "exit status after SIGTERM");
+    let _ = std::fs::remove_dir_all(&d);
 }
 
 #[test]

@@ -287,7 +287,11 @@ fn hot_reload_swaps_generations_and_rolls_back_on_bad_files() {
 
     // SIGHUP drives the same path as a path-less admin reload.
     goalrec_server::shutdown::install_signal_handlers();
-    goalrec_server::shutdown::raise_signal(goalrec_server::shutdown::SIGHUP);
+    let hup = std::process::Command::new("kill")
+        .args(["-HUP", &std::process::id().to_string()])
+        .status()
+        .unwrap();
+    assert!(hup.success());
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         if get(addr, "/healthz").body.contains("\"generation\":4") {

@@ -19,7 +19,7 @@ use crate::tokenize::{segments, tokenize};
 
 /// Extraction parameters.
 #[derive(Debug, Clone)]
-pub struct ExtractorConfig {
+pub(crate) struct ExtractorConfig {
     /// Maximum non-stopword object tokens appended after the verb.
     pub max_object_tokens: usize,
     /// How deep into a segment the anchor verb may sit (imperatives sit at
@@ -38,7 +38,7 @@ impl Default for ExtractorConfig {
 
 /// An extracted action occurrence.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExtractedAction {
+pub(crate) struct ExtractedAction {
     /// Normalised action key, e.g. `"stop eat restaur"`.
     pub key: String,
     /// The segment the action came from (for provenance/debugging).
@@ -52,14 +52,9 @@ pub struct ActionExtractor {
 }
 
 impl ActionExtractor {
-    /// Creates an extractor with the given configuration.
-    pub fn new(cfg: ExtractorConfig) -> Self {
-        Self { cfg }
-    }
-
     /// Extracts all action occurrences from a story text, in order,
     /// deduplicated by key.
-    pub fn extract(&self, text: &str) -> Vec<ExtractedAction> {
+    pub(crate) fn extract(&self, text: &str) -> Vec<ExtractedAction> {
         let mut out: Vec<ExtractedAction> = Vec::new();
         let mut seen = std::collections::HashSet::new();
         for segment in segments(text) {
@@ -184,20 +179,24 @@ mod tests {
     #[test]
     fn anchor_window_limits_search() {
         // Verb beyond the window (offset 5 with default window 4).
-        let tight = ActionExtractor::new(ExtractorConfig {
-            max_object_tokens: 3,
-            max_anchor_offset: 0,
-        });
+        let tight = ActionExtractor {
+            cfg: ExtractorConfig {
+                max_object_tokens: 3,
+                max_anchor_offset: 0,
+            },
+        };
         assert!(tight.extract("I joined a gym").is_empty()); // anchor at 1
         assert_eq!(tight.extract("join a gym").len(), 1); // anchor at 0
     }
 
     #[test]
     fn object_tokens_capped() {
-        let short = ActionExtractor::new(ExtractorConfig {
-            max_object_tokens: 1,
-            max_anchor_offset: 4,
-        });
+        let short = ActionExtractor {
+            cfg: ExtractorConfig {
+                max_object_tokens: 1,
+                max_anchor_offset: 4,
+            },
+        };
         let got = short.extract("stop eating greasy fried food");
         assert_eq!(got[0].key, "stop eat");
     }

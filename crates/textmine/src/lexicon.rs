@@ -129,12 +129,12 @@ fn stopword_set() -> &'static HashSet<&'static str> {
 }
 
 /// Whether a (lowercase) token is an action verb in any inflection.
-pub fn is_action_verb(token: &str) -> bool {
+pub(crate) fn is_action_verb(token: &str) -> bool {
     verb_stems().contains(stem(token).as_str())
 }
 
 /// Whether a (lowercase) token is a stopword.
-pub fn is_stopword(token: &str) -> bool {
+pub(crate) fn is_stopword(token: &str) -> bool {
     stopword_set().contains(token)
 }
 

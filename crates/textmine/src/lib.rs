@@ -4,10 +4,10 @@
 //! pipeline §3 of the paper describes for turning 43Things-style
 //! user-generated descriptions into a structured implementation library.
 //!
-//! The pipeline: [`tokenize`] splits a story into sentence / list-item
-//! segments; [`extract`] anchors each segment on a lexicon verb
-//! ([`lexicon`]) and normalises the phrase with a from-scratch Porter
-//! stemmer ([`mod@stem`]); [`corpus`] assembles the extracted action sets into
+//! The pipeline: `tokenize` splits a story into sentence / list-item
+//! segments; `extract` anchors each segment on a lexicon verb
+//! (`lexicon`) and normalises the phrase with a from-scratch Porter
+//! stemmer (`stem`); `corpus` assembles the extracted action sets into
 //! a [`goalrec_core::GoalLibrary`].
 //!
 //! ```
@@ -38,14 +38,13 @@
     )
 )]
 
-pub mod corpus;
-pub mod extract;
-pub mod lexicon;
-pub mod stem;
-pub mod synth;
-pub mod tokenize;
+pub(crate) mod corpus;
+pub(crate) mod extract;
+pub(crate) mod lexicon;
+pub(crate) mod stem;
+pub(crate) mod synth;
+pub(crate) mod tokenize;
 
 pub use corpus::{build_library, CorpusBuild, Story};
-pub use extract::{ActionExtractor, ExtractedAction, ExtractorConfig};
-pub use stem::stem;
+pub use extract::ActionExtractor;
 pub use synth::{generate as generate_stories, SynthConfig, SynthCorpus};

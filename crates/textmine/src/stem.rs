@@ -8,7 +8,7 @@
 
 /// Stems one lowercase ASCII word. Words shorter than 3 characters are
 /// returned unchanged, as in the original algorithm.
-pub fn stem(word: &str) -> String {
+pub(crate) fn stem(word: &str) -> String {
     let mut w: Vec<u8> = word
         .bytes()
         .filter(|b| b.is_ascii_alphabetic())

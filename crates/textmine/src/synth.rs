@@ -52,7 +52,7 @@ impl Default for SynthConfig {
 
 /// Built-in goal → candidate action phrases, all anchored on lexicon
 /// verbs. Callers can supply their own via [`generate_with_catalog`].
-pub fn default_catalog() -> Vec<(&'static str, Vec<&'static str>)> {
+pub(crate) fn default_catalog() -> Vec<(&'static str, Vec<&'static str>)> {
     vec![
         (
             "lose weight",
@@ -132,7 +132,10 @@ pub fn generate(cfg: &SynthConfig) -> SynthCorpus {
 /// Panics if the catalog is empty, any goal has no actions, or any action
 /// phrase does not start with a lexicon verb (it could never be
 /// extracted, making the ground truth unsatisfiable).
-pub fn generate_with_catalog(cfg: &SynthConfig, catalog: &[(String, Vec<String>)]) -> SynthCorpus {
+pub(crate) fn generate_with_catalog(
+    cfg: &SynthConfig,
+    catalog: &[(String, Vec<String>)],
+) -> SynthCorpus {
     assert!(!catalog.is_empty(), "catalog must not be empty");
     for (goal, actions) in catalog {
         assert!(!actions.is_empty(), "goal {goal} has no actions");

@@ -8,7 +8,7 @@
 
 /// Lowercase word tokens of a segment; alphabetic runs only, apostrophes
 /// collapsed ("don't" → "dont").
-pub fn tokenize(text: &str) -> Vec<String> {
+pub(crate) fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
     let mut current = String::new();
     for ch in text.chars() {
@@ -28,7 +28,7 @@ pub fn tokenize(text: &str) -> Vec<String> {
 
 /// Splits a story into segments: list items (lines starting with a bullet
 /// or `N.`/`N)` enumerator) and sentences (split on `.`, `!`, `?`, `;`).
-pub fn segments(text: &str) -> Vec<String> {
+pub(crate) fn segments(text: &str) -> Vec<String> {
     let mut out = Vec::new();
     for line in text.lines() {
         let trimmed = line.trim();
